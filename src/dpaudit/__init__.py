@@ -26,8 +26,7 @@ from .histogram import (BinningSpec, HistogramEstimate, auto_spec,
 from .mechanisms import (GaussianMechanism, LaplaceMechanism,
                          SubsampledGaussianMechanism, gaussian_delta,
                          gaussian_density, gdp_tradeoff, laplace_density,
-                         laplace_tradeoff, mixture_density, std_normal_cdf,
-                         std_normal_quantile)
+                         laplace_tradeoff, std_normal_cdf, std_normal_quantile)
 from .pld import (PLDGrid, compose_profile, delta_from_pld, pld_from_discrete,
                   self_convolve)
 from .profiles import PrivacyProfile

@@ -242,8 +242,6 @@ def cmd_canary(args) -> int:
 def _add_audit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bins", type=int, default=None,
                         help="fixed bin count (default: Scott auto-binning)")
-    parser.add_argument("--auto-bins", action="store_true",
-                        help="explicit request for Scott auto-binning (the default)")
     parser.add_argument("--bin-width", type=float, default=None,
                         help="fixed bin width")
     parser.add_argument("--delta", type=float, nargs="+", default=[0.01, 0.05, 0.1],

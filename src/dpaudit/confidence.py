@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
 from scipy import special
+
+from .discrete import alpha_from_eps
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,7 @@ def hs_interval(delta_hat: float, eps: float, tau_p: TvRadius,
     """
     if not 0 <= delta_hat <= 1:
         raise ValueError("delta_hat must lie in [0, 1]")
-    tau = max(tau_p.tau, tau_q.tau)
-    alpha = math.exp(eps) if eps <= 700 else math.inf
-    slack = (1.0 + alpha) * tau if tau > 0 else 0.0
+    slack = (1.0 + alpha_from_eps(eps)) * max(tau_p.tau, tau_q.tau)
     return (max(0.0, delta_hat - slack), min(1.0, delta_hat + slack))
 
 
@@ -87,10 +86,33 @@ def clopper_pearson(successes: int, trials: int, confidence: float) -> tuple[flo
     return (lo, hi)
 
 
+def invert_monotone(forward: Callable[[float], float], target: float,
+                    bracket: tuple[float, float]) -> float:
+    """Bisection inverse of a strictly monotone scalar function.
+
+    Halves the bracket until it is narrower than 1e-12 * max(1, |hi|).
+    """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise ValueError("bracket must be ordered (lo, hi)")
+    f_lo, f_hi = forward(lo), forward(hi)
+    increasing = f_hi >= f_lo
+    if not (min(f_lo, f_hi) <= target <= max(f_lo, f_hi)):
+        raise ValueError(f"target {target!r} outside the range "
+                         f"[{min(f_lo, f_hi)!r}, {max(f_lo, f_hi)!r}] of the forward "
+                         f"map over bracket {bracket}")
+    while hi - lo > 1e-12 * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if (forward(mid) < target) == increasing:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def sigma_interval_from_tv(tv_interval: tuple[float, float],
                            forward_map: Callable[[float], float],
-                           bracket: tuple[float, float] = (1e-3, 1e3),
-                           rel_tol: float = 1e-9) -> tuple[float, float]:
+                           bracket: tuple[float, float] = (1e-3, 1e3)) -> tuple[float, float]:
     """Invert a strictly decreasing TV(sigma) map at both interval endpoints.
 
     Larger TV maps to smaller sigma, so the returned (sigma_lo, sigma_hi)
@@ -99,20 +121,5 @@ def sigma_interval_from_tv(tv_interval: tuple[float, float],
     tv_lo, tv_hi = tv_interval
     if tv_lo > tv_hi:
         raise ValueError("tv_interval must be ordered (lo, hi)")
-
-    def invert(target: float) -> float:
-        lo, hi = bracket
-        f_lo, f_hi = forward_map(lo), forward_map(hi)
-        # decreasing map: f(lo) is the largest reachable value
-        if not (f_hi <= target <= f_lo):
-            raise ValueError(
-                f"TV value {target!r} outside the range of forward_map over {bracket}")
-        while hi - lo > rel_tol * max(1.0, abs(hi)):
-            mid = 0.5 * (lo + hi)
-            if forward_map(mid) >= target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    return (invert(tv_hi), invert(tv_lo))
+    return (invert_monotone(forward_map, tv_hi, bracket),
+            invert_monotone(forward_map, tv_lo, bracket))

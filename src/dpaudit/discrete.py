@@ -2,8 +2,8 @@
 
 Everything in this module is pure and operates on immutable values; the
 divergences are the measuring sticks the rest of the package is built on.
-Summation uses numpy's pairwise algorithm, which keeps the accumulated error
-below 1e-12 for vectors up to 10**6 entries.
+All of them go through one kernel, ``hockey_stick``, which sorts the bins by
+likelihood ratio once and reads a whole alpha grid off prefix sums.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import numpy as np
 
 MASS_TOLERANCE = 1e-9
 
-# exp(eps) overflows float64 just above 709; beyond that the divergence is
-# indistinguishable from its alpha -> infinity limit.
+# exp(eps) overflows float64 just above 709; at alpha = e^700 every bin with
+# q_j >= 1e-300 already drops out, so a larger eps changes nothing.
 _EPS_OVERFLOW = 700.0
 
 
@@ -75,6 +75,45 @@ def _check_pair(p: DiscreteDistribution, q: DiscreteDistribution) -> tuple[np.nd
     return p.probs, q.probs
 
 
+def alpha_from_eps(eps):
+    """exp(min(eps, 700)) elementwise: finite for any eps; a scalar gives a float."""
+    alpha = np.exp(np.minimum(eps, _EPS_OVERFLOW))
+    return float(alpha) if np.ndim(alpha) == 0 else alpha
+
+
+def _prefix_sums(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """[0, v0, v0+v1, ...] of ``values`` taken in ``order``."""
+    # a float64 running sum drifts by up to k ulp (8e-12 for 10**6 equal masses)
+    running = np.cumsum(values[order], dtype=np.longdouble).astype(float)
+    return np.concatenate(([0.0], running))
+
+
+def hockey_stick(p: DiscreteDistribution, q: DiscreteDistribution,
+                 alphas) -> tuple[np.ndarray, np.ndarray]:
+    """``(sum_j [p_j - a q_j]_+, sum_j [q_j - a p_j]_+)`` for each finite a >= 0.
+
+    p_j > a q_j exactly when r_j = log p_j - log q_j > log a (empty q_j: +inf,
+    empty p_j: -inf), so after one sort by r each divergence is a prefix sum
+    read off with ``searchsorted``: O((k + m) log k) time, O(k + m) memory.
+    Both sums run in one fixed order per direction, so swapping p and q
+    swaps the two results exactly.
+    """
+    pv, qv = _check_pair(p, q)
+    alphas = np.asarray(alphas, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.log(pv) - np.log(qv)
+        log_alpha = np.log(alphas)
+    ratio[np.isnan(ratio)] = 0.0  # empty on both sides: adds nothing anywhere
+    up = np.argsort(ratio, kind="stable")
+    down = np.argsort(-ratio, kind="stable")
+    sorted_ratio = ratio[up]
+    above = pv.size - np.searchsorted(sorted_ratio, log_alpha, side="right")
+    below = np.searchsorted(sorted_ratio, -log_alpha, side="left")
+    forward = _prefix_sums(pv, down)[above] - alphas * _prefix_sums(qv, down)[above]
+    backward = _prefix_sums(qv, up)[below] - alphas * _prefix_sums(pv, up)[below]
+    return np.maximum(forward, 0.0), np.maximum(backward, 0.0)
+
+
 def hs_divergence(p: DiscreteDistribution, q: DiscreteDistribution, alpha: float) -> float:
     """Hockey-stick divergence sum_j max(p_j - alpha*q_j, 0).
 
@@ -86,7 +125,7 @@ def hs_divergence(p: DiscreteDistribution, q: DiscreteDistribution, alpha: float
         raise ValueError(f"alpha must be >= 0, got {alpha!r}")
     if math.isinf(alpha):
         return float(pv[qv == 0].sum())
-    return float(np.maximum(pv - alpha * qv, 0.0).sum())
+    return float(hockey_stick(p, q, alpha)[0])
 
 
 def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -94,15 +133,9 @@ def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     return hs_divergence(p, q, 1.0)
 
 
-def alpha_from_eps(eps: float) -> float:
-    """exp(eps), saturating to infinity where exp would overflow."""
-    return math.exp(eps) if eps <= _EPS_OVERFLOW else math.inf
-
-
 def symmetric_delta(p: DiscreteDistribution, q: DiscreteDistribution, eps: float) -> float:
     """max of the two directed hockey-stick divergences at alpha = exp(eps)."""
-    alpha = alpha_from_eps(eps)
-    return max(hs_divergence(p, q, alpha), hs_divergence(q, p, alpha))
+    return float(max(hockey_stick(p, q, alpha_from_eps(eps))))
 
 
 def coarsen(p: DiscreteDistribution, merge_map) -> DiscreteDistribution:

@@ -10,20 +10,20 @@ inversion, and the Gaussian-profile (GDP) fit.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .confidence import TvRadius, canonne_radius
+from .confidence import canonne_radius, invert_monotone, sigma_interval_from_tv
+from .discrete import alpha_from_eps, tv_distance
 from .errors import FitError
 from .histogram import (BinningSpec, HistogramEstimate, auto_spec,
                         build_histograms, estimate_profile)
 from .mechanisms import gaussian_delta
-from .profiles import PrivacyProfile, _format_sig
+from .profiles import PrivacyProfile, csv_text
 from .tradeoff import TradeoffCurve, profile_to_tradeoff
 
 DEFAULT_EPS_GRID = (-10.0, 10.0, 2001)
@@ -95,15 +95,6 @@ class AuditReport:
     sigma: SigmaEstimate | None = None
 
     def to_json_dict(self) -> dict:
-        def curve_csv(curve: TradeoffCurve | None) -> str | None:
-            if curve is None:
-                return None
-            buf = io.StringIO()
-            buf.write("alpha,beta\n")
-            for a, b in zip(curve.alphas, curve.betas):
-                buf.write(f"{_format_sig(a)},{_format_sig(b)}\n")
-            return buf.getvalue()
-
         doc = {
             "method": self.method,
             "n": self.n,
@@ -115,8 +106,10 @@ class AuditReport:
             "profile": [{"epsilon": float(e), "delta": float(d)}
                         for e, d in zip(self.profile.epsilons, self.profile.deltas)],
             "heuristic": self.profile.heuristic,
-            "curves": {"estimate": curve_csv(self.tradeoff_estimate),
-                       "bound": curve_csv(self.tradeoff_bound)},
+            "curves": {name: None if curve is None
+                       else csv_text("alpha,beta", curve.alphas, curve.betas)
+                       for name, curve in (("estimate", self.tradeoff_estimate),
+                                           ("bound", self.tradeoff_bound))},
         }
         if self.sigma is not None:
             doc["sigma_estimation"] = {
@@ -145,7 +138,7 @@ def _epsilon_for_target(profile: PrivacyProfile, delta_target: float) -> float |
 
 
 def _lower_profile(point: PrivacyProfile, tau: float) -> PrivacyProfile:
-    deltas = np.maximum(point.deltas - (1.0 + np.exp(np.minimum(point.epsilons, 700.0))) * tau, 0.0)
+    deltas = np.maximum(point.deltas - (1.0 + alpha_from_eps(point.epsilons)) * tau, 0.0)
     deltas = np.maximum.accumulate(deltas[::-1])[::-1]
     return PrivacyProfile(point.epsilons, np.clip(deltas, 0.0, 1.0),
                           label=point.label + "-lower")
@@ -186,7 +179,7 @@ def audit_from_histogram(hist: HistogramEstimate, config: AuditConfig | None = N
                          sigma_forward_map: Callable[[float], float] | None = None) -> AuditReport:
     config = config or AuditConfig()
     eps_values = config.eps_values()
-    profile = estimate_profile(hist, eps_values, symmetric=True, label=method)
+    profile = estimate_profile(hist, eps_values, label=method)
 
     # union bound: each side gets half the failure budget, one radius covers both
     failure = 1.0 - config.confidence
@@ -228,9 +221,6 @@ def estimate_sigma(hist: HistogramEstimate, confidence: float,
                    bracket: tuple[float, float] = (1e-3, 1e3)) -> SigmaEstimate:
     """Single-parameter recovery: TV estimate +/- the multinomial radius,
     mapped through a strictly decreasing sigma -> TV curve."""
-    from .confidence import sigma_interval_from_tv
-    from .discrete import tv_distance
-
     tv_hat = tv_distance(hist.p_hat, hist.q_hat)
     radius = canonne_radius(hist.n, hist.spec.k, 1.0 - confidence)
     tv_lo = max(0.0, tv_hat - radius.tau)
@@ -307,31 +297,6 @@ def exposure(canary_losses, reference_losses) -> np.ndarray:
     smaller = np.searchsorted(refs, canaries, side="left")
     ranks = np.minimum(smaller + 1, n)
     return np.log2(n) - np.log2(ranks)
-
-
-def invert_monotone(forward: Callable[[float], float], target: float,
-                    bracket: tuple[float, float], *, tol: float = 1e-10,
-                    max_iter: int = 200) -> float:
-    """Bisection inverse of a strictly monotone scalar function."""
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError("bracket must be ordered (lo, hi)")
-    f_lo, f_hi = forward(lo), forward(hi)
-    increasing = f_hi >= f_lo
-    if not (min(f_lo, f_hi) <= target <= max(f_lo, f_hi)):
-        raise ValueError(f"target {target!r} outside forward range "
-                         f"[{min(f_lo, f_hi)!r}, {max(f_lo, f_hi)!r}] over bracket {bracket}")
-    x = lo
-    for _ in range(max_iter):
-        x = 0.5 * (lo + hi)
-        value = forward(x)
-        if abs(value - target) <= tol:
-            return x
-        if (value < target) == increasing:
-            lo = x
-        else:
-            hi = x
-    return x
 
 
 def fit_mu_gdp(profile: PrivacyProfile, eps_range: tuple[float, float], *,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import DiscreteDistribution, alpha_from_eps, hs_divergence, symmetric_delta
+from .discrete import (DiscreteDistribution, alpha_from_eps, hockey_stick,
+                       hs_divergence, symmetric_delta)
 from .profiles import PrivacyProfile
 
 SCOTT_GAUSSIAN_CONSTANT = 2.0 * 3.0 ** (1.0 / 3.0) * math.pi ** (1.0 / 6.0)
@@ -108,17 +109,12 @@ def estimate_delta_symmetric(hist: HistogramEstimate, eps: float) -> float:
     return symmetric_delta(hist.p_hat, hist.q_hat, eps)
 
 
-def estimate_profile(hist: HistogramEstimate, eps_grid, *, symmetric: bool = True,
+def estimate_profile(hist: HistogramEstimate, eps_grid, *,
                      label: str = "histogram") -> PrivacyProfile:
-    """Tabulate the estimated delta over an eps grid."""
+    """Tabulate the symmetric estimated delta over an eps grid."""
     eps_grid = np.asarray(eps_grid, dtype=float)
-    alphas = np.exp(np.minimum(eps_grid, 700.0))[:, None]
-    p = hist.p_hat.probs[None, :]
-    q = hist.q_hat.probs[None, :]
-    deltas = np.maximum(p - alphas * q, 0.0).sum(axis=1)
-    if symmetric:
-        deltas = np.maximum(deltas, np.maximum(q - alphas * p, 0.0).sum(axis=1))
-    deltas = np.maximum.accumulate(deltas[::-1])[::-1]
+    forward, backward = hockey_stick(hist.p_hat, hist.q_hat, alpha_from_eps(eps_grid))
+    deltas = np.maximum.accumulate(np.maximum(forward, backward)[::-1])[::-1]
     return PrivacyProfile(eps_grid, np.clip(deltas, 0.0, 1.0), label=label)
 
 

@@ -1,9 +1,13 @@
 """Analytic mechanisms: ground-truth profiles, densities, trade-offs, samplers.
 
-These are the oracles the estimators get tested against. The Gaussian
-mechanism has a closed-form profile; the subsampled Gaussian is handled by
-integrating its dominating pair (a two-component normal mixture against a
-normal) over fine analytic bins and running them through the PLD machinery.
+These are the oracles the estimators get tested against. Both Gaussian
+mechanisms have closed-form profiles. The subsampled Gaussian's dominating
+pair (a two-component normal mixture against a normal) has a likelihood
+ratio that increases in x, so each directed divergence is read off at the
+single threshold where the ratio crosses e^eps, as for the plain Gaussian
+(Balle & Wang, ICML 2018). Its ``bin_masses`` give the same pair as exact
+masses on a fine binning: the discretised reference that the composition
+tests feed through the PLD engine.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from . import pld
 from .discrete import DiscreteDistribution
 from .profiles import PrivacyProfile
 
@@ -163,17 +166,36 @@ class SubsampledGaussianMechanism:
         return (self.q * special.ndtr((x - 1.0) / self.sigma)
                 + (1.0 - self.q) * special.ndtr(x / self.sigma))
 
-    def tv(self, *, nodes: int = 2 ** 16) -> float:
-        """TV distance by trapezoid quadrature of [P - Q]_+ ."""
-        return self.hs_quadrature(1.0, nodes=nodes)
+    def delta(self, eps):
+        """Tight delta(eps): the larger of the two directed divergences.
 
-    def hs_quadrature(self, alpha: float, *, nodes: int = 2 ** 16) -> float:
-        """Quadrature of the directed divergence from P to Q at order alpha."""
-        lo = min(0.0, 1.0) - 20.0 * self.sigma
-        hi = max(0.0, 1.0) + 20.0 * self.sigma
-        x = np.linspace(lo, hi, nodes)
-        integrand = np.maximum(self.density_p(x) - alpha * self.density_q(x), 0.0)
-        return float(np.trapezoid(integrand, x))
+        P/Q = q exp((2x - 1) / (2 sigma^2)) + 1 - q increases in x, so
+        [P - e^eps Q]_+ lives above x* = sigma^2 ln((e^eps - (1-q))/q) + 1/2
+        and equals q * gaussian_delta(eps') with eps' = ln((e^eps - (1-q))/q),
+        or 1 - e^eps where e^eps <= 1 - q. The reverse direction is read off
+        below the mirror threshold (eps -> -eps) and carries (1 - e^eps (1-q)).
+        """
+        eps = np.asarray(eps, dtype=float)
+        log_q = math.log(self.q)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            log_keep = np.log1p(-self.q)   # ln(1-q), -inf at q = 1
+            up = np.exp(log_keep - eps)    # (1-q) e^-eps, < 1 iff a threshold exists
+            down = np.exp(log_keep + eps)  # (1-q) e^eps, the same for the reverse
+            forward = np.where(
+                up < 1.0,
+                self.q * gaussian_delta(eps + np.log1p(-up) - log_q, self.sigma),
+                -np.expm1(eps))
+            reverse = np.where(
+                down < 1.0,
+                -np.expm1(log_keep + eps)
+                * gaussian_delta(eps - np.log1p(-down) + log_q, self.sigma),
+                0.0)
+        out = np.maximum(forward, reverse)
+        return float(out) if out.ndim == 0 else out
+
+    def tv(self) -> float:
+        """TV distance q * (2 Phi(1/(2 sigma)) - 1)."""
+        return float(self.q * (2.0 * special.ndtr(0.5 / self.sigma) - 1.0))
 
     def bin_masses(self, *, width: float = 1e-3,
                    tail_sigmas: float = 12.0) -> tuple[DiscreteDistribution, DiscreteDistribution]:
@@ -184,15 +206,8 @@ class SubsampledGaussianMechanism:
         q = _cdf_bin_masses(lambda x: special.ndtr(np.asarray(x) / self.sigma), lo, hi, width)
         return p, q
 
-    def profile(self, eps_grid, *, width: float = 1e-3, tail_sigmas: float = 12.0,
-                label: str = "subsampled-gaussian") -> PrivacyProfile:
-        """Reference profile via the PLD grid on analytically binned densities."""
-        p, q = self.bin_masses(width=width, tail_sigmas=tail_sigmas)
-        grid = _grid_for_masses(p, q)
-        prof = pld.compose_profile(p, q, 1, eps_grid, grid=grid, label=label)
-        # exact bin masses, not an estimate: the heuristic flag is reserved
-        # for sample-based composition
-        return PrivacyProfile(prof.epsilons, prof.deltas, label=label)
+    def profile(self, eps_grid, label: str = "subsampled-gaussian") -> PrivacyProfile:
+        return PrivacyProfile.from_function(self.delta, eps_grid, label=label)
 
     def sample_pair(self, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
         if n < 1:
@@ -202,10 +217,6 @@ class SubsampledGaussianMechanism:
         p_samples = rng.normal(np.where(component, 1.0, 0.0), self.sigma)
         q_samples = rng.normal(0.0, self.sigma, n)
         return p_samples, q_samples
-
-
-def mixture_density(mech: SubsampledGaussianMechanism, x):
-    return mech.density_p(x)
 
 
 @dataclass(frozen=True)
@@ -231,23 +242,3 @@ class LaplaceMechanism:
         rng = _rng(seed)
         return (rng.laplace(0.0, self.scale, n),
                 rng.laplace(self.l1_sensitivity, self.scale, n))
-
-
-def _grid_for_masses(p: DiscreteDistribution, q: DiscreteDistribution,
-                     step: float = pld.DEFAULT_GRID[0] * 2 / pld.DEFAULT_GRID[1]) -> tuple[float, int]:
-    """Grid sized to the occupied log-ratio range at the default step."""
-    pv, qv = p.probs, q.probs
-    finite = (pv > 0) & (qv > 0)
-    if not np.any(finite):
-        return pld.DEFAULT_GRID
-    worst = float(np.max(np.abs(np.log(pv[finite]) - np.log(qv[finite]))))
-    half_width = max(pld.DEFAULT_GRID[0], 1.125 * worst)
-    m = int(2 ** math.ceil(math.log2(2 * half_width / step)))
-    return (half_width, m)
-
-
-def sample_gaussian(n: int, seed, *, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-    """n i.i.d. normal draws, deterministic per seed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _rng(seed).normal(mu, sigma, n)

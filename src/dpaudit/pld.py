@@ -10,7 +10,6 @@ repeated squaring; the infinity atom composes as 1 - (1 - w)**c.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,8 @@ from .profiles import PrivacyProfile
 
 DEFAULT_GRID = (40.0, 2 ** 20)
 PLD_MASS_TOLERANCE = 1e-6
+# largest node array a PLD may occupy, before or after composition
+MAX_NODES = 2 ** 26
 
 # convolving probability vectors by FFT leaves noise at the 1e-15 level;
 # direct convolution below this length is exact and not much slower
@@ -67,7 +68,8 @@ def pld_from_discrete(p: DiscreteDistribution, q: DiscreteDistribution,
     ``grid`` is ``(L, m)``: nodes spaced ``2L/m`` apart covering [-L, L].
     Bins with p_j > 0 and q_j = 0 feed the +infinity atom; bins with
     p_j = 0 carry no mass. A finite log-ratio beyond L raises
-    :class:`GridOverflowError`.
+    :class:`GridOverflowError`, as does an occupied span of more than
+    ``MAX_NODES`` nodes.
     """
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
@@ -93,6 +95,10 @@ def pld_from_discrete(p: DiscreteDistribution, q: DiscreteDistribution,
     # ceiling with a relative guard so exact node hits are not pushed up a node
     idx = np.ceil(ratios / step - 1e-9).astype(np.int64)
     lo, hi = int(idx.min()), int(idx.max())
+    if hi - lo + 1 > MAX_NODES:
+        raise GridOverflowError(
+            f"log-likelihood ratios span {hi - lo + 1} grid nodes, more than "
+            f"{MAX_NODES}; rerun with a coarser grid (smaller m)")
     masses = np.zeros(hi - lo + 1)
     np.add.at(masses, idx - lo, pv[finite])
     return PLDGrid(lo * step, step, masses, mass_inf)
@@ -106,7 +112,7 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def self_convolve(pld: PLDGrid, c: int, *, max_nodes: int = 2 ** 26) -> PLDGrid:
+def self_convolve(pld: PLDGrid, c: int, *, max_nodes: int = MAX_NODES) -> PLDGrid:
     """Distribution of the sum of ``c`` independent copies of ``pld``."""
     if c < 1:
         raise ValueError("composition count must be >= 1")

@@ -21,6 +21,29 @@ def _format_sig(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def csv_text(header: str, xs, ys) -> str:
+    """Two-column CSV text: the header line, then one ``x,y`` row per point."""
+    rows = [header] + [f"{_format_sig(x)},{_format_sig(y)}" for x, y in zip(xs, ys)]
+    return "\n".join(rows) + "\n"
+
+
+def read_csv(path, header: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a two-column CSV written by ``csv_text``; blank lines are skipped."""
+    xs, ys = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise ValueError(f"expected header {header!r}, got {found!r}")
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            x_str, y_str = line.split(",")
+            xs.append(float(x_str))
+            ys.append(float(y_str))
+    return np.asarray(xs), np.asarray(ys)
+
+
 @dataclass(frozen=True)
 class PrivacyProfile:
     """Tabulated eps -> delta curve, optionally backed by an exact function."""
@@ -84,22 +107,9 @@ class PrivacyProfile:
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epsilon,delta\n")
-            for e, d in zip(self.epsilons, self.deltas):
-                fh.write(f"{_format_sig(e)},{_format_sig(d)}\n")
+            fh.write(csv_text("epsilon,delta", self.epsilons, self.deltas))
 
     @classmethod
     def from_csv(cls, path, *, heuristic: bool = False, label: str = "") -> "PrivacyProfile":
-        eps, deltas = [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "epsilon,delta":
-                raise ValueError(f"expected header 'epsilon,delta', got {header!r}")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                e_str, d_str = line.split(",")
-                eps.append(float(e_str))
-                deltas.append(float(d_str))
-        return cls(np.asarray(eps), np.asarray(deltas), heuristic=heuristic, label=label)
+        eps, deltas = read_csv(path, "epsilon,delta")
+        return cls(eps, deltas, heuristic=heuristic, label=label)

@@ -9,12 +9,13 @@ hand-built diagnostics remain possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .discrete import alpha_from_eps
 from .mechanisms import std_normal_quantile
-from .profiles import PrivacyProfile, _format_sig
+from .profiles import PrivacyProfile, csv_text, read_csv
 
 _VALIDATE_SLACK = 1e-9
 MIN_ALPHA_NODES = 512
@@ -50,25 +51,12 @@ class TradeoffCurve:
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("alpha,beta\n")
-            for a, b in zip(self.alphas, self.betas):
-                fh.write(f"{_format_sig(a)},{_format_sig(b)}\n")
+            fh.write(csv_text("alpha,beta", self.alphas, self.betas))
 
     @classmethod
     def from_csv(cls, path, label: str = "") -> "TradeoffCurve":
-        alphas, betas = [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "alpha,beta":
-                raise ValueError(f"expected header 'alpha,beta', got {header!r}")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                a_str, b_str = line.split(",")
-                alphas.append(float(a_str))
-                betas.append(float(b_str))
-        return cls(np.asarray(alphas), np.asarray(betas), label=label)
+        alphas, betas = read_csv(path, "alpha,beta")
+        return cls(alphas, betas, label=label)
 
 
 def validate(curve: TradeoffCurve) -> list[str]:
@@ -96,8 +84,8 @@ def f_eps_delta(eps: float, delta: float, alpha):
         raise ValueError("alpha must lie in [0, 1]")
     if not 0 <= delta <= 1:
         raise ValueError("delta must lie in [0, 1]")
-    out = np.maximum(0.0, np.maximum(1.0 - delta - math.exp(eps) * alpha,
-                                     math.exp(-eps) * (1.0 - delta - alpha)))
+    out = np.maximum(0.0, np.maximum(1.0 - delta - alpha_from_eps(eps) * alpha,
+                                     alpha_from_eps(-eps) * (1.0 - delta - alpha)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -149,11 +137,11 @@ def profile_to_tradeoff(profile: PrivacyProfile, delta_target: float = 1e-3,
     alphas = np.linspace(0.0, 1.0, n_alpha if n_alpha is not None else
                          max(n_points, MIN_ALPHA_NODES))
     best = np.zeros_like(alphas)
-    for eps_hat, dp in pairs:
-        cand = np.maximum(1.0 - dp - math.exp(eps_hat) * alphas,
-                          math.exp(-eps_hat) * (1.0 - dp - alphas))
-        np.maximum(best, cand, out=best)
-    best = np.maximum(best, 0.0)
+    eps_hats, dps = np.array(pairs).T
+    for grow, shrink, dp in zip(alpha_from_eps(eps_hats), alpha_from_eps(-eps_hats), dps):
+        # the two lines of f_{eps', delta'}, as in f_eps_delta
+        np.maximum(best, np.maximum(1.0 - dp - grow * alphas, shrink * (1.0 - dp - alphas)),
+                   out=best)
     return TradeoffCurve(alphas, best, label=label)
 
 

@@ -37,7 +37,7 @@ def report(criterion: int, name: str, passed: bool, detail: str = ""):
 def test_criterion_01_subsampled_gaussian_mu_gdp():
     start = time.time()
     mech = SubsampledGaussianMechanism(0.25, 0.3)
-    profile = mech.profile(np.linspace(-2.0, 10.0, 1201), width=2e-3)
+    profile = mech.profile(np.linspace(-2.0, 10.0, 1201))
     mu = fit_mu_gdp(profile, (0.0, 6.5))
     elapsed = time.time() - start
     ok = 2.35 <= mu <= 2.60 and elapsed < 30.0
@@ -95,7 +95,7 @@ def test_criterion_04_subsampled_tradeoff_recovery():
     mech = SubsampledGaussianMechanism(0.25, 0.3)
     sp, sq = mech.sample_pair(10 ** 5, seed=1111)
     report_est = histogram_audit(sp, sq, AuditConfig(eps_grid=(-10.0, 16.0, 2601)))
-    reference_profile = mech.profile(np.linspace(-10.0, 16.0, 2601), width=2e-3)
+    reference_profile = mech.profile(np.linspace(-10.0, 16.0, 2601))
     reference = profile_to_tradeoff(reference_profile, 1e-3, 200)
     estimate = report_est.tradeoff_estimate
     mask = (estimate.alphas >= 0.01) & (estimate.alphas <= 0.99)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from dpaudit.cli import main
 from dpaudit.mechanisms import GaussianMechanism
 from dpaudit.profiles import PrivacyProfile
+from dpaudit.tradeoff import TradeoffCurve, validate
 
 
 def run(*argv):
@@ -106,6 +108,13 @@ class TestTradeoffCommand:
         assert lines[0] == "alpha,beta"
         assert len(lines) >= 513
 
+    def test_eps_beyond_exp_overflow(self, tmp_path):
+        prof_path = tmp_path / "profile.csv"
+        prof_path.write_text("epsilon,delta\n0,0.9\n750,0.8\n800,0\n", encoding="utf-8")
+        out_path = tmp_path / "curve.csv"
+        assert run("tradeoff", prof_path, "--out", out_path) == 0
+        assert validate(TradeoffCurve.from_csv(out_path)) == []
+
     def test_profile_csv_reexport_idempotent(self, tmp_path):
         first = tmp_path / "first.csv"
         second = tmp_path / "second.csv"
@@ -151,6 +160,20 @@ class TestCompose:
         p, q = gaussian_files
         assert run("compose", p, q, "--compositions", 2, "--bins", 40,
                    "--grid", "0.5:1024") == 4
+
+    def test_single_composition_node_cap_exit_4(self, gaussian_files):
+        # c = 1 skips the convolution guard; the PLD build must refuse the
+        # ~10**11-node array that m = 2**40 asks for
+        p, q = gaussian_files
+        tracemalloc.start()
+        try:
+            code = run("compose", p, q, "--compositions", 1, "--bins", 40,
+                       "--grid", f"40:{2 ** 40}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert peak < 64 * 2 ** 20
 
 
 class TestFitGdp:

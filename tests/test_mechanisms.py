@@ -7,8 +7,7 @@ from dpaudit.mechanisms import (GaussianMechanism, LaplaceMechanism,
                                 SubsampledGaussianMechanism, gaussian_delta,
                                 gaussian_density, gdp_tradeoff,
                                 laplace_density, laplace_tradeoff,
-                                mixture_density, std_normal_cdf,
-                                std_normal_quantile)
+                                std_normal_cdf, std_normal_quantile)
 
 from oracles import hs_quadrature_mixture, hs_quadrature_normal, mixture_tv_closed_form
 
@@ -67,7 +66,7 @@ class TestDensities:
     def test_mixture_density_value(self):
         mech = SubsampledGaussianMechanism(0.5, 1.0)
         # 0.5 phi(1/2) + 0.5 phi(-1/2) = phi(1/2)
-        assert mixture_density(mech, 0.5) == pytest.approx(0.3520653267642995, abs=1e-14)
+        assert mech.density_p(0.5) == pytest.approx(0.3520653267642995, abs=1e-14)
 
     def test_rejects_nonpositive_scales(self):
         with pytest.raises(ValueError):
@@ -125,7 +124,7 @@ class TestSubsampledGaussianProfile:
     def test_q_one_reduces_to_gaussian(self):
         mech = SubsampledGaussianMechanism(1.0, 1.5)
         eps = np.linspace(-3, 3, 121)
-        prof = mech.profile(eps, width=2e-3)
+        prof = mech.profile(eps)
         reference = gaussian_delta(eps, 1.5, 1.0)
         assert np.max(np.abs(prof.deltas - reference)) < 1e-4
 
@@ -137,12 +136,36 @@ class TestSubsampledGaussianProfile:
 
     def test_profile_matches_quadrature_off_zero(self):
         mech = SubsampledGaussianMechanism(0.25, 0.3)
-        prof = mech.profile(np.linspace(-1, 4, 201), width=2e-3)
+        prof = mech.profile(np.linspace(-1, 4, 201))
         for eps in (0.0, 1.0, 3.0):
             forward = hs_quadrature_mixture(math.exp(eps), 0.25, 0.3)
             backward = hs_quadrature_mixture_reverse(math.exp(eps), 0.25, 0.3)
             assert float(prof.delta_at(eps)) == pytest.approx(
                 max(forward, backward), abs=2e-4)
+
+    def test_closed_form_matches_quadrature_both_directions(self):
+        for q, sigma in ((0.25, 0.3), (0.5, 2.0), (0.05, 1.0)):
+            mech = SubsampledGaussianMechanism(q, sigma)
+            for eps in (-1.5, -0.3, 0.0, 0.2, 1.0, 3.0):
+                forward = hs_quadrature_mixture(math.exp(eps), q, sigma)
+                backward = hs_quadrature_mixture_reverse(math.exp(eps), q, sigma)
+                assert mech.delta(eps) == pytest.approx(max(forward, backward), abs=1e-7)
+
+    def test_tv_is_profile_at_zero(self):
+        for q, sigma in ((0.25, 0.3), (1.0, 1.5), (0.01, 0.1)):
+            mech = SubsampledGaussianMechanism(q, sigma)
+            assert mech.tv() == pytest.approx(mech.delta(0.0), rel=1e-12)
+
+    def test_extreme_eps_limits(self):
+        deltas = SubsampledGaussianMechanism(0.25, 0.3).delta(
+            np.array([-800.0, -40.0, 40.0, 800.0]))
+        assert deltas == pytest.approx([1.0, 1.0, 0.0, 0.0], abs=1e-15)
+
+    def test_profile_is_fast(self):
+        import timeit
+        mech = SubsampledGaussianMechanism(0.25, 0.3)
+        grid = np.linspace(-2.0, 10.0, 1201)
+        assert min(timeit.repeat(lambda: mech.profile(grid), number=1, repeat=5)) < 0.01
 
     def test_profile_non_increasing(self):
         mech = SubsampledGaussianMechanism(0.25, 0.3)

@@ -51,6 +51,11 @@ class TestPldFromDiscrete:
         with pytest.raises(GridOverflowError, match="larger L"):
             pld_from_discrete(p, q, (8.0, 2 ** 12))
 
+    def test_node_span_capped_before_allocation(self):
+        # the log-ratios span ~2 nats: ~2**41 nodes at m = 2**40
+        with pytest.raises(GridOverflowError, match="grid nodes"):
+            pld_from_discrete(dist(0.3, 0.7), dist(0.7, 0.3), (40.0, 2 ** 40))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pld_from_discrete(dist(1.0), dist(0.5, 0.5), TEST_GRID)

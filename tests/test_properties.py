@@ -1,0 +1,115 @@
+"""Property tests of the estimator invariants, generated with hypothesis.
+
+The hockey-stick kernel is checked against the brute-force sum it replaces,
+on pairs with empty bins on either side and eps far past the exp overflow.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dpaudit.discrete import (DiscreteDistribution, alpha_from_eps, hockey_stick,
+                              symmetric_delta)
+from dpaudit.estimators import threshold_epsilon, two_bin_histogram
+from dpaudit.histogram import BinningSpec, HistogramEstimate, estimate_profile
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
+
+# a bin weight is exactly zero (an empty bin) about a third of the time
+weights = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.integers(1, 5).map(float))
+# small counts: many bins share a likelihood ratio, so sums meet ties
+counts = st.integers(0, 3).map(float)
+
+
+@st.composite
+def distribution_pairs(draw, min_bins=1, max_bins=40, weights=weights):
+    k = draw(st.integers(min_bins, max_bins))
+    p = np.array(draw(st.lists(weights, min_size=k, max_size=k)))
+    q = np.array(draw(st.lists(weights, min_size=k, max_size=k)))
+    assume(p.sum() > 0 and q.sum() > 0)
+    return DiscreteDistribution.normalized(p), DiscreteDistribution.normalized(q)
+
+
+eps_values = st.one_of(st.floats(-800.0, 800.0), st.floats(-5.0, 5.0))
+
+
+def brute_force(p, q, alpha):
+    return float(np.maximum(p.probs - alpha * q.probs, 0.0).sum())
+
+
+@PROPERTY_SETTINGS
+@given(distribution_pairs(), st.lists(eps_values, min_size=1, max_size=8))
+def test_kernel_matches_brute_force(pair, eps):
+    p, q = pair
+    alphas = alpha_from_eps(np.array(eps))
+    forward, backward = hockey_stick(p, q, alphas)
+    for a, f, b in zip(alphas, forward, backward):
+        assert abs(f - brute_force(p, q, a)) <= 1e-12
+        assert abs(b - brute_force(q, p, a)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(distribution_pairs(min_bins=2),
+       st.lists(eps_values, min_size=2, max_size=30, unique=True))
+def test_estimate_profile_non_increasing_in_unit_interval(pair, eps):
+    p, q = pair
+    hist = HistogramEstimate(BinningSpec(0.0, 1.0, len(p)), p, q, 1)
+    profile = estimate_profile(hist, np.sort(eps))
+    assert np.all(np.diff(profile.deltas) <= 0.0)
+    assert np.all((profile.deltas >= 0.0) & (profile.deltas <= 1.0))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(distribution_pairs(), distribution_pairs(max_bins=200, weights=counts)),
+       eps_values)
+def test_symmetric_delta_is_order_free(pair, eps):
+    p, q = pair
+    assert symmetric_delta(p, q, eps) == symmetric_delta(q, p, eps)
+
+
+@st.composite
+def threshold_cases(draw):
+    n = draw(st.integers(2, 80))
+    scores = st.lists(st.integers(-6, 6).map(lambda v: v / 2.0), min_size=n, max_size=n)
+    sp, sq = np.array(draw(scores)), np.array(draw(scores))
+    threshold = draw(st.integers(-12, 12).map(lambda v: v / 4.0))
+    tpr, fpr = np.mean(sp < threshold), np.mean(sq < threshold)
+    assume(0.0 < fpr < tpr < 1.0)
+    delta = draw(st.floats(0.01, 0.99)) * (tpr - fpr)
+    return sp, sq, threshold, delta
+
+
+@PROPERTY_SETTINGS
+@given(threshold_cases())
+def test_threshold_attack_equals_two_bin_histogram(case):
+    sp, sq, threshold, delta = case
+    est = threshold_epsilon(sp, sq, threshold, delta)
+    assert est.status == "ok"
+    hist = two_bin_histogram(sp, sq, threshold)
+    lo, hi = 0.0, 60.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if symmetric_delta(hist.p_hat, hist.q_hat, mid) > delta:
+            lo = mid
+        else:
+            hi = mid
+    assert abs(est.epsilon - 0.5 * (lo + hi)) <= 1e-9
+
+
+def test_estimate_profile_memory_is_linear():
+    # an m x k table at k = 2*10**4 and m = 2001 would need 320 MB per direction
+    k = 2 * 10 ** 4
+    rng = np.random.default_rng(11)
+    hist = HistogramEstimate(BinningSpec(0.0, 1.0, k),
+                             DiscreteDistribution.normalized(rng.random(k)),
+                             DiscreteDistribution.normalized(rng.random(k)), 10 ** 6)
+    eps = np.linspace(-10.0, 10.0, 2001)
+    tracemalloc.start()
+    try:
+        estimate_profile(hist, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20

@@ -21,6 +21,11 @@ class TestFEpsDelta:
         alphas = np.linspace(0, 1, 11)
         assert np.all(f_eps_delta(1.0, 1.0, alphas) == 0.0)
 
+    def test_huge_eps_saturates(self):
+        # exp(800) overflows float64; the curve is 1 - delta at alpha = 0, 0 after
+        assert f_eps_delta(800.0, 0.0, 0.5) == 0.0
+        assert f_eps_delta(800.0, 0.2, 0.0) == pytest.approx(0.8)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             f_eps_delta(1.0, 0.1, 1.2)
