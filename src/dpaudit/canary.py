@@ -14,8 +14,7 @@ a fresh clip-norm canary per step included with probability q_c.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +51,6 @@ class WhiteBoxConfig:
 
     iterations: int
     canary_prob: float
-    data_prob: float
     sigma: float
     clip: float
     d: int
@@ -64,8 +62,6 @@ class WhiteBoxConfig:
             raise ValueError("need iterations >= 1 and d >= 1")
         if not 0 < self.canary_prob <= 1:
             raise ValueError("canary_prob must lie in (0, 1]")
-        if not 0 < self.data_prob <= 1:
-            raise ValueError("data_prob must lie in (0, 1]")
         if self.sigma <= 0 or self.clip <= 0:
             raise ValueError("sigma and clip must be positive")
         if self.nuisance_norm < 0:
@@ -209,14 +205,12 @@ def whitebox_stream(cfg: WhiteBoxConfig) -> tuple[np.ndarray, np.ndarray]:
     Each iteration draws a fresh unit canary scaled to the clip norm; the
     canary joins the primed gradient sum with probability canary_prob. In
     the null model the clipped-gradient sum is zero (set nuisance_norm for a
-    bounded-norm stress vector). The model update is carried but never feeds
-    back into the scores.
+    bounded-norm stress vector).
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     noise_scale = cfg.clip * cfg.sigma
     out = np.empty(cfg.iterations)
     out_primed = np.empty(cfg.iterations)
-    theta = np.zeros(cfg.d)
     for start in range(0, cfg.iterations, _STREAM_BLOCK_ROWS):
         rows = min(_STREAM_BLOCK_ROWS, cfg.iterations - start)
         canaries = cfg.clip * sample_sphere(cfg.d, rows, rng)
@@ -230,7 +224,6 @@ def whitebox_stream(cfg: WhiteBoxConfig) -> tuple[np.ndarray, np.ndarray]:
         out[sl] = np.einsum("ij,ij->i", grad, canaries)
         out_primed[sl] = (np.einsum("ij,ij->i", grad_primed, canaries)
                           + include * cfg.clip ** 2)
-        theta -= grad.sum(axis=0)
     return out, out_primed
 
 

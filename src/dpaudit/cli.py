@@ -224,8 +224,7 @@ def cmd_canary(args) -> int:
                 write_scores(args.out_q, scores_q)
         return EXIT_OK
     cfg = WhiteBoxConfig(iterations=args.iterations, canary_prob=args.canary_prob,
-                         data_prob=args.data_prob, sigma=args.sigma,
-                         clip=args.clip, d=args.d, seed=args.seed,
+                         sigma=args.sigma, clip=args.clip, d=args.d, seed=args.seed,
                          nuisance_norm=args.nuisance_norm)
     out, out_primed = whitebox_stream(cfg)
     if args.out_p:
@@ -314,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-norm", type=float, default=0.0)
     p.add_argument("--iterations", type=int, default=1000)
     p.add_argument("--canary-prob", type=float, default=1.0)
-    p.add_argument("--data-prob", type=float, default=1.0)
     p.add_argument("--clip", type=float, default=1.0)
     p.add_argument("--nuisance-norm", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)

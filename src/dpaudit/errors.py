@@ -18,7 +18,7 @@ class FitError(AuditError):
 
 
 class ScoreFileError(AuditError):
-    """A score file is malformed; carries the 1-based line number."""
+    """An input file (scores, profile or curve CSV) is malformed; carries the line number."""
 
     def __init__(self, message: str, line_number: int | None = None):
         super().__init__(message)

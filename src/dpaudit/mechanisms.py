@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .discrete import DiscreteDistribution
+from .discrete import DiscreteDistribution, alpha_from_eps
 from .profiles import PrivacyProfile
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -90,11 +90,13 @@ def laplace_tradeoff(mu: float, alpha):
     alpha = np.asarray(alpha, dtype=float)
     if np.any((alpha < 0) | (alpha > 1)):
         raise ValueError("alpha must lie in [0, 1]")
-    lo = math.exp(-mu) / 2.0
-    with np.errstate(divide="ignore"):
-        middle = math.exp(-mu) / (4.0 * alpha)
-    out = np.where(alpha < lo, 1.0 - math.exp(mu) * alpha,
-                   np.where(alpha <= 0.5, middle, math.exp(-mu) * (1.0 - alpha)))
+    grow, shrink = alpha_from_eps(mu), alpha_from_eps(-mu)
+    lo = shrink / 2.0
+    # the pieces meet at lo; the first takes alpha = 0, where the middle is x/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        middle = shrink / (4.0 * alpha)
+    out = np.where(alpha <= lo, 1.0 - grow * alpha,
+                   np.where(alpha <= 0.5, middle, shrink * (1.0 - alpha)))
     return float(out) if out.ndim == 0 else out
 
 

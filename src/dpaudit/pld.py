@@ -4,8 +4,10 @@ The finite part of a PLD lives on nodes ``i * step`` for integer ``i``; only
 the occupied index range is stored. Log-likelihood ratios are rounded UP to
 the nearest node, which biases every downstream delta estimate high
 (pessimistic), and bins where the denominator vanishes contribute an atom at
-+infinity. Composition is c-fold convolution of the finite part, computed by
-repeated squaring; the infinity atom composes as 1 - (1 - w)**c.
++infinity. Composition is c-fold convolution of the finite part, computed as
+one rfft power (Koskela, Jalko & Honkela, AISTATS 2020); the infinity atom
+composes as 1 - (1 - w)**c. delta is read for a whole eps grid from one
+suffix-sum pass over the nodes.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 
-from .discrete import DiscreteDistribution
+from .discrete import DiscreteDistribution, _prefix_sums
 from .errors import GridOverflowError
 from .profiles import PrivacyProfile
 
@@ -23,10 +25,6 @@ DEFAULT_GRID = (40.0, 2 ** 20)
 PLD_MASS_TOLERANCE = 1e-6
 # largest node array a PLD may occupy, before or after composition
 MAX_NODES = 2 ** 26
-
-# convolving probability vectors by FFT leaves noise at the 1e-15 level;
-# direct convolution below this length is exact and not much slower
-_DIRECT_CONV_MAX = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -104,51 +102,42 @@ def pld_from_discrete(p: DiscreteDistribution, q: DiscreteDistribution,
     return PLDGrid(lo * step, step, masses, mass_inf)
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if min(a.size, b.size) <= _DIRECT_CONV_MAX:
-        out = np.convolve(a, b)
-    else:
-        out = fftconvolve(a, b)
-    return np.maximum(out, 0.0)
-
-
-def self_convolve(pld: PLDGrid, c: int, *, max_nodes: int = MAX_NODES) -> PLDGrid:
+def self_convolve(pld: PLDGrid, c: int) -> PLDGrid:
     """Distribution of the sum of ``c`` independent copies of ``pld``."""
     if c < 1:
         raise ValueError("composition count must be >= 1")
     if c == 1:
         return pld
-    if (pld.masses.size - 1) * c + 1 > max_nodes:
+    n = (pld.masses.size - 1) * c + 1
+    if n > MAX_NODES:
         raise GridOverflowError(
-            f"{c}-fold convolution would need more than {max_nodes} grid nodes"
+            f"{c}-fold convolution would need more than {MAX_NODES} grid nodes"
         )
-    # repeated squaring over (start offset, mass vector)
-    result: tuple[float, np.ndarray] | None = None
-    block = (pld.grid_start, pld.masses)
-    k = c
-    while True:
-        if k & 1:
-            if result is None:
-                result = block
-            else:
-                result = (result[0] + block[0], _convolve(result[1], block[1]))
-        k >>= 1
-        if k == 0:
-            break
-        block = (2.0 * block[0], _convolve(block[1], block[1]))
-    start, masses = result
+    # a transform length >= n keeps the circular convolution from wrapping
+    size = fft.next_fast_len(n, real=True)
+    masses = fft.irfft(fft.rfft(pld.masses, size) ** c, size)[:n]
     mass_inf = 1.0 - (1.0 - pld.mass_inf) ** c
-    return PLDGrid(start, pld.step, masses, mass_inf)
+    # FFT round-off leaves tiny negative masses, which PLDGrid rejects
+    return PLDGrid(c * pld.grid_start, pld.step, np.maximum(masses, 0.0), mass_inf)
 
 
-def delta_from_pld(pld: PLDGrid, eps: float) -> float:
-    """mass_inf + E[1 - exp(eps - s)]_+ over the finite part."""
-    s = pld.node_values()
-    contrib = s > eps
-    if not np.any(contrib):
-        return float(pld.mass_inf)
-    tail = -np.expm1(eps - s[contrib])
-    return float(pld.mass_inf + np.sum(pld.masses[contrib] * tail))
+def delta_from_pld(pld: PLDGrid, eps):
+    """mass_inf + E[1 - exp(eps - s)]_+ over the finite part, for each eps.
+
+    With j the first node above eps, delta = mass_inf + S0[j] - e^eps S1[j],
+    where S0 and S1 are suffix sums of m and m e^-s. S1 is kept as a log
+    (``logaddexp``), so no e^-s overflows however far the support reaches.
+    A scalar eps gives a float.
+    """
+    masses, s = pld.masses, pld.node_values()
+    # suffix sums run from the right; index n (past the last node) is empty
+    tail_mass = _prefix_sums(masses, np.arange(masses.size - 1, -1, -1))[::-1]
+    with np.errstate(divide="ignore"):
+        log_terms = np.log(masses) - s
+    log_tail = np.append(np.logaddexp.accumulate(log_terms[::-1])[::-1], -np.inf)
+    first = np.searchsorted(s, eps, side="right")
+    delta = pld.mass_inf + tail_mass[first] - np.exp(eps + log_tail[first])
+    return float(delta) if np.ndim(delta) == 0 else delta
 
 
 def compose_profile(p: DiscreteDistribution, q: DiscreteDistribution, c: int,
@@ -164,10 +153,7 @@ def compose_profile(p: DiscreteDistribution, q: DiscreteDistribution, c: int,
         raise ValueError("eps_grid needs at least 2 points")
     forward = self_convolve(pld_from_discrete(p, q, grid), c)
     backward = self_convolve(pld_from_discrete(q, p, grid), c)
-    deltas = np.array([
-        max(delta_from_pld(forward, e), delta_from_pld(backward, e))
-        for e in eps_grid
-    ])
+    deltas = np.maximum(delta_from_pld(forward, eps_grid), delta_from_pld(backward, eps_grid))
     # up-rounding keeps each direction non-increasing; guard fp wiggle anyway
     deltas = np.maximum.accumulate(deltas[::-1])[::-1]
     return PrivacyProfile(eps_grid, np.clip(deltas, 0.0, 1.0),

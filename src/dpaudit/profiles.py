@@ -7,10 +7,13 @@ callable, which is used in preference to interpolation where available.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .errors import ScoreFileError
 
 _MONOTONE_SLACK = 1e-9
 
@@ -28,19 +31,30 @@ def csv_text(header: str, xs, ys) -> str:
 
 
 def read_csv(path, header: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a two-column CSV written by ``csv_text``; blank lines are skipped."""
+    """Parse a two-column CSV written by ``csv_text``; blank lines are skipped.
+
+    A wrong header or a row that is not two finite numbers raises
+    :class:`ScoreFileError` with the file and line.
+    """
     xs, ys = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        found = fh.readline().strip()
-        if found != header:
-            raise ValueError(f"expected header {header!r}, got {found!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            x_str, y_str = line.split(",")
-            xs.append(float(x_str))
-            ys.append(float(y_str))
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if lineno == 1:
+                if line != header:
+                    raise ScoreFileError(
+                        f"{path}: line 1: expected header {header!r}, got {line!r}", 1)
+            elif line:
+                try:
+                    x, y = map(float, line.split(","))
+                except ValueError:  # a wrong field count or a non-number
+                    x = y = math.nan
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ScoreFileError(
+                        f"{path}: line {lineno}: expected two finite numbers, got {line!r}",
+                        lineno)
+                xs.append(x)
+                ys.append(y)
     return np.asarray(xs), np.asarray(ys)
 
 

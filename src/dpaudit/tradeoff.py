@@ -84,6 +84,10 @@ def f_eps_delta(eps: float, delta: float, alpha):
         raise ValueError("alpha must lie in [0, 1]")
     if not 0 <= delta <= 1:
         raise ValueError("delta must lie in [0, 1]")
+    # no pair has delta(eps) < 1 - e^eps; below it the curve leaves [0, 1]
+    floor = math.log1p(-delta) if delta < 1 else -math.inf
+    if eps < floor:
+        raise ValueError(f"eps must be >= log(1 - delta) = {floor:.6g}")
     out = np.maximum(0.0, np.maximum(1.0 - delta - alpha_from_eps(eps) * alpha,
                                      alpha_from_eps(-eps) * (1.0 - delta - alpha)))
     return float(out) if out.ndim == 0 else out

@@ -184,14 +184,14 @@ class TestOneShotAudit:
 
 class TestWhiteboxStream:
     def test_deterministic(self):
-        cfg = WhiteBoxConfig(iterations=500, canary_prob=0.5, data_prob=1.0,
+        cfg = WhiteBoxConfig(iterations=500, canary_prob=0.5,
                              sigma=2.0, clip=1.0, d=512, seed=13)
         a = whitebox_stream(cfg)
         b = whitebox_stream(cfg)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_always_included_canary_shifts_mean(self):
-        cfg = WhiteBoxConfig(iterations=4000, canary_prob=1.0, data_prob=1.0,
+        cfg = WhiteBoxConfig(iterations=4000, canary_prob=1.0,
                              sigma=1.0, clip=1.5, d=2048, seed=17)
         out, out_primed = whitebox_stream(cfg)
         shift = out_primed.mean() - out.mean()
@@ -200,20 +200,20 @@ class TestWhiteboxStream:
         assert abs(out.mean()) < 0.15
 
     def test_score_variance_matches_noise_scale(self):
-        cfg = WhiteBoxConfig(iterations=4000, canary_prob=1.0, data_prob=1.0,
+        cfg = WhiteBoxConfig(iterations=4000, canary_prob=1.0,
                              sigma=2.0, clip=1.0, d=4096, seed=19)
         out, _ = whitebox_stream(cfg)
         assert out.std() == pytest.approx(cfg.clip ** 2 * cfg.sigma, rel=0.1)
 
     def test_null_canaries_give_zero_epsilon(self):
-        cfg = WhiteBoxConfig(iterations=20000, canary_prob=1e-12, data_prob=1.0,
+        cfg = WhiteBoxConfig(iterations=20000, canary_prob=1e-12,
                              sigma=1.0, clip=1.0, d=256, seed=23)
         report = whitebox_audit(cfg, AuditConfig(delta_targets=(0.05,),
                                                  with_curves=False))
         assert report.epsilons[0].point == pytest.approx(0.0, abs=0.1)
 
     def test_nuisance_vector_is_bounded(self):
-        cfg = WhiteBoxConfig(iterations=2000, canary_prob=0.5, data_prob=1.0,
+        cfg = WhiteBoxConfig(iterations=2000, canary_prob=0.5,
                              sigma=1.0, clip=1.0, d=1024, seed=29,
                              nuisance_norm=0.5)
         out, out_primed = whitebox_stream(cfg)
@@ -221,10 +221,10 @@ class TestWhiteboxStream:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            WhiteBoxConfig(iterations=0, canary_prob=0.5, data_prob=1.0,
+            WhiteBoxConfig(iterations=0, canary_prob=0.5,
                            sigma=1.0, clip=1.0, d=8)
         with pytest.raises(ValueError):
-            WhiteBoxConfig(iterations=10, canary_prob=1.5, data_prob=1.0,
+            WhiteBoxConfig(iterations=10, canary_prob=1.5,
                            sigma=1.0, clip=1.0, d=8)
 
     def test_composed_stream_matches_reference_accountant(self):
@@ -236,7 +236,7 @@ class TestWhiteboxStream:
         from dpaudit.mechanisms import SubsampledGaussianMechanism
         from dpaudit.pld import compose_profile
 
-        cfg = WhiteBoxConfig(iterations=10 ** 5, canary_prob=0.5, data_prob=1.0,
+        cfg = WhiteBoxConfig(iterations=10 ** 5, canary_prob=0.5,
                              sigma=2.0, clip=1.0, d=64, seed=99)
         out, out_primed = whitebox_stream(cfg)
         hist = build_histograms(out_primed, out, auto_spec(out_primed, out))

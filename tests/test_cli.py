@@ -98,6 +98,14 @@ class TestAudit:
         assert hi == pytest.approx(0.32, abs=0.01)
 
 
+# (file text, 1-based line at fault): a bad header, a wrong field count, a non-number
+MALFORMED_PROFILES = [
+    ("eps,delta\n0,0.5\n1,0.1\n", 1),
+    ("epsilon,delta\n0,0.5\n1,0.1,7\n", 3),
+    ("epsilon,delta\n0,0.5\n1,abc\n", 3),
+]
+
+
 class TestTradeoffCommand:
     def test_profile_to_curve(self, tmp_path):
         prof_path = tmp_path / "profile.csv"
@@ -114,6 +122,13 @@ class TestTradeoffCommand:
         out_path = tmp_path / "curve.csv"
         assert run("tradeoff", prof_path, "--out", out_path) == 0
         assert validate(TradeoffCurve.from_csv(out_path)) == []
+
+    @pytest.mark.parametrize("text,lineno", MALFORMED_PROFILES)
+    def test_malformed_profile_exit_3(self, tmp_path, capsys, text, lineno):
+        prof_path = tmp_path / "bad.csv"
+        prof_path.write_text(text, encoding="utf-8")
+        assert run("tradeoff", prof_path, "--out", tmp_path / "curve.csv") == 3
+        assert f"{prof_path}: line {lineno}:" in capsys.readouterr().err
 
     def test_profile_csv_reexport_idempotent(self, tmp_path):
         first = tmp_path / "first.csv"
@@ -189,6 +204,13 @@ class TestFitGdp:
         prof_path = tmp_path / "bad.csv"
         prof_path.write_text("epsilon,delta\n0,0.1\n1,0.5\n2,0.01\n", encoding="utf-8")
         assert run("fit-gdp", "--profile", prof_path) == 5
+
+    @pytest.mark.parametrize("text,lineno", MALFORMED_PROFILES)
+    def test_malformed_profile_exit_3(self, tmp_path, capsys, text, lineno):
+        prof_path = tmp_path / "bad.csv"
+        prof_path.write_text(text, encoding="utf-8")
+        assert run("fit-gdp", "--profile", prof_path) == 3
+        assert f"{prof_path}: line {lineno}:" in capsys.readouterr().err
 
     def test_empty_profile_exit_2(self, tmp_path):
         prof_path = tmp_path / "empty.csv"

@@ -89,6 +89,12 @@ class TestTradeoffFormulas:
     def test_laplace_third_branch(self):
         assert laplace_tradeoff(1.0, 0.5) == pytest.approx(0.18393972058572117, abs=1e-14)
 
+    def test_laplace_huge_separation(self):
+        # e^800 overflows float64; the curve is 1 at alpha = 0 and 0 after
+        assert laplace_tradeoff(800.0, 0.5) == 0.0
+        alphas = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(laplace_tradeoff(800.0, alphas), np.r_[1.0, np.zeros(10)])
+
     def test_gdp_mu_zero_is_identity_complement(self):
         alphas = np.linspace(0.0, 1.0, 11)
         assert gdp_tradeoff(0.0, alphas) == pytest.approx(1.0 - alphas, abs=1e-12)

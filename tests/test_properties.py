@@ -2,6 +2,8 @@
 
 The hockey-stick kernel is checked against the brute-force sum it replaces,
 on pairs with empty bins on either side and eps far past the exp overflow.
+The PLD engine is checked the same way: its suffix-sum delta against the
+per-node sum, its rfft power against repeated direct convolution.
 """
 
 import tracemalloc
@@ -14,6 +16,7 @@ from dpaudit.discrete import (DiscreteDistribution, alpha_from_eps, hockey_stick
                               symmetric_delta)
 from dpaudit.estimators import threshold_epsilon, two_bin_histogram
 from dpaudit.histogram import BinningSpec, HistogramEstimate, estimate_profile
+from dpaudit.pld import PLDGrid, delta_from_pld, self_convolve
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -113,3 +116,48 @@ def test_estimate_profile_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+@st.composite
+def plds(draw, max_nodes=60, reach=1000.0):
+    """A PLD with empty nodes and an optional +inf atom, inside [-reach, reach]."""
+    n = draw(st.integers(1, max_nodes))
+    masses = np.array(draw(st.lists(weights, min_size=n, max_size=n)))
+    assume(masses.sum() > 0)
+    mass_inf = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+    step = draw(st.floats(1e-3, 2.0 * reach / max(n - 1, 1)))
+    start = draw(st.floats(-reach, max(-reach, reach - (n - 1) * step)))
+    return PLDGrid(start, step, (1.0 - mass_inf) * masses / masses.sum(), mass_inf)
+
+
+def brute_force_pld_delta(pld, eps):
+    s = pld.node_values()
+    above = s > eps
+    return pld.mass_inf + float(np.sum(pld.masses[above] * -np.expm1(eps - s[above])))
+
+
+@PROPERTY_SETTINGS
+@given(plds(), st.data())
+def test_delta_from_pld_matches_brute_force(pld, data):
+    # eps anywhere in +-800, and exactly on nodes, where a term changes sides
+    nodes = st.sampled_from(list(pld.node_values()))
+    eps = np.sort(data.draw(st.lists(st.one_of(st.floats(-800.0, 800.0), nodes),
+                                     min_size=1, max_size=20)))
+    deltas = delta_from_pld(pld, eps)
+    expected = np.array([brute_force_pld_delta(pld, e) for e in eps])
+    assert np.all(np.abs(deltas - expected) <= 1e-12)
+    assert np.all(np.diff(deltas) <= 1e-15)
+    assert isinstance(delta_from_pld(pld, float(eps[0])), float)
+
+
+@PROPERTY_SETTINGS
+@given(plds(max_nodes=30, reach=50.0), st.integers(1, 8))
+def test_self_convolve_matches_direct_convolution(pld, c):
+    composed = self_convolve(pld, c)
+    direct = pld.masses
+    for _ in range(c - 1):
+        direct = np.convolve(direct, pld.masses)
+    assert composed.masses.size == direct.size
+    assert np.all(np.abs(composed.masses - direct) <= 1e-14)
+    assert composed.grid_start == c * pld.grid_start
+    assert abs(composed.mass_inf - (1.0 - (1.0 - pld.mass_inf) ** c)) <= 1e-15

@@ -31,6 +31,8 @@ class TestFEpsDelta:
             f_eps_delta(1.0, 0.1, 1.2)
         with pytest.raises(ValueError):
             f_eps_delta(1.0, -0.1, 0.2)
+        with pytest.raises(ValueError):
+            f_eps_delta(-2.0, 0.0, 0.1)
 
 
 class TestValidate:
