@@ -9,7 +9,9 @@ canaries' Gram matrix (Wishart via the Bartlett factorization), which costs
 O(n^2) instead of O(n*d).
 
 The white-box stream follows the per-iteration noisy-gradient protocol with
-a fresh clip-norm canary per step included with probability q_c.
+a fresh clip-norm canary per step included with probability q_c. Its scores
+are drawn in O(T) from their exact law, which does not depend on d except
+through an optional nuisance term (see :func:`whitebox_stream`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .estimators import AuditConfig, AuditReport, histogram_audit
 # blocks; the gram path takes over where even streaming would be slow
 _DIRECT_ENTRY_LIMIT = 2 ** 27
 _STREAM_BLOCK_ROWS = 64
+_WHITEBOX_BLOCK = 2 ** 16  # white-box steps per block; temporaries stay O(block)
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,14 @@ def one_shot_scores(theta: np.ndarray, train_canaries: np.ndarray,
     return train @ theta, test @ theta
 
 
+def _unit_blocks(cfg: OneShotConfig, seed_seq):
+    """The rows of sample_sphere(d, n) in blocks, as (raw rows, 1 / row norms)."""
+    rng = np.random.default_rng(seed_seq)
+    for start in range(0, cfg.n, _STREAM_BLOCK_ROWS):
+        block = rng.standard_normal((min(_STREAM_BLOCK_ROWS, cfg.n - start), cfg.d))
+        yield block, 1.0 / np.sqrt(np.einsum("ij,ij->i", block, block))
+
+
 def _one_shot_scores_streamed(cfg: OneShotConfig) -> tuple[np.ndarray, np.ndarray]:
     """Same draws as release+scores, never holding more than a block of rows.
 
@@ -121,25 +132,11 @@ def _one_shot_scores_streamed(cfg: OneShotConfig) -> tuple[np.ndarray, np.ndarra
     rng = np.random.default_rng(base)
     x = cfg.x_norm * sample_sphere(cfg.d, 1, rng)[0] if cfg.x_norm > 0 else 0.0
     noise = rng.normal(0.0, cfg.sigma, cfg.d)
-
-    canary_sum = np.zeros(cfg.d)
-    r1 = np.random.default_rng(train_ss)
-    for start in range(0, cfg.n, _STREAM_BLOCK_ROWS):
-        rows = min(_STREAM_BLOCK_ROWS, cfg.n - start)
-        block = r1.standard_normal((rows, cfg.d))
-        inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", block, block))
-        canary_sum += inv @ block
-    theta = x + canary_sum + noise
+    theta = x + sum(inv @ block for block, inv in _unit_blocks(cfg, train_ss)) + noise
 
     def score_pass(seed_seq) -> np.ndarray:
-        out = np.empty(cfg.n)
-        r = np.random.default_rng(seed_seq)
-        for start in range(0, cfg.n, _STREAM_BLOCK_ROWS):
-            rows = min(_STREAM_BLOCK_ROWS, cfg.n - start)
-            block = r.standard_normal((rows, cfg.d))
-            inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", block, block))
-            out[start:start + rows] = (block @ theta) * inv
-        return out
+        blocks = _unit_blocks(cfg, seed_seq)
+        return np.concatenate([(block @ theta) * inv for block, inv in blocks])
 
     return score_pass(train_ss), score_pass(test_ss)
 
@@ -178,13 +175,10 @@ def one_shot_scores_gram(cfg: OneShotConfig) -> tuple[np.ndarray, np.ndarray]:
     return scores[extra:extra + cfg.n], scores[extra + cfg.n:]
 
 
-def one_shot_audit(cfg: OneShotConfig, audit_config: AuditConfig | None = None, *,
-                   method: str = "auto") -> AuditReport:
-    """Generate one-shot scores and run the histogram audit on them.
-
-    ``method`` picks the score path: "direct" (streamed, identical to
-    release+scores), "gram" (exact-law, O(n^2)), or "auto" (direct while the
-    canary matrix stays small, gram beyond).
+def one_shot_sample(cfg: OneShotConfig, method: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+    """Held-in and held-out one-shot scores: ``method`` "direct" streams the
+    simulation (identical to release+scores), "gram" is the exact-law O(n^2)
+    sampler, and "auto" takes gram once the canary matrix is large.
     """
     if method not in ("auto", "direct", "gram"):
         raise ValueError(f"unknown method {method!r}")
@@ -193,37 +187,45 @@ def one_shot_audit(cfg: OneShotConfig, audit_config: AuditConfig | None = None, 
         gram_ok = cfg.d >= 2 * cfg.n + (1 if cfg.x_norm > 0 else 0)
         method = "gram" if (entries > _DIRECT_ENTRY_LIMIT and gram_ok) else "direct"
     if method == "gram":
-        scores_p, scores_q = one_shot_scores_gram(cfg)
-    else:
-        scores_p, scores_q = _one_shot_scores_streamed(cfg)
+        return one_shot_scores_gram(cfg)
+    return _one_shot_scores_streamed(cfg)
+
+
+def one_shot_audit(cfg: OneShotConfig, audit_config: AuditConfig | None = None, *,
+                   method: str = "auto") -> AuditReport:
+    """Run the histogram audit on the scores of :func:`one_shot_sample`."""
+    scores_p, scores_q = one_shot_sample(cfg, method)
     return histogram_audit(scores_p, scores_q, audit_config, method="one-shot")
 
 
 def whitebox_stream(cfg: WhiteBoxConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-iteration score pairs (O, O') of the white-box protocol.
 
-    Each iteration draws a fresh unit canary scaled to the clip norm; the
-    canary joins the primed gradient sum with probability canary_prob. In
-    the null model the clipped-gradient sum is zero (set nuisance_norm for a
-    bounded-norm stress vector).
+    Each iteration draws a fresh unit canary u scaled to the clip norm; it
+    joins the primed gradient sum with probability canary_prob. In the null
+    model the clipped-gradient sum is zero (set nuisance_norm for a
+    bounded-norm stress vector). The pairs come from their exact law in
+    O(iterations) time: <g, u> ~ N(0, clip^2 sigma^2) for every u, so
+    O = clip^2 sigma Z and O' = clip^2 sigma Z' + clip^2 Bernoulli(canary_prob),
+    independent. A nuisance vector of norm nu adds clip nu (2B - 1) to each,
+    where 2B - 1 is the cosine of two independent uniform directions in R^d:
+    B ~ Beta((d-1)/2, (d-1)/2), and a fair 0/1 at d = 1.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    noise_scale = cfg.clip * cfg.sigma
     out = np.empty(cfg.iterations)
     out_primed = np.empty(cfg.iterations)
-    for start in range(0, cfg.iterations, _STREAM_BLOCK_ROWS):
-        rows = min(_STREAM_BLOCK_ROWS, cfg.iterations - start)
-        canaries = cfg.clip * sample_sphere(cfg.d, rows, rng)
-        grad = rng.normal(0.0, noise_scale, (rows, cfg.d))
-        grad_primed = rng.normal(0.0, noise_scale, (rows, cfg.d))
-        if cfg.nuisance_norm > 0:
-            grad = grad + cfg.nuisance_norm * sample_sphere(cfg.d, rows, rng)
-            grad_primed = grad_primed + cfg.nuisance_norm * sample_sphere(cfg.d, rows, rng)
-        include = rng.random(rows) < cfg.canary_prob
-        sl = slice(start, start + rows)
-        out[sl] = np.einsum("ij,ij->i", grad, canaries)
-        out_primed[sl] = (np.einsum("ij,ij->i", grad_primed, canaries)
-                          + include * cfg.clip ** 2)
+    half = (cfg.d - 1) / 2.0
+    for start in range(0, cfg.iterations, _WHITEBOX_BLOCK):
+        sl = slice(start, min(start + _WHITEBOX_BLOCK, cfg.iterations))
+        for side in (out[sl], out_primed[sl]):
+            rng.standard_normal(out=side)
+            side *= cfg.clip ** 2 * cfg.sigma
+            if cfg.nuisance_norm > 0:
+                b = (rng.beta(half, half, side.size) if cfg.d > 1
+                     else rng.integers(0, 2, side.size))
+                side += (2.0 * b - 1.0) * (cfg.clip * cfg.nuisance_norm)
+        held_in = out_primed[sl]
+        held_in[rng.random(held_in.size) < cfg.canary_prob] += cfg.clip ** 2
     return out, out_primed
 
 

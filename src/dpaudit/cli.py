@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import pld
-from .canary import OneShotConfig, WhiteBoxConfig, one_shot_audit, whitebox_stream
+from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_sample,
+                     whitebox_stream)
 from .errors import FitError, GridOverflowError, ScoreFileError
 from .estimators import AuditConfig, fit_mu_gdp, histogram_audit, spec_from_config
 from .histogram import build_histograms
@@ -145,7 +146,10 @@ def cmd_audit(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
-    profile = PrivacyProfile.from_csv(args.profile)
+    try:
+        profile = PrivacyProfile.from_csv(args.profile)
+    except ValueError as exc:
+        raise ScoreFileError(f"{args.profile}: {exc}") from exc
     curve = profile_to_tradeoff(profile, args.delta_target, args.points, strict=False)
     curve.to_csv(args.out)
     return EXIT_OK
@@ -208,31 +212,27 @@ def cmd_fit_gdp(args) -> int:
 
 
 def cmd_canary(args) -> int:
+    report = scores = None
     if args.mode == "one-shot":
         cfg = OneShotConfig(d=args.d, n=args.n, sigma=args.sigma,
                             x_norm=args.x_norm, seed=args.seed)
         if args.audit:
             report = one_shot_audit(cfg, _audit_config(args))
-            _print_report_lines(report)
-            _write_report(report, args)
         if args.out_p or args.out_q:
-            from .canary import _one_shot_scores_streamed
-            scores_p, scores_q = _one_shot_scores_streamed(cfg)
-            if args.out_p:
-                write_scores(args.out_p, scores_p)
-            if args.out_q:
-                write_scores(args.out_q, scores_q)
-        return EXIT_OK
-    cfg = WhiteBoxConfig(iterations=args.iterations, canary_prob=args.canary_prob,
-                         sigma=args.sigma, clip=args.clip, d=args.d, seed=args.seed,
-                         nuisance_norm=args.nuisance_norm)
-    out, out_primed = whitebox_stream(cfg)
-    if args.out_p:
-        write_scores(args.out_p, out_primed)
-    if args.out_q:
-        write_scores(args.out_q, out)
-    if args.audit:
-        report = histogram_audit(out_primed, out, _audit_config(args))
+            # the path and seed the audit used, so the files hold its scores
+            scores = one_shot_sample(cfg)
+    else:
+        cfg = WhiteBoxConfig(iterations=args.iterations, canary_prob=args.canary_prob,
+                             sigma=args.sigma, clip=args.clip, d=args.d, seed=args.seed,
+                             nuisance_norm=args.nuisance_norm)
+        out, out_primed = whitebox_stream(cfg)
+        scores = (out_primed, out)
+        if args.audit:
+            report = histogram_audit(out_primed, out, _audit_config(args))
+    for path, values in zip((args.out_p, args.out_q), scores or ()):
+        if path:
+            write_scores(path, values)
+    if report is not None:
         _print_report_lines(report)
         _write_report(report, args)
     return EXIT_OK
@@ -330,10 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ScoreFileError as exc:

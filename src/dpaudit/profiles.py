@@ -77,10 +77,10 @@ class PrivacyProfile:
         object.__setattr__(self, "deltas", del_)
         if eps.ndim != 1 or eps.size < 2 or eps.shape != del_.shape:
             raise ValueError("profile needs matching 1-D grids with at least 2 points")
-        if np.any(np.diff(eps) <= 0):
-            raise ValueError("epsilons must be strictly increasing")
-        if np.any(del_ < -_MONOTONE_SLACK) or np.any(del_ > 1 + _MONOTONE_SLACK):
-            raise ValueError("deltas must lie in [0, 1]")
+        if not (np.all(np.isfinite(eps)) and np.all(np.diff(eps) > 0)):
+            raise ValueError("epsilons must be finite and strictly increasing")
+        if not np.all((del_ >= -_MONOTONE_SLACK) & (del_ <= 1 + _MONOTONE_SLACK)):
+            raise ValueError("deltas must be finite and lie in [0, 1]")
         if np.any(np.diff(del_) > _MONOTONE_SLACK):
             raise ValueError("deltas must be non-increasing in eps")
 

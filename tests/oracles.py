@@ -54,3 +54,36 @@ def binom_tail_leq(k, n, p):
     """P[Bin(n, p) <= k] by exact coefficient summation."""
     return float(sum(math.comb(n, j) * p ** j * (1.0 - p) ** (n - j)
                      for j in range(0, k + 1)))
+
+
+def _unit_rows(d, rows, rng):
+    vecs = rng.standard_normal((rows, d))
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+def whitebox_stream_direct(cfg, block=64):
+    """The white-box protocol simulated step by step in d dimensions, O(T d).
+
+    Each step draws a unit canary scaled to the clip norm and two noisy
+    gradient sums N(0, clip^2 sigma^2 I_d), each plus its own nuisance vector
+    of norm nuisance_norm on a uniform direction; the canary joins the primed
+    sum with probability canary_prob. Returns (O, O') as inner products with
+    the canary.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    noise_scale = cfg.clip * cfg.sigma
+    out = np.empty(cfg.iterations)
+    out_primed = np.empty(cfg.iterations)
+    for start in range(0, cfg.iterations, block):
+        rows = min(block, cfg.iterations - start)
+        canaries = cfg.clip * _unit_rows(cfg.d, rows, rng)
+        grad = rng.normal(0.0, noise_scale, (rows, cfg.d))
+        grad_primed = rng.normal(0.0, noise_scale, (rows, cfg.d))
+        if cfg.nuisance_norm > 0:
+            grad += cfg.nuisance_norm * _unit_rows(cfg.d, rows, rng)
+            grad_primed += cfg.nuisance_norm * _unit_rows(cfg.d, rows, rng)
+        include = rng.random(rows) < cfg.canary_prob
+        sl = slice(start, start + rows)
+        out[sl] = np.einsum("ij,ij->i", grad, canaries)
+        out_primed[sl] = np.einsum("ij,ij->i", grad_primed, canaries) + include * cfg.clip ** 2
+    return out, out_primed

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dpaudit.canary import (OneShotConfig, WhiteBoxConfig,
                             _one_shot_scores_streamed, one_shot_audit,
@@ -9,6 +11,8 @@ from dpaudit.canary import (OneShotConfig, WhiteBoxConfig,
                             one_shot_scores_gram, sample_sphere,
                             whitebox_audit, whitebox_stream)
 from dpaudit.estimators import AuditConfig
+
+from oracles import whitebox_stream_direct
 
 FAST_AUDIT = AuditConfig(with_curves=False)
 
@@ -218,6 +222,40 @@ class TestWhiteboxStream:
                              nuisance_norm=0.5)
         out, out_primed = whitebox_stream(cfg)
         assert np.all(np.isfinite(out)) and np.all(np.isfinite(out_primed))
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 64])
+    @pytest.mark.parametrize("nuisance_norm", [0.0, 0.5])
+    def test_matches_direct_law(self, d, nuisance_norm):
+        cfg = WhiteBoxConfig(iterations=2 * 10 ** 4, canary_prob=0.5, sigma=0.7,
+                             clip=1.3, d=d, seed=41, nuisance_norm=nuisance_norm)
+        for exact, direct in zip(whitebox_stream(cfg), whitebox_stream_direct(cfg)):
+            assert stats.ks_2samp(exact, direct).pvalue > 1e-3
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 64])
+    @pytest.mark.parametrize("nuisance_norm", [0.0, 0.5])
+    def test_closed_form_variance(self, d, nuisance_norm):
+        # Var O = clip^4 sigma^2 + clip^2 nu^2 / d; O' adds clip^4 q (1 - q).
+        # At 10**6 steps a sample variance is within 0.15% (1 sd) of its mean.
+        cfg = WhiteBoxConfig(iterations=10 ** 6, canary_prob=0.3, sigma=0.7,
+                             clip=1.3, d=d, seed=43, nuisance_norm=nuisance_norm)
+        out, out_primed = whitebox_stream(cfg)
+        held_out = cfg.clip ** 4 * cfg.sigma ** 2 + cfg.clip ** 2 * nuisance_norm ** 2 / d
+        held_in = held_out + cfg.clip ** 4 * cfg.canary_prob * (1 - cfg.canary_prob)
+        assert out.var() == pytest.approx(held_out, rel=0.01)
+        assert out_primed.var() == pytest.approx(held_in, rel=0.01)
+
+    def test_memory_bounded_by_outputs(self):
+        # two 8 MB outputs at 10**6 steps; every temporary is block-sized
+        iterations = 10 ** 6
+        cfg = WhiteBoxConfig(iterations=iterations, canary_prob=0.5, sigma=1.0,
+                             clip=1.0, d=64, seed=47, nuisance_norm=0.5)
+        tracemalloc.start()
+        try:
+            whitebox_stream(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * iterations + 4 * 2 ** 20
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -130,6 +130,12 @@ class TestTradeoffCommand:
         assert run("tradeoff", prof_path, "--out", tmp_path / "curve.csv") == 3
         assert f"{prof_path}: line {lineno}:" in capsys.readouterr().err
 
+    def test_empty_profile_exit_3(self, tmp_path, capsys):
+        prof_path = tmp_path / "empty.csv"
+        prof_path.write_text("", encoding="utf-8")
+        assert run("tradeoff", prof_path, "--out", tmp_path / "curve.csv") == 3
+        assert f"{prof_path}: profile needs" in capsys.readouterr().err
+
     def test_profile_csv_reexport_idempotent(self, tmp_path):
         first = tmp_path / "first.csv"
         second = tmp_path / "second.csv"
@@ -237,6 +243,18 @@ class TestCanaryCommand:
                    "--sigma", 1.0, "--seed", 4, "--audit", "--delta", 0.05) == 0
         out = capsys.readouterr().out
         assert "delta=0.05 eps=" in out
+
+    def test_one_shot_files_hold_the_audited_scores(self, tmp_path, capsys):
+        # 2 n d > 2**27 and d >= 2 n, so "auto" audits the gram draws
+        flags = ["--delta", 0.01, 0.1, "--confidence", 0.9]
+        op, oq = tmp_path / "p.txt", tmp_path / "q.txt"
+        assert run("canary", "--mode", "one-shot", "-d", 2 ** 21, "-n", 64, "--seed", 3,
+                   "--audit", "--out-p", op, "--out-q", oq, *flags) == 0
+        from_canary = capsys.readouterr().out
+        assert run("audit", op, oq, *flags) == 0
+        from_files = capsys.readouterr().out
+        assert from_canary.count("delta=") == 2
+        assert from_canary == from_files
 
     def test_invalid_dimension_exit_2(self, tmp_path):
         assert run("canary", "--mode", "one-shot", "-d", 0, "-n", 10) == 2

@@ -113,6 +113,18 @@ class TestProfileToTradeoff:
             profile_to_tradeoff(profile, 0.7, 100)
 
 
+class TestPrivacyProfileValidation:
+    @pytest.mark.parametrize("eps,deltas", [
+        ([0.0, 1.0, 2.0], [0.5, math.nan, 0.1]),
+        ([0.0, math.nan, 2.0], [0.5, 0.3, 0.1]),
+        ([0.0, 1.0, math.inf], [0.5, 0.3, 0.1]),
+        ([-math.inf, 1.0, 2.0], [0.5, 0.3, 0.1]),
+    ])
+    def test_rejects_non_finite(self, eps, deltas):
+        with pytest.raises(ValueError, match="finite"):
+            PrivacyProfile(eps, deltas)
+
+
 class TestCurveIo(object):
     def test_csv_roundtrip(self, tmp_path):
         alphas = np.linspace(0, 1, 33)
