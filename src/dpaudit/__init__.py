@@ -7,8 +7,7 @@ divergence, attaches multinomial confidence bounds, and composes estimated
 privacy-loss distributions for iterative mechanisms.
 """
 
-from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_sample,
-                     one_shot_release, one_shot_scores, sample_sphere,
+from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_scores_gram,
                      whitebox_audit, whitebox_stream)
 from .confidence import (TvRadius, canonne_radius, clopper_pearson,
                          hs_interval, required_samples, sigma_interval_from_tv)

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import pld
-from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_sample,
+from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_scores_gram,
                      whitebox_stream)
 from .errors import FitError, GridOverflowError, ScoreFileError
 from .estimators import AuditConfig, fit_mu_gdp, histogram_audit, spec_from_config
@@ -105,6 +105,9 @@ def _load_equal_pair(path_p, path_q):
 
 def _print_report_lines(report) -> None:
     for est in report.epsilons:
+        if est.point is None:
+            print(f"warning: delta target {est.delta:.6g} unreachable on the "
+                  "configured eps grid", file=sys.stderr)
         point = "nan" if est.point is None else f"{est.point:.6g}"
         lower = "nan" if est.lower is None else f"{est.lower:.6g}"
         print(f"delta={est.delta:.6g} eps={point} eps_lower={lower}")
@@ -136,10 +139,6 @@ def cmd_audit(args) -> int:
     config = _audit_config(args)
     forward = _sigma_forward_map(args.fit_sigma) if args.fit_sigma else None
     report = histogram_audit(scores_p, scores_q, config, sigma_forward_map=forward)
-    for est in report.epsilons:
-        if est.point is None:
-            print(f"warning: delta target {est.delta:.6g} unreachable on the "
-                  "configured eps grid", file=sys.stderr)
     _print_report_lines(report)
     _write_report(report, args)
     return EXIT_OK
@@ -219,8 +218,7 @@ def cmd_canary(args) -> int:
         if args.audit:
             report = one_shot_audit(cfg, _audit_config(args))
         if args.out_p or args.out_q:
-            # the path and seed the audit used, so the files hold its scores
-            scores = one_shot_sample(cfg)
+            scores = one_shot_scores_gram(cfg)  # the draw the audit used
     else:
         cfg = WhiteBoxConfig(iterations=args.iterations, canary_prob=args.canary_prob,
                              sigma=args.sigma, clip=args.clip, d=args.d, seed=args.seed,

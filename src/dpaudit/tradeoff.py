@@ -38,12 +38,12 @@ class TradeoffCurve:
         object.__setattr__(self, "betas", b)
         if a.ndim != 1 or a.size < 2 or a.shape != b.shape:
             raise ValueError("curve needs matching 1-D node arrays with >= 2 points")
-        if np.any(np.diff(a) <= 0):
-            raise ValueError("alphas must be strictly increasing")
+        if not (np.all(np.isfinite(a)) and np.all(np.diff(a) > 0)):
+            raise ValueError("alphas must be finite and strictly increasing")
         if a[0] < -_VALIDATE_SLACK or a[-1] > 1 + _VALIDATE_SLACK:
             raise ValueError("alphas must lie in [0, 1]")
-        if np.any(b < -_VALIDATE_SLACK) or np.any(b > 1 + _VALIDATE_SLACK):
-            raise ValueError("betas must lie in [0, 1]")
+        if not np.all((b >= -_VALIDATE_SLACK) & (b <= 1 + _VALIDATE_SLACK)):
+            raise ValueError("betas must be finite and lie in [0, 1]")
 
     def evaluate(self, alpha):
         """Piecewise-linear interpolation, clamped to the end nodes."""

@@ -56,9 +56,28 @@ def binom_tail_leq(k, n, p):
                      for j in range(0, k + 1)))
 
 
-def _unit_rows(d, rows, rng):
-    vecs = rng.standard_normal((rows, d))
+def sample_sphere(d, n, rng):
+    """n i.i.d. uniform unit vectors on the (d-1)-sphere, one per row."""
+    if d < 1 or n < 1:
+        raise ValueError("need d >= 1 and n >= 1")
+    vecs = rng.standard_normal((n, d))
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+def one_shot_direct(cfg):
+    """The one-shot release materialized in d dimensions, O(n d).
+
+    theta = X + the sum of n held-in unit canaries + N(0, sigma^2 I_d), where
+    X has norm x_norm on a uniform direction; n held-out canaries are drawn
+    alongside. Returns the held-in and held-out inner products with theta.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    held_in = sample_sphere(cfg.d, cfg.n, rng)
+    held_out = sample_sphere(cfg.d, cfg.n, rng)
+    theta = held_in.sum(axis=0) + rng.normal(0.0, cfg.sigma, cfg.d)
+    if cfg.x_norm > 0:
+        theta += cfg.x_norm * sample_sphere(cfg.d, 1, rng)[0]
+    return held_in @ theta, held_out @ theta
 
 
 def whitebox_stream_direct(cfg, block=64):
@@ -76,12 +95,12 @@ def whitebox_stream_direct(cfg, block=64):
     out_primed = np.empty(cfg.iterations)
     for start in range(0, cfg.iterations, block):
         rows = min(block, cfg.iterations - start)
-        canaries = cfg.clip * _unit_rows(cfg.d, rows, rng)
+        canaries = cfg.clip * sample_sphere(cfg.d, rows, rng)
         grad = rng.normal(0.0, noise_scale, (rows, cfg.d))
         grad_primed = rng.normal(0.0, noise_scale, (rows, cfg.d))
         if cfg.nuisance_norm > 0:
-            grad += cfg.nuisance_norm * _unit_rows(cfg.d, rows, rng)
-            grad_primed += cfg.nuisance_norm * _unit_rows(cfg.d, rows, rng)
+            grad += cfg.nuisance_norm * sample_sphere(cfg.d, rows, rng)
+            grad_primed += cfg.nuisance_norm * sample_sphere(cfg.d, rows, rng)
         include = rng.random(rows) < cfg.canary_prob
         sl = slice(start, start + rows)
         out[sl] = np.einsum("ij,ij->i", grad, canaries)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from dpaudit.canary import OneShotConfig, _one_shot_scores_streamed, one_shot_scores_gram
+from dpaudit.canary import OneShotConfig, one_shot_scores_gram
 from dpaudit.confidence import canonne_radius, hs_interval
 from dpaudit.discrete import DiscreteDistribution, coarsen, hs_divergence, symmetric_delta
 from dpaudit.estimators import (AuditConfig, estimate_sigma, f_alpha_sensitivity,
@@ -233,18 +233,13 @@ def test_criterion_11_one_shot_convergence():
     clause1 = hits >= 18
 
     # clause 2: monotone median improvement across d; n = 10^4 per side puts
-    # the dimension effect above the estimator noise floor (see notes), with
-    # the d < 2n case simulated directly
+    # the dimension effect above the estimator noise floor (see notes)
     meds = []
     for d in (2 ** 12, 2 ** 16, 2 ** 20):
         errs = []
         for seed in range(10):
             cfg = OneShotConfig(d=d, n=10 ** 4, sigma=1.0, seed=77000 + seed)
-            if d < 2 * cfg.n:
-                scores = _one_shot_scores_streamed(cfg)
-            else:
-                scores = one_shot_scores_gram(cfg)
-            errs.append(delta_error(*scores))
+            errs.append(delta_error(*one_shot_scores_gram(cfg)))
         meds.append(float(np.median(errs)))
     clause2 = meds[0] > meds[1] > meds[2]
     elapsed = time.time() - start

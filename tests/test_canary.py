@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dpaudit.canary import (OneShotConfig, WhiteBoxConfig,
-                            _one_shot_scores_streamed, one_shot_audit,
-                            one_shot_release, one_shot_scores,
-                            one_shot_scores_gram, sample_sphere,
-                            whitebox_audit, whitebox_stream)
+from dpaudit import canary
+from dpaudit.canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit,
+                            one_shot_scores_gram, whitebox_audit, whitebox_stream)
 from dpaudit.estimators import AuditConfig
 
-from oracles import whitebox_stream_direct
+from oracles import one_shot_direct, sample_sphere, whitebox_stream_direct
 
 FAST_AUDIT = AuditConfig(with_curves=False)
 
 
 class TestSampleSphere:
+    """The sphere sampler behind the direct law references in oracles.py."""
+
     def test_unit_norms(self):
         rng = np.random.default_rng(0)
         vecs = sample_sphere(50, 200, rng)
@@ -47,29 +47,38 @@ class TestSampleSphere:
 class TestOneShotRelease:
     def test_noiseless_single_canary(self):
         cfg = OneShotConfig(d=64, n=1, sigma=1e-12, x_norm=0.0, seed=5)
-        theta, train, test = one_shot_release(cfg)
-        scores_p, scores_q = one_shot_scores(theta, train, test)
+        scores_p, scores_q = one_shot_scores_gram(cfg)
         assert scores_p[0] == pytest.approx(1.0, abs=1e-9)
         assert abs(scores_q[0]) < 1.0  # test canary nearly orthogonal
 
+    @pytest.mark.parametrize("d", [2, 3, 8, 50])
+    def test_noiseless_cosine_law(self, d):
+        # with two held-in canaries and no noise, a held-in score is 1 plus
+        # the cosine of two independent uniform directions: 2B - 1 with
+        # B ~ Beta((d - 1)/2, (d - 1)/2)
+        cosines = [one_shot_scores_gram(OneShotConfig(d=d, n=2, sigma=1e-12, seed=seed))[0][0]
+                   - 1.0 for seed in range(2000)]
+        law = stats.beta((d - 1) / 2, (d - 1) / 2)
+        assert stats.kstest((np.array(cosines) + 1.0) / 2.0, law.cdf).pvalue > 1e-3
+
     def test_noise_energy(self):
-        # E || theta - X - sum x ||^2 = d sigma^2
-        d = 4096
-        cfg = OneShotConfig(d=d, n=3, sigma=2.0, seed=11)
-        theta, train, test = one_shot_release(cfg)
-        residual = theta - train.sum(axis=0)
-        energy = float(residual @ residual)
-        expected = d * cfg.sigma ** 2
-        # chi-square concentration: 3 sigma of the energy statistic
-        slack = 3.0 * math.sqrt(2.0 * d) * cfg.sigma ** 2
-        assert abs(energy - expected) <= slack
+        # a held-out canary c is a uniform direction independent of theta, so
+        # E <c, theta>^2 = E ||theta||^2 / d = sigma^2 + n / d; with n < d < 2n,
+        # part of the noise lies off the held-in canaries' span
+        d, n, sigma = 4096, 3000, 2.0
+        _, scores_q = one_shot_scores_gram(OneShotConfig(d=d, n=n, sigma=sigma, seed=11))
+        expected = sigma ** 2 + n / d
+        # 4 sd of the mean square over n scores and of ||theta||^2 / d
+        slack = 4.0 * expected * math.sqrt(2.0 / n + 2.0 / d)
+        assert abs(float(np.mean(scores_q ** 2)) - expected) <= slack
 
     def test_x_norm_enters_release(self):
-        cfg0 = OneShotConfig(d=256, n=2, sigma=1.0, x_norm=0.0, seed=3)
-        cfg1 = OneShotConfig(d=256, n=2, sigma=1.0, x_norm=50.0, seed=3)
-        theta0, _, _ = one_shot_release(cfg0)
-        theta1, _, _ = one_shot_release(cfg1)
-        assert np.linalg.norm(theta1) > np.linalg.norm(theta0)
+        # held-out scores carry x_norm^2 / d more variance: 1 + 200/256 + 2500/256
+        cfg0 = OneShotConfig(d=256, n=200, sigma=1.0, x_norm=0.0, seed=3)
+        cfg1 = OneShotConfig(d=256, n=200, sigma=1.0, x_norm=50.0, seed=3)
+        _, scores_q0 = one_shot_scores_gram(cfg0)
+        _, scores_q1 = one_shot_scores_gram(cfg1)
+        assert scores_q1.std() > 2.0 * scores_q0.std()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -80,33 +89,64 @@ class TestOneShotRelease:
             OneShotConfig(d=8, n=1, sigma=-1.0)
 
 
-class TestOneShotScores:
-    def test_streamed_matches_materialized(self):
-        # same underlying draws; only normalization rounding may differ
-        cfg = OneShotConfig(d=512, n=150, sigma=1.0, seed=21)
-        theta, train, test = one_shot_release(cfg)
-        direct_p, direct_q = one_shot_scores(theta, train, test)
-        stream_p, stream_q = _one_shot_scores_streamed(cfg)
-        assert np.allclose(direct_p, stream_p, atol=1e-9, rtol=0.0)
-        assert np.allclose(direct_q, stream_q, atol=1e-9, rtol=0.0)
+def _blocked_and_dense(cfg, monkeypatch):
+    """The sampler's held-in scores, and the same factor's computed densely.
 
-    def test_streamed_matches_with_x_norm(self):
-        cfg = OneShotConfig(d=512, n=40, sigma=1.0, x_norm=2.0, seed=22)
-        theta, train, test = one_shot_release(cfg)
-        direct_p, _ = one_shot_scores(theta, train, test)
-        stream_p, _ = _one_shot_scores_streamed(cfg)
-        assert np.allclose(direct_p, stream_p, atol=1e-9, rtol=0.0)
+    Records every block the two passes draw, checks that pass two redraws
+    pass one's blocks bit for bit, assembles the whole t x R factor from them
+    and scores it in one product, with the noise from the same seed stream.
+    """
+    monkeypatch.setattr(canary, "_ONE_SHOT_BLOCK", 16)
+    calls = []
+    draw = canary._factor_rows
+
+    def record(d, start, stop, seed_seq):
+        rows, inv_norm = draw(d, start, stop, seed_seq)
+        calls.append((start, stop, rows * inv_norm[:, None]))
+        return rows, inv_norm
+
+    monkeypatch.setattr(canary, "_factor_rows", record)
+    scores_p, _ = one_shot_scores_gram(cfg)
+    extra = 1 if cfg.x_norm > 0 else 0
+    t = extra + cfg.n
+    half = len(calls) // 2
+    for (a0, b0, rows0), (a1, b1, rows1) in zip(calls[:half], calls[half:]):
+        assert (a0, b0) == (a1, b1) and np.array_equal(rows0, rows1)
+    factor = np.zeros((t, min(t, cfg.d)))
+    for start, stop, rows in calls[half:]:
+        factor[start:stop, :rows.shape[1]] = rows
+    assert np.all(np.triu(factor, 1) == 0.0)
+    assert np.allclose(np.linalg.norm(factor, axis=1), 1.0, atol=1e-12, rtol=0.0)
+    noise_seq = np.random.SeedSequence(cfg.seed).spawn(half + 1)[0]
+    xi = np.random.default_rng(noise_seq).standard_normal(factor.shape[1])
+    weights = np.concatenate([[cfg.x_norm] * extra, np.ones(cfg.n)])
+    dense = factor @ (factor.T @ weights + cfg.sigma * xi)
+    return scores_p, dense[extra:]
+
+
+class TestOneShotScores:
+    def test_streamed_matches_materialized(self, monkeypatch):
+        # d >= n: every row carries a chi diagonal
+        scores, dense = _blocked_and_dense(OneShotConfig(d=512, n=150, sigma=1.0, seed=21),
+                                           monkeypatch)
+        assert np.allclose(scores, dense, atol=1e-9, rtol=0.0)
+
+    def test_streamed_matches_with_x_norm(self, monkeypatch):
+        # d < n + 1: the rows past d are full Gaussian rows
+        scores, dense = _blocked_and_dense(
+            OneShotConfig(d=24, n=40, sigma=1.0, x_norm=2.0, seed=22), monkeypatch)
+        assert np.allclose(scores, dense, atol=1e-9, rtol=0.0)
 
     def test_streamed_deterministic(self):
-        cfg = OneShotConfig(d=512, n=150, sigma=1.0, seed=21)
-        a = _one_shot_scores_streamed(cfg)
-        b = _one_shot_scores_streamed(cfg)
+        cfg = OneShotConfig(d=100, n=150, sigma=1.0, seed=21)
+        a = one_shot_scores_gram(cfg)
+        b = one_shot_scores_gram(cfg)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_score_means_in_high_dimension(self):
-        # limit law N(1, sigma^2) / N(0, sigma^2); n=50 means wander sigma/sqrt(50),
-        # so the seed is pinned to a representative draw
-        cfg = OneShotConfig(d=2 ** 20, n=50, sigma=1.0, seed=21)
+        # limit law N(1, sigma^2) / N(0, sigma^2); n=2000 means wander
+        # sigma/sqrt(2000), so 0.1 is 4.5 sd
+        cfg = OneShotConfig(d=2 ** 20, n=2000, sigma=1.0, seed=21)
         scores_p, scores_q = one_shot_scores_gram(cfg)
         assert abs(scores_p.mean() - 1.0) < 0.1
         assert abs(scores_q.mean()) < 0.1
@@ -114,23 +154,25 @@ class TestOneShotScores:
     def test_score_moments_streamed(self):
         # 3-sigma check of the limit law moments at sound sample size
         cfg = OneShotConfig(d=2 ** 16, n=400, sigma=1.0, seed=23)
-        scores_p, scores_q = _one_shot_scores_streamed(cfg)
+        scores_p, scores_q = one_shot_scores_gram(cfg)
         assert abs(scores_p.mean() - 1.0) < 0.15
         assert abs(scores_q.mean()) < 0.15
         assert scores_p.std() == pytest.approx(1.0, abs=0.12)
         assert scores_q.std() == pytest.approx(1.0, abs=0.12)
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            one_shot_scores(np.zeros(8), np.zeros((3, 7)), np.zeros((3, 8)))
-
     def test_exchangeability_under_permutation(self):
-        cfg = OneShotConfig(d=256, n=30, sigma=1.0, seed=29)
-        theta, train, test = one_shot_release(cfg)
-        perm = np.random.default_rng(0).permutation(30)
-        base_p, _ = one_shot_scores(theta, train, test)
-        perm_p, _ = one_shot_scores(theta, train[perm], test)
-        assert np.allclose(base_p[perm], perm_p, atol=1e-12, rtol=0.0)
+        # the canaries are i.i.d., so the first and the last canary of a side
+        # share one score law, although their factor rows differ in shape
+        # (held-in row 29 lies past d and has no chi diagonal)
+        firsts, lasts = [], []
+        for seed in range(600):
+            scores_p, scores_q = one_shot_scores_gram(
+                OneShotConfig(d=20, n=30, sigma=0.5, seed=seed))
+            firsts.append([scores_p[0], scores_q[0]])
+            lasts.append([scores_p[-1], scores_q[-1]])
+        firsts, lasts = np.array(firsts), np.array(lasts)
+        for side in range(2):
+            assert stats.ks_2samp(firsts[:, side], lasts[:, side]).pvalue > 1e-3
 
 
 class TestGramSampler:
@@ -141,7 +183,7 @@ class TestGramSampler:
         direct_sds, gram_sds = [], []
         for seed in range(8):
             cfg = OneShotConfig(d=d, n=n, sigma=sigma, seed=3000 + seed)
-            dp, dq = _one_shot_scores_streamed(cfg)
+            dp, dq = one_shot_direct(cfg)
             gp, gq = one_shot_scores_gram(cfg)
             direct_means.append([dp.mean(), dq.mean()])
             gram_means.append([gp.mean(), gq.mean()])
@@ -152,15 +194,52 @@ class TestGramSampler:
         assert np.allclose(np.mean(direct_sds, axis=0),
                            np.mean(gram_sds, axis=0), atol=0.05)
 
-    def test_requires_enough_dimensions(self):
-        with pytest.raises(ValueError, match="gram"):
-            one_shot_scores_gram(OneShotConfig(d=16, n=32, sigma=1.0))
+    @pytest.mark.parametrize("n,d,x_norm,sigma", [
+        (20, 8, 0.0, 0.05),    # d < n
+        (20, 50, 2.0, 0.05),   # d >= 2n + 1, with a data vector
+        (40, 200, 0.0, 0.05),  # d >= 2n
+        (40, 200, 0.0, 1.0),   # noise off the canaries' span dominates
+        (5, 1, 0.0, 0.05),     # d = 1: every canary is a sign
+        (3, 2, 1.5, 0.05),     # d < n with a data vector
+    ])
+    def test_matches_direct_law(self, monkeypatch, n, d, x_norm, sigma):
+        # per-seed means and sds of both sides against the O(n d) simulation;
+        # at sigma = 0.05 the canaries' geometry sets the scores; blocks of
+        # 7 rows put block edges inside the held-in rows
+        monkeypatch.setattr(canary, "_ONE_SHOT_BLOCK", 7)
+        stats_gram, stats_direct = [], []
+        for seed in range(1500):
+            cfg = OneShotConfig(d=d, n=n, sigma=sigma, x_norm=x_norm, seed=seed)
+            for out, draw in ((stats_gram, one_shot_scores_gram(cfg)),
+                              (stats_direct, one_shot_direct(cfg))):
+                out.append([side.mean() for side in draw] + [side.std() for side in draw])
+        stats_gram, stats_direct = np.array(stats_gram), np.array(stats_direct)
+        for column in range(4):
+            assert stats.ks_2samp(stats_gram[:, column],
+                                  stats_direct[:, column]).pvalue > 1e-3
+
+    def test_samples_below_two_n(self):
+        scores_p, scores_q = one_shot_scores_gram(OneShotConfig(d=16, n=32, sigma=1.0))
+        assert scores_p.shape == scores_q.shape == (32,)
+        assert np.all(np.isfinite(scores_p)) and np.all(np.isfinite(scores_q))
 
     def test_deterministic(self):
         cfg = OneShotConfig(d=4096, n=100, sigma=1.0, seed=77)
         a = one_shot_scores_gram(cfg)
         b = one_shot_scores_gram(cfg)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_memory_bounded_by_blocks(self):
+        # a dense 4000 x 4000 factor alone would take 128 MB, the canaries
+        # 32 GB; blocks of the factor stay a few MB
+        cfg = OneShotConfig(d=2 ** 20, n=2000, sigma=1.0, seed=5)
+        tracemalloc.start()
+        try:
+            one_shot_scores_gram(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestOneShotAudit:
@@ -181,7 +260,7 @@ class TestOneShotAudit:
     def test_recovers_gaussian_delta(self):
         from dpaudit.mechanisms import gaussian_delta
         cfg = OneShotConfig(d=2 ** 16, n=2000, sigma=1.0, seed=41)
-        report = one_shot_audit(cfg, FAST_AUDIT, method="gram")
+        report = one_shot_audit(cfg, FAST_AUDIT)
         estimate = float(report.profile.delta_at(1.0))
         assert estimate == pytest.approx(gaussian_delta(1.0, 1.0), abs=0.05)
 

@@ -245,7 +245,6 @@ class TestCanaryCommand:
         assert "delta=0.05 eps=" in out
 
     def test_one_shot_files_hold_the_audited_scores(self, tmp_path, capsys):
-        # 2 n d > 2**27 and d >= 2 n, so "auto" audits the gram draws
         flags = ["--delta", 0.01, 0.1, "--confidence", 0.9]
         op, oq = tmp_path / "p.txt", tmp_path / "q.txt"
         assert run("canary", "--mode", "one-shot", "-d", 2 ** 21, "-n", 64, "--seed", 3,
@@ -255,6 +254,24 @@ class TestCanaryCommand:
         from_files = capsys.readouterr().out
         assert from_canary.count("delta=") == 2
         assert from_canary == from_files
+
+    @pytest.mark.parametrize("mode_flags", [
+        ["--mode", "one-shot", "-d", 4096, "-n", 50],
+        ["--mode", "white-box", "-d", 64, "--iterations", 50],
+    ])
+    def test_unreachable_target_warns(self, tmp_path, capsys, mode_flags):
+        # both modes give an N(1, 1) / N(0, 1) pair, whose delta stays near
+        # TV = 0.38 on [0, 0.001], above both targets; canary warns as audit does
+        flags = ["--delta", 0.01, 0.1, "--eps-grid", "0:0.001:2"]
+        op, oq = tmp_path / "p.txt", tmp_path / "q.txt"
+        assert run("canary", *mode_flags, "--seed", 3, "--audit",
+                   "--out-p", op, "--out-q", oq, *flags) == 0
+        from_canary = capsys.readouterr()
+        assert run("audit", op, oq, *flags) == 0
+        from_files = capsys.readouterr()
+        assert from_canary.out.count("eps=nan") == 2
+        assert from_canary.err.count("warning: delta target") == 2
+        assert (from_canary.out, from_canary.err) == (from_files.out, from_files.err)
 
     def test_invalid_dimension_exit_2(self, tmp_path):
         assert run("canary", "--mode", "one-shot", "-d", 0, "-n", 10) == 2

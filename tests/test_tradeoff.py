@@ -125,6 +125,18 @@ class TestPrivacyProfileValidation:
             PrivacyProfile(eps, deltas)
 
 
+class TestTradeoffCurveValidation:
+    @pytest.mark.parametrize("alphas,betas", [
+        ([0.0, 0.5, 1.0], [1.0, math.nan, 0.0]),
+        ([0.0, math.nan, 1.0], [1.0, 0.5, 0.0]),
+        ([math.nan, 0.5, 1.0], [1.0, 0.5, 0.0]),
+        ([0.0, 0.5, 1.0], [math.inf, 0.5, 0.0]),
+    ])
+    def test_rejects_non_finite(self, alphas, betas):
+        with pytest.raises(ValueError, match="finite"):
+            TradeoffCurve(alphas, betas)
+
+
 class TestCurveIo(object):
     def test_csv_roundtrip(self, tmp_path):
         alphas = np.linspace(0, 1, 33)
