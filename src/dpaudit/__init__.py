@@ -8,9 +8,9 @@ privacy-loss distributions for iterative mechanisms.
 """
 
 from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_scores_gram,
-                     whitebox_audit, whitebox_stream)
+                     whitebox_stream)
 from .confidence import (TvRadius, canonne_radius, clopper_pearson,
-                         hs_interval, required_samples, sigma_interval_from_tv)
+                         hs_interval, sigma_interval_from_tv)
 from .discrete import (DiscreteDistribution, coarsen, hs_divergence,
                        symmetric_delta, tv_distance)
 from .errors import AuditError, FitError, GridOverflowError, ScoreFileError
@@ -19,18 +19,16 @@ from .estimators import (AuditConfig, AuditReport, EpsilonEstimate,
                          f_alpha_sensitivity, fit_mu_gdp, histogram_audit,
                          invert_monotone, threshold_epsilon, two_bin_histogram)
 from .histogram import (BinningSpec, HistogramEstimate, auto_spec,
-                        build_histograms, estimate_delta,
-                        estimate_delta_symmetric, estimate_profile,
-                        scott_width_gaussian, scott_width_general)
+                        build_histograms, estimate_delta_symmetric,
+                        estimate_profile, scott_width_gaussian)
 from .mechanisms import (GaussianMechanism, LaplaceMechanism,
                          SubsampledGaussianMechanism, gaussian_delta,
                          gaussian_density, gdp_tradeoff, laplace_density,
-                         laplace_tradeoff, std_normal_cdf, std_normal_quantile)
+                         laplace_tradeoff)
 from .pld import (PLDGrid, compose_profile, delta_from_pld, pld_from_discrete,
                   self_convolve)
 from .profiles import PrivacyProfile
 from .scores import read_scores, write_scores
-from .tradeoff import (TradeoffCurve, f_eps_delta, mu_lower_from_rates,
-                       profile_to_tradeoff, validate)
+from .tradeoff import TradeoffCurve, f_eps_delta, profile_to_tradeoff, validate
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ through an optional nuisance term (see :func:`whitebox_stream`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,11 @@ class OneShotConfig:
     def __post_init__(self):
         if self.d < 1 or self.n < 1:
             raise ValueError("need d >= 1 and n >= 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.x_norm < 0:
-            raise ValueError("x_norm must be >= 0")
+        # written so that NaN fails every check
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        if not 0 <= self.x_norm < math.inf:
+            raise ValueError(f"x_norm must be finite and >= 0, got {self.x_norm!r}")
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,13 @@ class WhiteBoxConfig:
             raise ValueError("need iterations >= 1 and d >= 1")
         if not 0 < self.canary_prob <= 1:
             raise ValueError("canary_prob must lie in (0, 1]")
-        if self.sigma <= 0 or self.clip <= 0:
-            raise ValueError("sigma and clip must be positive")
-        if self.nuisance_norm < 0:
-            raise ValueError("nuisance_norm must be >= 0")
+        # written so that NaN fails every check
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        if not 0 < self.clip < math.inf:
+            raise ValueError(f"clip must be positive and finite, got {self.clip!r}")
+        if not 0 <= self.nuisance_norm < math.inf:
+            raise ValueError(f"nuisance_norm must be finite and >= 0, got {self.nuisance_norm!r}")
 
 
 def _cosines(rng: np.random.Generator, d: int, size: int) -> np.ndarray:
@@ -171,14 +176,3 @@ def whitebox_stream(cfg: WhiteBoxConfig) -> tuple[np.ndarray, np.ndarray]:
         held_in = out_primed[sl]
         held_in[rng.random(held_in.size) < cfg.canary_prob] += cfg.clip ** 2
     return out, out_primed
-
-
-def whitebox_audit(cfg: WhiteBoxConfig, audit_config: AuditConfig | None = None) -> AuditReport:
-    """Audit the white-box stream with the histogram pipeline.
-
-    The per-iteration scores are two plain samples, so the report carries the
-    histogram method tag; composition across iterations goes through
-    ``pld.compose_profile`` on the report's histogram instead.
-    """
-    out, out_primed = whitebox_stream(cfg)
-    return histogram_audit(out_primed, out, audit_config, method="histogram")

@@ -13,14 +13,12 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import pld
 from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_scores_gram,
                      whitebox_stream)
 from .errors import FitError, GridOverflowError, ScoreFileError
 from .estimators import AuditConfig, fit_mu_gdp, histogram_audit, spec_from_config
-from .histogram import build_histograms
+from .histogram import build_histograms, estimate_profile
 from .mechanisms import (GaussianMechanism, LaplaceMechanism,
                          SubsampledGaussianMechanism, gaussian_delta)
 from .profiles import PrivacyProfile
@@ -38,20 +36,16 @@ class UsageError(Exception):
     pass
 
 
-def _parse_eps_grid(text: str) -> tuple[float, float, int]:
+def _parse_fields(text: str, flag: str, types: dict) -> tuple:
+    """Split a colon flag value into one field per entry of ``types``
+    (field name -> converter), e.g. ``{"lo": float, "hi": float}`` for lo:hi."""
+    fields = text.split(":")
     try:
-        lo, hi, m = text.split(":")
-        return (float(lo), float(hi), int(m))
+        if len(fields) == len(types):
+            return tuple(convert(field) for convert, field in zip(types.values(), fields))
     except ValueError:
-        raise UsageError(f"--eps-grid expects lo:hi:m, got {text!r}") from None
-
-
-def _parse_pld_grid(text: str) -> tuple[float, int]:
-    try:
-        half, m = text.split(":")
-        return (float(half), int(m))
-    except ValueError:
-        raise UsageError(f"--grid expects L:m, got {text!r}") from None
+        pass
+    raise UsageError(f"--{flag} expects {':'.join(types)}, got {text!r}")
 
 
 def _mechanism_from_args(args) -> object:
@@ -90,7 +84,8 @@ def _audit_config(args) -> AuditConfig:
     return AuditConfig(binning_mode=mode, bins=bins, bin_width=args.bin_width,
                        delta_targets=tuple(args.delta),
                        confidence=args.confidence,
-                       eps_grid=_parse_eps_grid(args.eps_grid))
+                       eps_grid=_parse_fields(args.eps_grid, "eps-grid",
+                                             {"lo": float, "hi": float, "m": int}))
 
 
 def _load_equal_pair(path_p, path_q):
@@ -101,6 +96,12 @@ def _load_equal_pair(path_p, path_q):
             f"unequal sample counts: {path_p} has {scores_p.size}, "
             f"{path_q} has {scores_q.size}", None)
     return scores_p, scores_q
+
+
+def _load_histogram(args, config: AuditConfig):
+    """Read the --in-p/--in-q score files and bin them as the config says."""
+    scores_p, scores_q = _load_equal_pair(args.in_p, args.in_q)
+    return build_histograms(scores_p, scores_q, spec_from_config(scores_p, scores_q, config))
 
 
 def _print_report_lines(report) -> None:
@@ -114,14 +115,18 @@ def _print_report_lines(report) -> None:
 
 
 def _write_report(report, args) -> None:
-    if getattr(args, "json", None):
+    if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
             fh.write("\n")
-    if getattr(args, "curve", None) and report.tradeoff_estimate is not None:
-        report.tradeoff_estimate.to_csv(args.curve)
-    if getattr(args, "curve_bound", None) and report.tradeoff_bound is not None:
-        report.tradeoff_bound.to_csv(args.curve_bound)
+    for path, curve in ((args.curve, report.tradeoff_estimate),
+                        (args.curve_bound, report.tradeoff_bound)):
+        if path and curve is None:
+            print(f"warning: trade-off curve skipped: the estimated delta stays near 1 on "
+                  f"the whole eps grid, as when the samples do not overlap; {path} not written",
+                  file=sys.stderr)
+        elif path:
+            curve.to_csv(path)
 
 
 def cmd_simulate(args) -> int:
@@ -135,9 +140,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    scores_p, scores_q = _load_equal_pair(args.in_p, args.in_q)
     config = _audit_config(args)
     forward = _sigma_forward_map(args.fit_sigma) if args.fit_sigma else None
+    scores_p, scores_q = _load_equal_pair(args.in_p, args.in_q)
     report = histogram_audit(scores_p, scores_q, config, sigma_forward_map=forward)
     _print_report_lines(report)
     _write_report(report, args)
@@ -149,7 +154,7 @@ def cmd_tradeoff(args) -> int:
         profile = PrivacyProfile.from_csv(args.profile)
     except ValueError as exc:
         raise ScoreFileError(f"{args.profile}: {exc}") from exc
-    curve = profile_to_tradeoff(profile, args.delta_target, args.points, strict=False)
+    curve = profile_to_tradeoff(profile, args.delta_target, args.points)
     curve.to_csv(args.out)
     return EXIT_OK
 
@@ -157,24 +162,21 @@ def cmd_tradeoff(args) -> int:
 def cmd_compose(args) -> int:
     if args.compositions < 1:
         raise UsageError("--compositions must be >= 1")
-    scores_p, scores_q = _load_equal_pair(args.in_p, args.in_q)
+    grid = _parse_fields(args.grid, "grid", {"L": float, "m": int})
     config = _audit_config(args)
-    spec = spec_from_config(scores_p, scores_q, config)
-    hist = build_histograms(scores_p, scores_q, spec)
-    lo, hi, m = config.eps_grid
-    eps_grid = np.linspace(lo, hi, int(m))
+    hist = _load_histogram(args, config)
     profile = pld.compose_profile(hist.p_hat, hist.q_hat, args.compositions,
-                                  eps_grid, grid=_parse_pld_grid(args.grid),
-                                  label=f"composed-c{args.compositions}")
+                                  config.eps_values(), grid=grid)
     if args.csv:
         profile.to_csv(args.csv)
     if args.json:
         doc = {
             "method": "composed-heuristic",
             "compositions": args.compositions,
-            "n": int(scores_p.size),
+            "n": hist.n,
             "heuristic": True,
-            "binning": {"a": spec.a, "b": spec.b, "k": spec.k, "h": spec.h},
+            "binning": {"a": hist.spec.a, "b": hist.spec.b, "k": hist.spec.k,
+                        "h": hist.spec.h},
             "profile": [{"epsilon": float(e), "delta": float(d)}
                         for e, d in zip(profile.epsilons, profile.deltas)],
         }
@@ -188,6 +190,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_fit_gdp(args) -> int:
+    eps_range = _parse_fields(args.eps_range, "eps-range", {"lo": float, "hi": float})
     if args.profile:
         try:
             profile = PrivacyProfile.from_csv(args.profile)
@@ -196,16 +199,13 @@ def cmd_fit_gdp(args) -> int:
     else:
         if not (args.in_p and args.in_q):
             raise UsageError("fit-gdp needs --profile or both score files")
-        scores_p, scores_q = _load_equal_pair(args.in_p, args.in_q)
         config = _audit_config(args)
-        report = histogram_audit(scores_p, scores_q, config)
-        profile = report.profile
-    lo, hi = args.eps_range.split(":")
-    mu = fit_mu_gdp(profile, (float(lo), float(hi)))
+        profile = estimate_profile(_load_histogram(args, config), config.eps_values())
+    mu = fit_mu_gdp(profile, eps_range)
     print(f"mu={mu:.6g}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"mu": mu, "eps_range": [float(lo), float(hi)]}, fh, indent=2)
+            json.dump({"mu": mu, "eps_range": list(eps_range)}, fh, indent=2)
             fh.write("\n")
     return EXIT_OK
 

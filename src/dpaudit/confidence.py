@@ -46,18 +46,6 @@ def canonne_radius(n: int, k: int, failure_prob: float) -> TvRadius:
     return TvRadius(tau, 1.0 - failure_prob, n, k)
 
 
-def required_samples(k: int, tau: float, failure_prob: float) -> int:
-    """Samples needed for the multinomial bound to certify radius tau."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0 < failure_prob < 1:
-        raise ValueError("failure_prob must lie in (0, 1)")
-    return int(math.ceil(max(k / tau ** 2,
-                             2.0 * math.log(2.0 / failure_prob) / tau ** 2)))
-
-
 def hs_interval(delta_hat: float, eps: float, tau_p: TvRadius,
                 tau_q: TvRadius) -> tuple[float, float]:
     """Two-sided bound on the true divergence given per-side TV radii.

@@ -28,6 +28,13 @@ from .tradeoff import TradeoffCurve, profile_to_tradeoff
 
 DEFAULT_EPS_GRID = (-10.0, 10.0, 2001)
 DEFAULT_DELTA_TARGETS = (0.01, 0.05, 0.1)
+# the trade-off curves sweep delta' over [CURVE_DELTA_TARGET, 1 - CURVE_DELTA_TARGET]
+CURVE_DELTA_TARGET = 1e-3
+CURVE_POINTS = 200
+# fit_mu_gdp: eps window nodes, the sigma search bracket, its relative tolerance
+GDP_FIT_GRID = 2000
+GDP_SIGMA_BRACKET = (0.01, 100.0)
+GDP_REL_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -40,8 +47,6 @@ class AuditConfig:
     delta_targets: tuple[float, ...] = DEFAULT_DELTA_TARGETS
     confidence: float = 0.99
     eps_grid: tuple[float, float, int] = DEFAULT_EPS_GRID
-    curve_delta_target: float = 1e-3
-    curve_points: int = 200
     with_curves: bool = True
 
     def __post_init__(self):
@@ -137,13 +142,6 @@ def _epsilon_for_target(profile: PrivacyProfile, delta_target: float) -> float |
     return max(0.0, eps_hat)
 
 
-def _lower_profile(point: PrivacyProfile, tau: float) -> PrivacyProfile:
-    deltas = np.maximum(point.deltas - (1.0 + alpha_from_eps(point.epsilons)) * tau, 0.0)
-    deltas = np.maximum.accumulate(deltas[::-1])[::-1]
-    return PrivacyProfile(point.epsilons, np.clip(deltas, 0.0, 1.0),
-                          label=point.label + "-lower")
-
-
 def spec_from_config(samples_p, samples_q, config: AuditConfig) -> BinningSpec:
     return auto_spec(samples_p, samples_q, config.binning_mode,
                      k=config.bins, width=config.bin_width)
@@ -166,25 +164,21 @@ def histogram_audit(samples_p, samples_q, config: AuditConfig | None = None, *,
     Returns:
         An AuditReport with the point profile, the confidence-lower-bounded
         profile, per-delta-target epsilon estimates, and trade-off curves.
+        The curves are None when the point profile stays above
+        1 - CURVE_DELTA_TARGET on the whole eps grid, as it does when the two
+        samples do not overlap: then no delta' of the sweep can be inverted.
     """
     config = config or AuditConfig()
     spec = spec_from_config(samples_p, samples_q, config)
     hist = build_histograms(samples_p, samples_q, spec)
-    return audit_from_histogram(hist, config, method=method,
-                                sigma_forward_map=sigma_forward_map)
-
-
-def audit_from_histogram(hist: HistogramEstimate, config: AuditConfig | None = None, *,
-                         method: str = "histogram",
-                         sigma_forward_map: Callable[[float], float] | None = None) -> AuditReport:
-    config = config or AuditConfig()
     eps_values = config.eps_values()
-    profile = estimate_profile(hist, eps_values, label=method)
+    profile = estimate_profile(hist, eps_values)
 
     # union bound: each side gets half the failure budget, one radius covers both
     failure = 1.0 - config.confidence
-    radius = canonne_radius(hist.n, hist.spec.k, failure / 2.0)
-    lower = _lower_profile(profile, radius.tau)
+    radius = canonne_radius(hist.n, spec.k, failure / 2.0)
+    lower = PrivacyProfile.envelope(
+        eps_values, profile.deltas - (1.0 + alpha_from_eps(eps_values)) * radius.tau)
 
     estimates = []
     for target in config.delta_targets:
@@ -195,22 +189,18 @@ def audit_from_histogram(hist: HistogramEstimate, config: AuditConfig | None = N
         ))
 
     curve_est = curve_bound = None
-    if config.with_curves:
-        curve_est = profile_to_tradeoff(profile, config.curve_delta_target,
-                                        config.curve_points, strict=False,
-                                        label=method)
+    if config.with_curves and profile.deltas[-1] <= 1.0 - CURVE_DELTA_TARGET:
+        curve_est = profile_to_tradeoff(profile, CURVE_DELTA_TARGET, CURVE_POINTS)
         # converting the lower-bounded profile; see the report caveat: this
         # conversion is not itself a certified upper bound
-        curve_bound = profile_to_tradeoff(lower, config.curve_delta_target,
-                                          config.curve_points, strict=False,
-                                          label=method + "-bound")
+        curve_bound = profile_to_tradeoff(lower, CURVE_DELTA_TARGET, CURVE_POINTS)
 
     sigma_block = None
     if sigma_forward_map is not None:
         sigma_block = estimate_sigma(hist, config.confidence, sigma_forward_map)
 
     return AuditReport(method=method, n=hist.n, confidence=config.confidence,
-                       binning=hist.spec, epsilons=tuple(estimates),
+                       binning=spec, epsilons=tuple(estimates),
                        profile=profile, profile_lower=lower,
                        tradeoff_estimate=curve_est, tradeoff_bound=curve_bound,
                        sigma=sigma_block)
@@ -299,9 +289,7 @@ def exposure(canary_losses, reference_losses) -> np.ndarray:
     return np.log2(n) - np.log2(ranks)
 
 
-def fit_mu_gdp(profile: PrivacyProfile, eps_range: tuple[float, float], *,
-               n_grid: int = 2000, sigma_bracket: tuple[float, float] = (0.01, 100.0),
-               rel_tol: float = 1e-5) -> float:
+def fit_mu_gdp(profile: PrivacyProfile, eps_range: tuple[float, float]) -> float:
     """Fit the GDP parameter: tightest Gaussian profile dominating this one.
 
     Finds the largest noise scale sigma whose Gaussian profile stays above
@@ -317,18 +305,18 @@ def fit_mu_gdp(profile: PrivacyProfile, eps_range: tuple[float, float], *,
         raise ValueError("eps_range must be finite with lo < hi")
     if np.any(np.diff(profile.deltas) > 1e-9):
         raise FitError("profile is not non-increasing; cannot fit a GDP parameter")
-    grid = np.linspace(lo_eps, hi_eps, n_grid)
+    grid = np.linspace(lo_eps, hi_eps, GDP_FIT_GRID)
     reference = np.asarray(profile.delta_at(grid), dtype=float)
 
     def dominates(sigma: float) -> bool:
         return bool(np.all(gaussian_delta(grid, sigma) >= reference - 1e-12))
 
-    lo_sig, hi_sig = sigma_bracket
+    lo_sig, hi_sig = GDP_SIGMA_BRACKET
     if not dominates(lo_sig):
         raise FitError(f"no Gaussian profile with sigma >= {lo_sig} dominates the input")
     if dominates(hi_sig):
         return 1.0 / hi_sig
-    while hi_sig / lo_sig > 1.0 + rel_tol:
+    while hi_sig / lo_sig > 1.0 + GDP_REL_TOL:
         mid = math.sqrt(lo_sig * hi_sig)
         if dominates(mid):
             lo_sig = mid

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import (DiscreteDistribution, alpha_from_eps, hockey_stick,
-                       hs_divergence, symmetric_delta)
+from .discrete import DiscreteDistribution, alpha_from_eps, hockey_stick, symmetric_delta
 from .profiles import PrivacyProfile
 
 SCOTT_GAUSSIAN_CONSTANT = 2.0 * 3.0 ** (1.0 / 3.0) * math.pi ** (1.0 / 6.0)
 
 BINNING_MODES = ("scott-gaussian", "fixed-k", "fixed-width")
+# auto_spec's [a, b] runs between these pooled quantiles
+QUANTILE_MARGIN = 0.001
 
 
 @dataclass(frozen=True)
@@ -73,14 +74,6 @@ def scott_width_gaussian(sigma_hat: float, n: int) -> float:
     return SCOTT_GAUSSIAN_CONSTANT * sigma_hat * n ** (-1.0 / 3.0)
 
 
-def scott_width_general(deriv_energy_p: float, deriv_energy_q: float, n: int) -> float:
-    """(12 / (int P'^2 + int Q'^2))^(1/3) * n^(-1/3) for known density derivatives."""
-    total = deriv_energy_p + deriv_energy_q
-    if deriv_energy_p < 0 or deriv_energy_q < 0 or total <= 0 or n < 1:
-        raise ValueError("derivative energies must be non-negative with positive sum")
-    return (12.0 / total) ** (1.0 / 3.0) * n ** (-1.0 / 3.0)
-
-
 def build_histograms(samples_p, samples_q, spec: BinningSpec) -> HistogramEstimate:
     sp = np.asarray(samples_p, dtype=float)
     sq = np.asarray(samples_q, dtype=float)
@@ -99,28 +92,20 @@ def build_histograms(samples_p, samples_q, spec: BinningSpec) -> HistogramEstima
                              DiscreteDistribution(q_counts / n), n)
 
 
-def estimate_delta(hist: HistogramEstimate, eps: float) -> float:
-    """Directed divergence from p_hat to q_hat at alpha = exp(eps)."""
-    return hs_divergence(hist.p_hat, hist.q_hat, alpha_from_eps(eps))
-
-
 def estimate_delta_symmetric(hist: HistogramEstimate, eps: float) -> float:
     """max over both directions; the estimator used for audit profiles."""
     return symmetric_delta(hist.p_hat, hist.q_hat, eps)
 
 
-def estimate_profile(hist: HistogramEstimate, eps_grid, *,
-                     label: str = "histogram") -> PrivacyProfile:
+def estimate_profile(hist: HistogramEstimate, eps_grid) -> PrivacyProfile:
     """Tabulate the symmetric estimated delta over an eps grid."""
     eps_grid = np.asarray(eps_grid, dtype=float)
     forward, backward = hockey_stick(hist.p_hat, hist.q_hat, alpha_from_eps(eps_grid))
-    deltas = np.maximum.accumulate(np.maximum(forward, backward)[::-1])[::-1]
-    return PrivacyProfile(eps_grid, np.clip(deltas, 0.0, 1.0), label=label)
+    return PrivacyProfile.envelope(eps_grid, np.maximum(forward, backward))
 
 
 def auto_spec(samples_p, samples_q, mode: str = "scott-gaussian", *,
-              k: int | None = None, width: float | None = None,
-              quantile_margin: float = 0.001) -> BinningSpec:
+              k: int | None = None, width: float | None = None) -> BinningSpec:
     """Choose [a, b] from pooled sample quantiles and a width per the mode.
 
     ``a`` and ``b`` are the pooled 0.1% / 99.9% quantiles (robust to
@@ -135,7 +120,7 @@ def auto_spec(samples_p, samples_q, mode: str = "scott-gaussian", *,
     if sp.size == 0 or sq.size == 0:
         raise ValueError("samples must be non-empty")
     pooled = np.concatenate([sp, sq])
-    a, b = np.quantile(pooled, [quantile_margin, 1.0 - quantile_margin])
+    a, b = np.quantile(pooled, [QUANTILE_MARGIN, 1.0 - QUANTILE_MARGIN])
     if not a < b:
         raise ValueError("degenerate samples: zero spread between the chosen quantiles")
     if mode == "scott-gaussian":

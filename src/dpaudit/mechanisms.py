@@ -24,16 +24,6 @@ from .profiles import PrivacyProfile
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def std_normal_cdf(x):
-    """Phi(x), evaluated via the complementary error function."""
-    return special.ndtr(x)
-
-
-def std_normal_quantile(p):
-    """Phi^{-1}(p)."""
-    return special.ndtri(p)
-
-
 def _std_normal_pdf(x):
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / SQRT_2PI
@@ -132,8 +122,8 @@ class GaussianMechanism:
     def tv(self) -> float:
         return float(self.delta(0.0))
 
-    def profile(self, eps_grid, label: str = "gaussian") -> PrivacyProfile:
-        return PrivacyProfile.from_function(self.delta, eps_grid, label=label)
+    def profile(self, eps_grid) -> PrivacyProfile:
+        return PrivacyProfile.from_function(self.delta, eps_grid)
 
     def sample_pair(self, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
         if n < 1:
@@ -208,8 +198,8 @@ class SubsampledGaussianMechanism:
         q = _cdf_bin_masses(lambda x: special.ndtr(np.asarray(x) / self.sigma), lo, hi, width)
         return p, q
 
-    def profile(self, eps_grid, label: str = "subsampled-gaussian") -> PrivacyProfile:
-        return PrivacyProfile.from_function(self.delta, eps_grid, label=label)
+    def profile(self, eps_grid) -> PrivacyProfile:
+        return PrivacyProfile.from_function(self.delta, eps_grid)
 
     def sample_pair(self, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
         if n < 1:

@@ -12,7 +12,7 @@ suffix-sum pass over the nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import fft
@@ -141,8 +141,7 @@ def delta_from_pld(pld: PLDGrid, eps):
 
 
 def compose_profile(p: DiscreteDistribution, q: DiscreteDistribution, c: int,
-                    eps_grid, grid: tuple[float, int] = DEFAULT_GRID,
-                    label: str = "") -> PrivacyProfile:
+                    eps_grid, grid: tuple[float, int] = DEFAULT_GRID) -> PrivacyProfile:
     """Profile of the c-fold composition, symmetrized over both directions.
 
     Composed estimates carry no confidence statement and are flagged as
@@ -154,7 +153,5 @@ def compose_profile(p: DiscreteDistribution, q: DiscreteDistribution, c: int,
     forward = self_convolve(pld_from_discrete(p, q, grid), c)
     backward = self_convolve(pld_from_discrete(q, p, grid), c)
     deltas = np.maximum(delta_from_pld(forward, eps_grid), delta_from_pld(backward, eps_grid))
-    # up-rounding keeps each direction non-increasing; guard fp wiggle anyway
-    deltas = np.maximum.accumulate(deltas[::-1])[::-1]
-    return PrivacyProfile(eps_grid, np.clip(deltas, 0.0, 1.0),
-                          heuristic=True, label=label)
+    # up-rounding keeps each direction non-increasing; the envelope guards fp wiggle
+    return replace(PrivacyProfile.envelope(eps_grid, deltas), heuristic=True)

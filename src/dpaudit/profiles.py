@@ -66,7 +66,6 @@ class PrivacyProfile:
     deltas: np.ndarray
     fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
     heuristic: bool = False
-    label: str = ""
 
     def __post_init__(self):
         eps = np.array(self.epsilons, dtype=float)
@@ -85,11 +84,19 @@ class PrivacyProfile:
             raise ValueError("deltas must be non-increasing in eps")
 
     @classmethod
-    def from_function(cls, fn: Callable, eps_grid, *, heuristic: bool = False,
-                      label: str = "") -> "PrivacyProfile":
+    def from_function(cls, fn: Callable, eps_grid) -> "PrivacyProfile":
         eps = np.asarray(eps_grid, dtype=float)
-        return cls(eps, np.asarray(fn(eps), dtype=float), fn=fn,
-                   heuristic=heuristic, label=label)
+        return cls(eps, np.asarray(fn(eps), dtype=float), fn=fn)
+
+    @classmethod
+    def envelope(cls, eps_grid, deltas) -> "PrivacyProfile":
+        """Profile through raw delta estimates on an ascending eps grid.
+
+        Takes the running maximum from the right (the least non-increasing
+        curve above the estimates) and clips it to [0, 1].
+        """
+        deltas = np.maximum.accumulate(np.asarray(deltas, dtype=float)[::-1])[::-1]
+        return cls(eps_grid, np.clip(deltas, 0.0, 1.0))
 
     def delta_at(self, eps):
         """delta(eps); exact when a callable backs the profile, else interpolated."""
@@ -124,6 +131,6 @@ class PrivacyProfile:
             fh.write(csv_text("epsilon,delta", self.epsilons, self.deltas))
 
     @classmethod
-    def from_csv(cls, path, *, heuristic: bool = False, label: str = "") -> "PrivacyProfile":
+    def from_csv(cls, path) -> "PrivacyProfile":
         eps, deltas = read_csv(path, "epsilon,delta")
-        return cls(eps, deltas, heuristic=heuristic, label=label)
+        return cls(eps, deltas)

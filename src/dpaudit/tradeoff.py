@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import alpha_from_eps
-from .mechanisms import std_normal_quantile
 from .profiles import PrivacyProfile, csv_text, read_csv
 
 _VALIDATE_SLACK = 1e-9
@@ -27,7 +26,6 @@ class TradeoffCurve:
 
     alphas: np.ndarray
     betas: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         a = np.array(self.alphas, dtype=float)
@@ -54,9 +52,9 @@ class TradeoffCurve:
             fh.write(csv_text("alpha,beta", self.alphas, self.betas))
 
     @classmethod
-    def from_csv(cls, path, label: str = "") -> "TradeoffCurve":
+    def from_csv(cls, path) -> "TradeoffCurve":
         alphas, betas = read_csv(path, "alpha,beta")
-        return cls(alphas, betas, label=label)
+        return cls(alphas, betas)
 
 
 def validate(curve: TradeoffCurve) -> list[str]:
@@ -94,26 +92,22 @@ def f_eps_delta(eps: float, delta: float, alpha):
 
 
 def profile_to_tradeoff(profile: PrivacyProfile, delta_target: float = 1e-3,
-                        n_points: int = 200, *, n_alpha: int | None = None,
-                        strict: bool = True, label: str = "") -> TradeoffCurve:
+                        n_points: int = 200) -> TradeoffCurve:
     """Convert a privacy profile to a trade-off curve.
 
     For n_points linearly spaced delta' in [delta_target, 1 - delta_target],
     invert the profile to eps' and take the upper envelope of the
-    corresponding f_{eps',delta'} curves on a uniform alpha grid.
+    corresponding f_{eps',delta'} curves on a uniform alpha grid of
+    max(n_points, MIN_ALPHA_NODES) nodes.
 
-    With ``strict`` (the default) a delta' that exceeds the profile's largest
-    tabulated value raises; otherwise unreachable delta' values are skipped,
-    which only lowers the envelope. Inversion ties resolve to the smallest
-    eps.
+    A delta' below the profile's smallest tabulated value has no eps' and is
+    skipped, which only lowers the envelope; when no delta' is left this
+    raises ValueError. Inversion ties resolve to the smallest eps.
 
     Args:
         profile: tabulated (or function-backed) privacy profile.
         delta_target: half-margin of the delta' sweep; must lie in (0, 0.5).
         n_points: number of delta' values.
-        n_alpha: alpha-grid size; defaults to max(n_points, 512).
-        strict: raise on out-of-range delta' instead of skipping.
-        label: label for the returned curve.
 
     Returns:
         The enveloping TradeoffCurve.
@@ -127,10 +121,6 @@ def profile_to_tradeoff(profile: PrivacyProfile, delta_target: float = 1e-3,
     for dp in delta_grid:
         eps_hat = profile.epsilon_at(dp)
         if eps_hat is None:
-            if strict:
-                raise ValueError(
-                    f"profile not invertible at delta'={dp:.6g}: the tabulated curve "
-                    f"never descends below {float(profile.deltas[-1]):.6g}")
             continue
         # any pair is also certified at a larger eps, and no distribution
         # pair realizes delta < 1 - e^eps; flooring keeps every line below
@@ -138,19 +128,11 @@ def profile_to_tradeoff(profile: PrivacyProfile, delta_target: float = 1e-3,
         pairs.append((max(eps_hat, math.log1p(-dp)), dp))
     if not pairs:
         raise ValueError("no delta' value was invertible on this profile")
-    alphas = np.linspace(0.0, 1.0, n_alpha if n_alpha is not None else
-                         max(n_points, MIN_ALPHA_NODES))
+    alphas = np.linspace(0.0, 1.0, max(n_points, MIN_ALPHA_NODES))
     best = np.zeros_like(alphas)
     eps_hats, dps = np.array(pairs).T
     for grow, shrink, dp in zip(alpha_from_eps(eps_hats), alpha_from_eps(-eps_hats), dps):
         # the two lines of f_{eps', delta'}, as in f_eps_delta
         np.maximum(best, np.maximum(1.0 - dp - grow * alphas, shrink * (1.0 - dp - alphas)),
                    out=best)
-    return TradeoffCurve(alphas, best, label=label)
-
-
-def mu_lower_from_rates(alpha_bar: float, beta_bar: float) -> float:
-    """Empirical GDP lower bound Phi^{-1}(1 - alpha') - Phi^{-1}(beta')."""
-    if not (0 < alpha_bar < 1 and 0 < beta_bar < 1):
-        raise ValueError("rates at 0 or 1 give an infinite bound; need rates in (0, 1)")
-    return float(std_normal_quantile(1.0 - alpha_bar) - std_normal_quantile(beta_bar))
+    return TradeoffCurve(alphas, best)

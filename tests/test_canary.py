@@ -7,8 +7,8 @@ from scipy import stats
 
 from dpaudit import canary
 from dpaudit.canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit,
-                            one_shot_scores_gram, whitebox_audit, whitebox_stream)
-from dpaudit.estimators import AuditConfig
+                            one_shot_scores_gram, whitebox_stream)
+from dpaudit.estimators import AuditConfig, histogram_audit
 
 from oracles import one_shot_direct, sample_sphere, whitebox_stream_direct
 
@@ -87,6 +87,24 @@ class TestOneShotRelease:
             OneShotConfig(d=8, n=0, sigma=1.0)
         with pytest.raises(ValueError):
             OneShotConfig(d=8, n=1, sigma=-1.0)
+
+
+VALID_CONFIGS = {
+    OneShotConfig: dict(d=8, n=4, sigma=1.0, x_norm=1.0),
+    WhiteBoxConfig: dict(iterations=10, canary_prob=0.5, sigma=1.0, clip=1.0, d=8,
+                         nuisance_norm=0.5),
+}
+
+
+@pytest.mark.parametrize("config,field", [
+    (OneShotConfig, "sigma"), (OneShotConfig, "x_norm"),
+    (WhiteBoxConfig, "sigma"), (WhiteBoxConfig, "clip"), (WhiteBoxConfig, "nuisance_norm"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite(config, field, value):
+    config(**VALID_CONFIGS[config])  # the base values are valid
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        config(**{**VALID_CONFIGS[config], field: value})
 
 
 def _blocked_and_dense(cfg, monkeypatch):
@@ -291,8 +309,9 @@ class TestWhiteboxStream:
     def test_null_canaries_give_zero_epsilon(self):
         cfg = WhiteBoxConfig(iterations=20000, canary_prob=1e-12,
                              sigma=1.0, clip=1.0, d=256, seed=23)
-        report = whitebox_audit(cfg, AuditConfig(delta_targets=(0.05,),
-                                                 with_curves=False))
+        out, out_primed = whitebox_stream(cfg)
+        report = histogram_audit(out_primed, out, AuditConfig(delta_targets=(0.05,),
+                                                              with_curves=False))
         assert report.epsilons[0].point == pytest.approx(0.0, abs=0.1)
 
     def test_nuisance_vector_is_bounded(self):

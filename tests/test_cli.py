@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpaudit.cli import main
+from dpaudit.estimators import AuditConfig, fit_mu_gdp, histogram_audit
 from dpaudit.mechanisms import GaussianMechanism
 from dpaudit.profiles import PrivacyProfile
 from dpaudit.tradeoff import TradeoffCurve, validate
@@ -13,6 +14,11 @@ from dpaudit.tradeoff import TradeoffCurve, validate
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# one-shot canaries at sigma = 0.1 on d = 4096: the held-in and held-out
+# scores do not overlap, so the estimated delta stays at 1
+NON_OVERLAPPING = ["--mode", "one-shot", "-d", 4096, "-n", 50, "--sigma", 0.1, "--seed", 3]
 
 
 @pytest.fixture
@@ -152,8 +158,6 @@ class TestCompose:
         assert run("compose", p, q, "--compositions", 1, "--bins", 40,
                    "--eps-grid=-6:6:121", "--csv", csv_path) == 0
         composed = PrivacyProfile.from_csv(csv_path)
-
-        from dpaudit.estimators import AuditConfig, histogram_audit
         report = histogram_audit(np.loadtxt(p), np.loadtxt(q),
                                  AuditConfig(binning_mode="fixed-k", bins=40,
                                              eps_grid=(-6.0, 6.0, 121),
@@ -226,6 +230,21 @@ class TestFitGdp:
     def test_missing_inputs_exit_2(self):
         assert run("fit-gdp") == 2
 
+    def test_score_files_fit_the_audited_profile(self, gaussian_files, capsys):
+        p, q = gaussian_files
+        assert run("fit-gdp", "--in-p", p, "--in-q", q, "--bins", 40,
+                   "--eps-range", "0:4") == 0
+        report = histogram_audit(np.loadtxt(p), np.loadtxt(q),
+                                 AuditConfig(binning_mode="fixed-k", bins=40))
+        assert capsys.readouterr().out == f"mu={fit_mu_gdp(report.profile, (0.0, 4.0)):.6g}\n"
+
+    def test_non_overlapping_score_files(self, tmp_path, capsys):
+        op, oq = tmp_path / "p.txt", tmp_path / "q.txt"
+        assert run("canary", *NON_OVERLAPPING, "--out-p", op, "--out-q", oq) == 0
+        capsys.readouterr()
+        assert run("fit-gdp", "--in-p", op, "--in-q", oq) in (0, 5)
+        assert "invertible" not in capsys.readouterr().err
+
 
 class TestCanaryCommand:
     def test_one_shot_deterministic(self, tmp_path):
@@ -273,6 +292,36 @@ class TestCanaryCommand:
         assert from_canary.err.count("warning: delta target") == 2
         assert (from_canary.out, from_canary.err) == (from_files.out, from_files.err)
 
+    def test_non_overlapping_samples_print_eps(self, tmp_path, capsys):
+        op, oq = tmp_path / "p.txt", tmp_path / "q.txt"
+        curves = [tmp_path / "c.csv", tmp_path / "b.csv"]
+        report_path = tmp_path / "report.json"
+        flags = ["--curve", curves[0], "--curve-bound", curves[1], "--json", report_path]
+        assert run("canary", *NON_OVERLAPPING, "--audit", "--out-p", op, "--out-q", oq,
+                   *flags) == 0
+        from_canary = capsys.readouterr()
+        lines = from_canary.out.splitlines()
+        assert [line.split(" eps=")[0] for line in lines] == [
+            "delta=0.01", "delta=0.05", "delta=0.1"]
+        assert all(" eps=nan " in line for line in lines)
+        assert from_canary.err.count("warning: trade-off curve skipped") == 2
+        assert not any(path.exists() for path in curves)
+        assert json.loads(report_path.read_text())["curves"] == {"estimate": None, "bound": None}
+        assert run("audit", op, oq, *flags) == 0
+        assert capsys.readouterr() == from_canary
+        assert not any(path.exists() for path in curves)
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--mode", "one-shot", "-n", 10, "--sigma", "nan"], "sigma"),
+        (["--mode", "one-shot", "-n", 10, "--x-norm", "inf"], "x_norm"),
+        (["--mode", "white-box", "--sigma", "nan"], "sigma"),
+        (["--mode", "white-box", "--clip", "inf"], "clip"),
+        (["--mode", "white-box", "--nuisance-norm", "nan"], "nuisance_norm"),
+    ])
+    def test_non_finite_config_exit_2(self, capsys, flags, field):
+        assert run("canary", "-d", 8, *flags, "--audit") == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
     def test_invalid_dimension_exit_2(self, tmp_path):
         assert run("canary", "--mode", "one-shot", "-d", 0, "-n", 10) == 2
 
@@ -290,3 +339,20 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc_info:
             run("frobnicate")
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["audit", "p", "q", "--eps-grid", "1:2"], "--eps-grid expects lo:hi:m, got '1:2'"),
+        (["audit", "p", "q", "--eps-grid", "0:1:x"], "--eps-grid expects lo:hi:m"),
+        (["compose", "p", "q", "--compositions", 2, "--grid", "40"],
+         "--grid expects L:m, got '40'"),
+        (["compose", "p", "q", "--compositions", 2, "--grid", "40:1:2"], "--grid expects L:m"),
+        (["fit-gdp", "--in-p", "p", "--in-q", "q", "--eps-range", "abc"],
+         "--eps-range expects lo:hi, got 'abc'"),
+        (["fit-gdp", "--profile", "g.csv", "--eps-range", "1:x"],
+         "--eps-range expects lo:hi, got '1:x'"),
+    ])
+    def test_bad_colon_flag_exit_2(self, tmp_path, capsys, argv, message):
+        # the flags are parsed before any file is read: none of these exist
+        paths = {"p", "q", "g.csv"}
+        assert run(*(tmp_path / a if a in paths else a for a in argv)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpaudit.confidence import (canonne_radius, clopper_pearson, hs_interval,
-                                required_samples, sigma_interval_from_tv)
+                                sigma_interval_from_tv)
 from dpaudit.mechanisms import SubsampledGaussianMechanism, gaussian_delta
 
 from oracles import binom_tail_geq, binom_tail_leq, mixture_tv_closed_form
@@ -29,30 +29,6 @@ class TestCanonneRadius:
             canonne_radius(100, 5, 0.0)
         with pytest.raises(ValueError):
             canonne_radius(100, 5, 1.0)
-
-
-class TestRequiredSamples:
-    def test_k_term_dominates(self):
-        tau = math.sqrt(10 / 10 ** 4)
-        # ceiling of k/tau^2 up to one ulp of rounding
-        assert required_samples(10, tau, 0.5) in (10 ** 4, 10 ** 4 + 1)
-
-    def test_log_term_value(self):
-        # failure 2/e^2: 2 ln(2 / (2/e^2)) = 4
-        assert required_samples(1, 1.0, 2.0 / math.e ** 2) == 4
-
-    def test_doubling_k(self):
-        n1 = required_samples(10, 0.01, 0.5)
-        n2 = required_samples(20, 0.01, 0.5)
-        assert n2 == 2 * n1
-
-    def test_roundtrip_with_radius(self):
-        n = required_samples(12, 0.05, 0.02)
-        assert canonne_radius(n, 12, 0.02).tau <= 0.05 + 1e-12
-
-    def test_rejects_zero_tau(self):
-        with pytest.raises(ValueError):
-            required_samples(5, 0.0, 0.1)
 
 
 class TestHsInterval:

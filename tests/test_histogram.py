@@ -5,9 +5,8 @@ import pytest
 
 from dpaudit.discrete import coarsen, hs_divergence
 from dpaudit.histogram import (BinningSpec, auto_spec, build_histograms,
-                               estimate_delta, estimate_delta_symmetric,
-                               estimate_profile, scott_width_gaussian,
-                               scott_width_general)
+                               estimate_delta_symmetric, estimate_profile,
+                               scott_width_gaussian)
 
 from oracles import gaussian_tv_closed_form, mixture_tv_closed_form
 
@@ -25,25 +24,17 @@ class TestScottWidths:
         assert scott_width_gaussian(1.0, 8000) == pytest.approx(
             0.5 * scott_width_gaussian(1.0, 1000), abs=1e-15)
 
-    def test_general_rule_identity(self):
-        assert scott_width_general(12.0, 0.0, 1) == pytest.approx(1.0)
-
     def test_general_matches_gaussian_for_normals(self):
+        # the general rule (12 / (int P'^2 + int Q'^2))^(1/3) n^(-1/3) with
         # int phi'^2 = 1/(4 sqrt(pi)) per standard normal
         energy = 1.0 / (4.0 * math.sqrt(math.pi))
         for n in (100, 10 ** 4):
-            assert scott_width_general(energy, energy, n) == pytest.approx(
+            assert (12.0 / (2.0 * energy)) ** (1.0 / 3.0) * n ** (-1.0 / 3.0) == pytest.approx(
                 scott_width_gaussian(1.0, n), abs=1e-12)
-
-    def test_halving_under_8x_samples(self):
-        assert scott_width_general(1.0, 2.0, 8000) == pytest.approx(
-            0.5 * scott_width_general(1.0, 2.0, 1000), abs=1e-15)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             scott_width_gaussian(0.0, 10)
-        with pytest.raises(ValueError):
-            scott_width_general(0.0, 0.0, 10)
 
 
 class TestBinningSpec:
@@ -106,10 +97,11 @@ class TestEstimateDelta:
         x = np.linspace(0, 1, 50)
         hist = build_histograms(x, x, BinningSpec(0.0, 1.0, 10))
         for eps in (0.0, 1.0, 2.0):
-            assert estimate_delta(hist, eps) == 0.0
+            assert hs_divergence(hist.p_hat, hist.q_hat, math.exp(eps)) == 0.0
             assert estimate_delta_symmetric(hist, eps) == 0.0
         # below eps = 0 even identical distributions show 1 - e^eps
-        assert estimate_delta(hist, -1.0) == pytest.approx(1.0 - math.exp(-1.0))
+        assert hs_divergence(hist.p_hat, hist.q_hat, math.exp(-1.0)) == pytest.approx(
+            1.0 - math.exp(-1.0))
 
     def test_gaussian_tv_recovery(self):
         rng = np.random.default_rng(100)
@@ -129,7 +121,8 @@ class TestEstimateDelta:
         sq = rng.normal(0.0, 0.3, n)
         spec = auto_spec(sp, sq, "fixed-k", k=20)
         hist = build_histograms(sp, sq, spec)
-        assert estimate_delta(hist, 0.0) == pytest.approx(0.2256, abs=0.01)
+        assert hs_divergence(hist.p_hat, hist.q_hat, math.exp(0.0)) == pytest.approx(
+            0.2256, abs=0.01)
 
     def test_non_increasing_in_eps(self):
         rng = np.random.default_rng(7)

@@ -1,7 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every private
+module-level helper is read somewhere in the package.
 
-``__init__.py`` is left out: it imports names to re-export them. A deletion
-that leaves an import behind fails here instead of lingering unnoticed.
+``__init__.py`` is left out of the import scan: it imports names to
+re-export them. A deletion that leaves an import or a ``_helper`` behind
+fails here instead of lingering unnoticed.
 """
 
 import ast
@@ -41,3 +43,45 @@ def test_modules_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` defs and assignments that no module reads.
+
+    A read is a loaded name or an attribute access anywhere in ``sources``
+    (file name -> text); dunder names are left out.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    orphans = []
+    for name, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            orphans += [f"{name}:{node.lineno}: {d}" for d in defined
+                        if d.startswith("_") and not d.startswith("__") and d not in read]
+    return orphans
+
+
+def test_scan_finds_an_orphaned_private_helper():
+    sources = {
+        "a.py": "_USED = 1\n_ORPHAN = 2\n__dunder__ = 3\n\ndef _helper():\n    return _USED\n",
+        "b.py": "from . import a\n\ndef _orphan_fn():\n    return a._helper()\n",
+    }
+    assert orphaned_private_names(sources) == ["a.py:2: _ORPHAN", "b.py:3: _orphan_fn"]
+
+
+def test_no_orphaned_private_helpers():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert orphaned_private_names(sources) == []

@@ -6,20 +6,9 @@ import pytest
 from dpaudit.mechanisms import (GaussianMechanism, LaplaceMechanism,
                                 SubsampledGaussianMechanism, gaussian_delta,
                                 gaussian_density, gdp_tradeoff,
-                                laplace_density, laplace_tradeoff,
-                                std_normal_cdf, std_normal_quantile)
+                                laplace_density, laplace_tradeoff)
 
 from oracles import hs_quadrature_mixture, hs_quadrature_normal, mixture_tv_closed_form
-
-
-class TestNormalHelpers:
-    def test_cdf_reference_points(self):
-        assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-        assert std_normal_cdf(0.5) == pytest.approx(0.6914624612740131, abs=1e-14)
-
-    def test_quantile_roundtrip(self):
-        for p in (0.01, 0.3, 0.5, 0.77, 0.999):
-            assert std_normal_cdf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-13)
 
 
 class TestGaussianDelta:

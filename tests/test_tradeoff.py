@@ -5,8 +5,7 @@ import pytest
 
 from dpaudit.mechanisms import GaussianMechanism, gdp_tradeoff
 from dpaudit.profiles import PrivacyProfile
-from dpaudit.tradeoff import (TradeoffCurve, f_eps_delta, mu_lower_from_rates,
-                              profile_to_tradeoff, validate)
+from dpaudit.tradeoff import TradeoffCurve, f_eps_delta, profile_to_tradeoff, validate
 
 
 class TestFEpsDelta:
@@ -73,7 +72,7 @@ class TestProfileToTradeoff:
             eps = np.linspace(-8, 8, 321)
             sigma = rng.uniform(0.3, 3.0)
             profile = GaussianMechanism(sigma).profile(eps)
-            curve = profile_to_tradeoff(profile, 1e-3, 50, strict=False)
+            curve = profile_to_tradeoff(profile, 1e-3, 50)
             assert validate(curve) == []
 
     def test_envelope_dominates_constituents(self):
@@ -93,13 +92,14 @@ class TestProfileToTradeoff:
         assert np.max(np.abs(roundtrip - alphas)) <= 0.02
 
     def test_strict_raises_on_unreachable_target(self):
-        # on a short grid the gaussian profile never descends to 1e-3
+        # on a short grid the gaussian profile never descends to 1e-3; the
+        # delta' it cannot invert are skipped and the envelope stays valid
         eps = np.linspace(-5.0, 0.5, 101)
         profile = GaussianMechanism(1.0).profile(eps)
-        with pytest.raises(ValueError, match="not invertible"):
-            profile_to_tradeoff(profile, 1e-3, 100, strict=True)
-        curve = profile_to_tradeoff(profile, 1e-3, 100, strict=False)
-        assert validate(curve) == []
+        assert validate(profile_to_tradeoff(profile, 1e-3, 100)) == []
+        # a profile that never leaves delta = 1 inverts no delta' at all
+        with pytest.raises(ValueError, match="no delta' value was invertible"):
+            profile_to_tradeoff(PrivacyProfile(eps, np.ones_like(eps)), 1e-3, 100)
 
     def test_left_end_targets_clamp_to_smallest_eps(self):
         eps = np.linspace(0.0, 8.0, 161)
@@ -155,21 +155,3 @@ class TestCurveIo(object):
         curve.to_csv(first)
         TradeoffCurve.from_csv(first).to_csv(second)
         assert first.read_bytes() == second.read_bytes()
-
-
-class TestMuLowerFromRates:
-    def test_uninformative_point(self):
-        assert mu_lower_from_rates(0.5, 0.5) == pytest.approx(0.0, abs=1e-12)
-
-    def test_symmetric_gaussian_point(self):
-        # alpha = beta = 1 - Phi(0.5) gives mu = 2 * 0.5
-        assert mu_lower_from_rates(0.3085, 0.3085) == pytest.approx(1.0, abs=1e-3)
-
-    def test_reference_value(self):
-        assert mu_lower_from_rates(0.2, 0.6) == pytest.approx(0.5882741304371146, abs=1e-12)
-
-    def test_boundary_rates_rejected(self):
-        with pytest.raises(ValueError, match="infinite"):
-            mu_lower_from_rates(0.0, 0.5)
-        with pytest.raises(ValueError, match="infinite"):
-            mu_lower_from_rates(0.5, 1.0)
