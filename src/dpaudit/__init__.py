@@ -9,11 +9,12 @@ privacy-loss distributions for iterative mechanisms.
 
 from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_scores_gram,
                      whitebox_stream)
-from .confidence import (TvRadius, canonne_radius, clopper_pearson,
-                         hs_interval, sigma_interval_from_tv)
+from .confidence import (canonne_radius, clopper_pearson, hs_interval,
+                         sigma_interval_from_tv)
 from .discrete import (DiscreteDistribution, coarsen, hs_divergence,
                        symmetric_delta, tv_distance)
-from .errors import AuditError, FitError, GridOverflowError, ScoreFileError
+from .errors import (AuditError, DegenerateSamplesError, FitError, GridOverflowError,
+                     ScoreFileError)
 from .estimators import (AuditConfig, AuditReport, EpsilonEstimate,
                          SigmaEstimate, ThresholdEstimate, exposure,
                          f_alpha_sensitivity, fit_mu_gdp, histogram_audit,

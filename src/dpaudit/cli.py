@@ -12,24 +12,32 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 from . import pld
 from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_scores_gram,
                      whitebox_stream)
-from .errors import FitError, GridOverflowError, ScoreFileError
-from .estimators import AuditConfig, fit_mu_gdp, histogram_audit, spec_from_config
+from .errors import DegenerateSamplesError, FitError, GridOverflowError, ScoreFileError
+from .estimators import (AuditConfig, binning_json, fit_mu_gdp, histogram_audit, profile_json,
+                         spec_from_config)
 from .histogram import build_histograms, estimate_profile
 from .mechanisms import (GaussianMechanism, LaplaceMechanism,
                          SubsampledGaussianMechanism, gaussian_delta)
 from .profiles import PrivacyProfile
 from .scores import read_scores, write_scores
-from .tradeoff import profile_to_tradeoff
+from .tradeoff import CURVE_DELTA_TARGET, CURVE_POINTS, profile_to_tradeoff
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_GRID = 4
 EXIT_FIT = 5
+
+
+# argparse dests of the flags that set the binning, and of every audit flag
+_BINNING_DESTS = ("bins", "bin_width", "eps_grid")
+_AUDIT_DESTS = _BINNING_DESTS + ("json", "delta", "confidence", "curve", "curve_bound")
 
 
 class UsageError(Exception):
@@ -74,18 +82,23 @@ def _sigma_forward_map(spec_text: str):
     raise UsageError(f"--fit-sigma expects 'gaussian' or 'mixture:q=<val>', got {spec_text!r}")
 
 
+def _refuse_unread(args, dests, reason: str) -> None:
+    """Refuse the flags among ``dests`` that were given but would not be read."""
+    given = ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)} would not be read {reason}")
+
+
 def _audit_config(args) -> AuditConfig:
-    if args.bins is not None:
-        mode, bins = "fixed-k", args.bins
-    elif args.bin_width is not None:
-        mode, bins = "fixed-width", None
-    else:
-        mode, bins = "scott-gaussian", None
-    return AuditConfig(binning_mode=mode, bins=bins, bin_width=args.bin_width,
-                       delta_targets=tuple(args.delta),
-                       confidence=args.confidence,
-                       eps_grid=_parse_fields(args.eps_grid, "eps-grid",
-                                             {"lo": float, "hi": float, "m": int}))
+    """The AuditConfig of the flags given; a flag left unset keeps the library default."""
+    flags = vars(args)  # compose and fit-gdp take no --delta or --confidence
+    given = {"bins": args.bins, "bin_width": args.bin_width,
+             "confidence": flags.get("confidence"),
+             "delta_targets": flags.get("delta") and tuple(args.delta)}
+    if args.eps_grid is not None:
+        given["eps_grid"] = _parse_fields(args.eps_grid, "eps-grid",
+                                          {"lo": float, "hi": float, "m": int})
+    return AuditConfig(**{field: value for field, value in given.items() if value is not None})
 
 
 def _load_equal_pair(path_p, path_q):
@@ -98,10 +111,25 @@ def _load_equal_pair(path_p, path_q):
     return scores_p, scores_q
 
 
+@contextmanager
+def _spread_checked(args):
+    """Report score files with no spread to bin as an input-data error naming both."""
+    try:
+        yield
+    except DegenerateSamplesError as exc:
+        raise ScoreFileError(f"{args.in_p} and {args.in_q}: {exc}") from exc
+
+
 def _load_histogram(args, config: AuditConfig):
     """Read the --in-p/--in-q score files and bin them as the config says."""
     scores_p, scores_q = _load_equal_pair(args.in_p, args.in_q)
-    return build_histograms(scores_p, scores_q, spec_from_config(scores_p, scores_q, config))
+    with _spread_checked(args):
+        spec = spec_from_config(scores_p, scores_q, config)
+    return build_histograms(scores_p, scores_q, spec)
+
+
+def _write_json(path, text: str) -> None:
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _print_report_lines(report) -> None:
@@ -116,9 +144,7 @@ def _print_report_lines(report) -> None:
 
 def _write_report(report, args) -> None:
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        _write_json(args.json, report.to_json())
     for path, curve in ((args.curve, report.tradeoff_estimate),
                         (args.curve_bound, report.tradeoff_bound)):
         if path and curve is None:
@@ -143,7 +169,8 @@ def cmd_audit(args) -> int:
     config = _audit_config(args)
     forward = _sigma_forward_map(args.fit_sigma) if args.fit_sigma else None
     scores_p, scores_q = _load_equal_pair(args.in_p, args.in_q)
-    report = histogram_audit(scores_p, scores_q, config, sigma_forward_map=forward)
+    with _spread_checked(args):
+        report = histogram_audit(scores_p, scores_q, config, sigma_forward_map=forward)
     _print_report_lines(report)
     _write_report(report, args)
     return EXIT_OK
@@ -162,7 +189,8 @@ def cmd_tradeoff(args) -> int:
 def cmd_compose(args) -> int:
     if args.compositions < 1:
         raise UsageError("--compositions must be >= 1")
-    grid = _parse_fields(args.grid, "grid", {"L": float, "m": int})
+    grid = (pld.DEFAULT_GRID if args.grid is None
+            else _parse_fields(args.grid, "grid", {"L": float, "m": int}))
     config = _audit_config(args)
     hist = _load_histogram(args, config)
     profile = pld.compose_profile(hist.p_hat, hist.q_hat, args.compositions,
@@ -170,19 +198,10 @@ def cmd_compose(args) -> int:
     if args.csv:
         profile.to_csv(args.csv)
     if args.json:
-        doc = {
-            "method": "composed-heuristic",
-            "compositions": args.compositions,
-            "n": hist.n,
-            "heuristic": True,
-            "binning": {"a": hist.spec.a, "b": hist.spec.b, "k": hist.spec.k,
-                        "h": hist.spec.h},
-            "profile": [{"epsilon": float(e), "delta": float(d)}
-                        for e, d in zip(profile.epsilons, profile.deltas)],
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.json, json.dumps(
+            {"method": "composed-heuristic", "compositions": args.compositions, "n": hist.n,
+             "heuristic": True, "binning": binning_json(hist.spec),
+             "profile": profile_json(profile)}, indent=2))
     for e, d in zip(profile.epsilons[:: max(1, (len(profile.epsilons) - 1) // 8)],
                     profile.deltas[:: max(1, (len(profile.epsilons) - 1) // 8)]):
         print(f"epsilon={e:.6g} delta={d:.6g}")
@@ -192,6 +211,7 @@ def cmd_compose(args) -> int:
 def cmd_fit_gdp(args) -> int:
     eps_range = _parse_fields(args.eps_range, "eps-range", {"lo": float, "hi": float})
     if args.profile:
+        _refuse_unread(args, _BINNING_DESTS, "with --profile")
         try:
             profile = PrivacyProfile.from_csv(args.profile)
         except ValueError as exc:
@@ -204,13 +224,13 @@ def cmd_fit_gdp(args) -> int:
     mu = fit_mu_gdp(profile, eps_range)
     print(f"mu={mu:.6g}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"mu": mu, "eps_range": list(eps_range)}, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.json, json.dumps({"mu": mu, "eps_range": list(eps_range)}, indent=2))
     return EXIT_OK
 
 
 def cmd_canary(args) -> int:
+    if not args.audit:
+        _refuse_unread(args, _AUDIT_DESTS, "without --audit")
     report = scores = None
     if args.mode == "one-shot":
         cfg = OneShotConfig(d=args.d, n=args.n, sigma=args.sigma,
@@ -236,19 +256,22 @@ def cmd_canary(args) -> int:
     return EXIT_OK
 
 
-def _add_audit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bins", type=int, default=None,
-                        help="fixed bin count (default: Scott auto-binning)")
-    parser.add_argument("--bin-width", type=float, default=None,
-                        help="fixed bin width")
-    parser.add_argument("--delta", type=float, nargs="+", default=[0.01, 0.05, 0.1],
+def _add_binning_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of every command that bins two score samples."""
+    bins = parser.add_mutually_exclusive_group()
+    bins.add_argument("--bins", type=int, help="fixed bin count (default: Scott auto-binning)")
+    bins.add_argument("--bin-width", type=float, help="fixed bin width")
+    parser.add_argument("--eps-grid", help="profile tabulation grid lo:hi:m")
+    parser.add_argument("--json", help="write the result as JSON")
+
+
+def _add_report_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of the audit report: its delta targets, confidence and curves."""
+    parser.add_argument("--delta", type=float, nargs="+",
                         help="delta targets for the epsilon estimates")
-    parser.add_argument("--confidence", type=float, default=0.99)
-    parser.add_argument("--eps-grid", default="-10:10:2001",
-                        help="profile tabulation grid lo:hi:m")
-    parser.add_argument("--json", default=None, help="write the report as JSON")
-    parser.add_argument("--curve", default=None, help="write the trade-off curve CSV")
-    parser.add_argument("--curve-bound", default=None,
+    parser.add_argument("--confidence", type=float)
+    parser.add_argument("--curve", help="write the trade-off curve CSV")
+    parser.add_argument("--curve-bound",
                         help="write the confidence-bound trade-off curve CSV")
 
 
@@ -274,15 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="histogram audit of two score files")
     p.add_argument("in_p")
     p.add_argument("in_q")
-    _add_audit_flags(p)
+    _add_binning_flags(p)
+    _add_report_flags(p)
     p.add_argument("--fit-sigma", default=None,
                    help="attach a sigma estimate: 'gaussian' or 'mixture:q=<val>'")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("tradeoff", help="convert a profile CSV to a trade-off curve CSV")
     p.add_argument("profile")
-    p.add_argument("--delta-target", type=float, default=1e-3)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--delta-target", type=float, default=CURVE_DELTA_TARGET)
+    p.add_argument("--points", type=int, default=CURVE_POINTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tradeoff)
 
@@ -290,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("in_p")
     p.add_argument("in_q")
     p.add_argument("--compositions", type=int, required=True)
-    p.add_argument("--grid", default="40:1048576", help="PLD grid L:m")
-    _add_audit_flags(p)
+    p.add_argument("--grid", help="PLD grid L:m")
+    _add_binning_flags(p)
     p.add_argument("--csv", default=None, help="write the composed profile CSV")
     p.set_defaults(func=cmd_compose)
 
@@ -300,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in-p", dest="in_p", default=None)
     p.add_argument("--in-q", dest="in_q", default=None)
     p.add_argument("--eps-range", default="0:6.5")
-    _add_audit_flags(p)
+    _add_binning_flags(p)
     p.set_defaults(func=cmd_fit_gdp)
 
     p = sub.add_parser("canary", help="synthetic canary simulators")
@@ -317,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-p", default=None, help="score file for the held-in side")
     p.add_argument("--out-q", default=None, help="score file for the held-out side")
     p.add_argument("--audit", action="store_true", help="chain the histogram audit")
-    _add_audit_flags(p)
+    _add_binning_flags(p)
+    _add_report_flags(p)
     p.set_defaults(func=cmd_canary)
 
     return parser
@@ -329,20 +354,15 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScoreFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        error, code = exc, EXIT_USAGE
+    except (ScoreFileError, OSError) as exc:
+        error, code = exc, EXIT_INPUT
     except GridOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRID
+        error, code = exc, EXIT_GRID
     except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        error, code = exc, EXIT_FIT
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ Clopper-Pearson intervals back the threshold-attack baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from scipy import special
@@ -17,24 +16,8 @@ from scipy import special
 from .discrete import alpha_from_eps
 
 
-@dataclass(frozen=True)
-class TvRadius:
-    """High-probability bound on TV(empirical, true) for one sample."""
-
-    tau: float
-    confidence: float
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
-        if not 0 < self.confidence < 1:
-            raise ValueError("confidence must lie in (0, 1)")
-
-
-def canonne_radius(n: int, k: int, failure_prob: float) -> TvRadius:
-    """Smallest TV radius the multinomial bound certifies at the given budget.
+def canonne_radius(n: int, k: int, failure_prob: float) -> float:
+    """TV radius tau with TV(empirical, true) <= tau at probability 1 - failure_prob.
 
     tau = max( sqrt(k/n), sqrt((2/n) * ln(2/failure_prob)) ).
     """
@@ -42,12 +25,11 @@ def canonne_radius(n: int, k: int, failure_prob: float) -> TvRadius:
         raise ValueError("need n >= 1 and k >= 1")
     if not 0 < failure_prob < 1:
         raise ValueError("failure_prob must lie in (0, 1)")
-    tau = max(math.sqrt(k / n), math.sqrt(2.0 * math.log(2.0 / failure_prob) / n))
-    return TvRadius(tau, 1.0 - failure_prob, n, k)
+    return max(math.sqrt(k / n), math.sqrt(2.0 * math.log(2.0 / failure_prob) / n))
 
 
-def hs_interval(delta_hat: float, eps: float, tau_p: TvRadius,
-                tau_q: TvRadius) -> tuple[float, float]:
+def hs_interval(delta_hat: float, eps: float, tau_p: float,
+                tau_q: float) -> tuple[float, float]:
     """Two-sided bound on the true divergence given per-side TV radii.
 
     One radius bounds both sides of the estimate, so the slack is
@@ -56,7 +38,7 @@ def hs_interval(delta_hat: float, eps: float, tau_p: TvRadius,
     """
     if not 0 <= delta_hat <= 1:
         raise ValueError("delta_hat must lie in [0, 1]")
-    slack = (1.0 + alpha_from_eps(eps)) * max(tau_p.tau, tau_q.tau)
+    slack = (1.0 + alpha_from_eps(eps)) * max(tau_p, tau_q)
     return (max(0.0, delta_hat - slack), min(1.0, delta_hat + slack))
 
 

@@ -17,6 +17,10 @@ class FitError(AuditError):
     """A parameter fit could not be carried out (e.g. non-monotone profile)."""
 
 
+class DegenerateSamplesError(AuditError, ValueError):
+    """Two score samples have no spread to bin: their pooled quantiles coincide."""
+
+
 class ScoreFileError(AuditError):
     """An input file (scores, profile or curve CSV) is malformed; carries the line number."""
 

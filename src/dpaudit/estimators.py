@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,13 +24,10 @@ from .histogram import (BinningSpec, HistogramEstimate, auto_spec,
                         build_histograms, estimate_profile)
 from .mechanisms import gaussian_delta
 from .profiles import PrivacyProfile, csv_text
-from .tradeoff import TradeoffCurve, profile_to_tradeoff
+from .tradeoff import CURVE_DELTA_TARGET, CURVE_POINTS, TradeoffCurve, profile_to_tradeoff
 
 DEFAULT_EPS_GRID = (-10.0, 10.0, 2001)
 DEFAULT_DELTA_TARGETS = (0.01, 0.05, 0.1)
-# the trade-off curves sweep delta' over [CURVE_DELTA_TARGET, 1 - CURVE_DELTA_TARGET]
-CURVE_DELTA_TARGET = 1e-3
-CURVE_POINTS = 200
 # fit_mu_gdp: eps window nodes, the sigma search bracket, its relative tolerance
 GDP_FIT_GRID = 2000
 GDP_SIGMA_BRACKET = (0.01, 100.0)
@@ -39,15 +36,14 @@ GDP_REL_TOL = 1e-5
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Knobs for ``histogram_audit``; defaults follow the auditing recipes."""
+    """Knobs for ``histogram_audit``; ``bins`` or ``bin_width`` fixes the binning,
+    neither leaves it to the Scott rule (see ``histogram.auto_spec``)."""
 
-    binning_mode: str = "scott-gaussian"
     bins: int | None = None
     bin_width: float | None = None
     delta_targets: tuple[float, ...] = DEFAULT_DELTA_TARGETS
     confidence: float = 0.99
     eps_grid: tuple[float, float, int] = DEFAULT_EPS_GRID
-    with_curves: bool = True
 
     def __post_init__(self):
         if not 0 < self.confidence < 1:
@@ -84,6 +80,17 @@ class SigmaEstimate:
     confidence: float
 
 
+def binning_json(spec: BinningSpec) -> dict:
+    """The JSON ``binning`` block of a report."""
+    return {"a": spec.a, "b": spec.b, "k": spec.k, "h": spec.h}
+
+
+def profile_json(profile: PrivacyProfile) -> list[dict]:
+    """The JSON ``profile`` block of a report: one {epsilon, delta} per grid point."""
+    return [{"epsilon": float(e), "delta": float(d)}
+            for e, d in zip(profile.epsilons, profile.deltas)]
+
+
 @dataclass(frozen=True)
 class AuditReport:
     """Everything an audit produced, serializable to a stable JSON layout."""
@@ -104,12 +111,9 @@ class AuditReport:
             "method": self.method,
             "n": self.n,
             "confidence": self.confidence,
-            "binning": {"a": self.binning.a, "b": self.binning.b,
-                        "k": self.binning.k, "h": self.binning.h},
-            "eps": [{"delta": e.delta, "point": e.point, "lower": e.lower}
-                    for e in self.epsilons],
-            "profile": [{"epsilon": float(e), "delta": float(d)}
-                        for e, d in zip(self.profile.epsilons, self.profile.deltas)],
+            "binning": binning_json(self.binning),
+            "eps": [asdict(e) for e in self.epsilons],
+            "profile": profile_json(self.profile),
             "heuristic": self.profile.heuristic,
             "curves": {name: None if curve is None
                        else csv_text("alpha,beta", curve.alphas, curve.betas)
@@ -117,13 +121,7 @@ class AuditReport:
                                            ("bound", self.tradeoff_bound))},
         }
         if self.sigma is not None:
-            doc["sigma_estimation"] = {
-                "tv": self.sigma.tv,
-                "tv_interval": list(self.sigma.tv_interval),
-                "sigma": self.sigma.sigma,
-                "sigma_interval": list(self.sigma.sigma_interval),
-                "confidence": self.sigma.confidence,
-            }
+            doc["sigma_estimation"] = asdict(self.sigma)
         return doc
 
     def to_json(self) -> str:
@@ -143,8 +141,7 @@ def _epsilon_for_target(profile: PrivacyProfile, delta_target: float) -> float |
 
 
 def spec_from_config(samples_p, samples_q, config: AuditConfig) -> BinningSpec:
-    return auto_spec(samples_p, samples_q, config.binning_mode,
-                     k=config.bins, width=config.bin_width)
+    return auto_spec(samples_p, samples_q, k=config.bins, width=config.bin_width)
 
 
 def histogram_audit(samples_p, samples_q, config: AuditConfig | None = None, *,
@@ -175,32 +172,26 @@ def histogram_audit(samples_p, samples_q, config: AuditConfig | None = None, *,
     profile = estimate_profile(hist, eps_values)
 
     # union bound: each side gets half the failure budget, one radius covers both
-    failure = 1.0 - config.confidence
-    radius = canonne_radius(hist.n, spec.k, failure / 2.0)
+    tau = canonne_radius(hist.n, spec.k, (1.0 - config.confidence) / 2.0)
     lower = PrivacyProfile.envelope(
-        eps_values, profile.deltas - (1.0 + alpha_from_eps(eps_values)) * radius.tau)
+        eps_values, profile.deltas - (1.0 + alpha_from_eps(eps_values)) * tau)
 
-    estimates = []
-    for target in config.delta_targets:
-        estimates.append(EpsilonEstimate(
-            delta=target,
-            point=_epsilon_for_target(profile, target),
-            lower=_epsilon_for_target(lower, target),
-        ))
+    estimates = tuple(EpsilonEstimate(target, _epsilon_for_target(profile, target),
+                                      _epsilon_for_target(lower, target))
+                      for target in config.delta_targets)
 
     curve_est = curve_bound = None
-    if config.with_curves and profile.deltas[-1] <= 1.0 - CURVE_DELTA_TARGET:
+    if profile.deltas[-1] <= 1.0 - CURVE_DELTA_TARGET:
         curve_est = profile_to_tradeoff(profile, CURVE_DELTA_TARGET, CURVE_POINTS)
         # converting the lower-bounded profile; see the report caveat: this
         # conversion is not itself a certified upper bound
         curve_bound = profile_to_tradeoff(lower, CURVE_DELTA_TARGET, CURVE_POINTS)
 
-    sigma_block = None
-    if sigma_forward_map is not None:
-        sigma_block = estimate_sigma(hist, config.confidence, sigma_forward_map)
+    sigma_block = (None if sigma_forward_map is None
+                   else estimate_sigma(hist, config.confidence, sigma_forward_map))
 
     return AuditReport(method=method, n=hist.n, confidence=config.confidence,
-                       binning=spec, epsilons=tuple(estimates),
+                       binning=spec, epsilons=estimates,
                        profile=profile, profile_lower=lower,
                        tradeoff_estimate=curve_est, tradeoff_bound=curve_bound,
                        sigma=sigma_block)
@@ -212,9 +203,9 @@ def estimate_sigma(hist: HistogramEstimate, confidence: float,
     """Single-parameter recovery: TV estimate +/- the multinomial radius,
     mapped through a strictly decreasing sigma -> TV curve."""
     tv_hat = tv_distance(hist.p_hat, hist.q_hat)
-    radius = canonne_radius(hist.n, hist.spec.k, 1.0 - confidence)
-    tv_lo = max(0.0, tv_hat - radius.tau)
-    tv_hi = min(1.0, tv_hat + radius.tau)
+    tau = canonne_radius(hist.n, hist.spec.k, 1.0 - confidence)
+    tv_lo = max(0.0, tv_hat - tau)
+    tv_hi = min(1.0, tv_hat + tau)
     sigma_hat = invert_monotone(forward_map, tv_hat, bracket)
     sigma_interval = sigma_interval_from_tv((tv_lo, tv_hi), forward_map, bracket)
     return SigmaEstimate(tv=tv_hat, tv_interval=(tv_lo, tv_hi), sigma=sigma_hat,
@@ -297,8 +288,9 @@ def fit_mu_gdp(profile: PrivacyProfile, eps_range: tuple[float, float]) -> float
     tangentially) and returns mu = 1/sigma. The feasibility margin is
     monotone in sigma, so the search is a plain bisection over the bracket.
 
-    Raises FitError when the profile is not non-increasing or when even the
-    noisiest Gaussian in the bracket fails to dominate.
+    Raises FitError when the profile is not non-increasing, when it reaches
+    delta = 1 on the window (as for samples that do not overlap; no finite mu
+    reaches 1), or when even the noisiest Gaussian in the bracket fails to dominate.
     """
     lo_eps, hi_eps = eps_range
     if not (np.isfinite(lo_eps) and np.isfinite(hi_eps) and lo_eps < hi_eps):
@@ -307,6 +299,9 @@ def fit_mu_gdp(profile: PrivacyProfile, eps_range: tuple[float, float]) -> float
         raise FitError("profile is not non-increasing; cannot fit a GDP parameter")
     grid = np.linspace(lo_eps, hi_eps, GDP_FIT_GRID)
     reference = np.asarray(profile.delta_at(grid), dtype=float)
+    if reference.max() >= 1.0:
+        raise FitError("the profile reaches delta = 1 on the eps window; "
+                       "no Gaussian profile with a finite mu dominates it")
 
     def dominates(sigma: float) -> bool:
         return bool(np.all(gaussian_delta(grid, sigma) >= reference - 1e-12))

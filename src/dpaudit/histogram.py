@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import DiscreteDistribution, alpha_from_eps, hockey_stick, symmetric_delta
+from .errors import DegenerateSamplesError
 from .profiles import PrivacyProfile
 
 SCOTT_GAUSSIAN_CONSTANT = 2.0 * 3.0 ** (1.0 / 3.0) * math.pi ** (1.0 / 6.0)
-
-BINNING_MODES = ("scott-gaussian", "fixed-k", "fixed-width")
 # auto_spec's [a, b] runs between these pooled quantiles
 QUANTILE_MARGIN = 0.001
 
@@ -104,17 +103,20 @@ def estimate_profile(hist: HistogramEstimate, eps_grid) -> PrivacyProfile:
     return PrivacyProfile.envelope(eps_grid, np.maximum(forward, backward))
 
 
-def auto_spec(samples_p, samples_q, mode: str = "scott-gaussian", *,
-              k: int | None = None, width: float | None = None) -> BinningSpec:
-    """Choose [a, b] from pooled sample quantiles and a width per the mode.
+def auto_spec(samples_p, samples_q, *, k: int | None = None,
+              width: float | None = None) -> BinningSpec:
+    """Choose [a, b] from pooled sample quantiles and the bin count from k or width.
 
     ``a`` and ``b`` are the pooled 0.1% / 99.9% quantiles (robust to
-    outliers; the open-ended extreme bins absorb the tails). Modes:
-    ``scott-gaussian`` (width from the pooled sample standard deviation),
-    ``fixed-k`` (given bin count), ``fixed-width`` (given h).
+    outliers; the open-ended extreme bins absorb the tails). ``k`` fixes the
+    bin count, ``width`` the bin width; with neither, the Scott rule sets the
+    width from the pooled sample standard deviation. Giving both raises.
     """
-    if mode not in BINNING_MODES:
-        raise ValueError(f"unknown binning mode {mode!r}; expected one of {BINNING_MODES}")
+    if k is not None and width is not None:
+        raise ValueError("give k or width, not both")
+    # written so that NaN fails the check
+    if width is not None and not 0 < width < math.inf:
+        raise ValueError(f"width must be positive and finite, got {width!r}")
     sp = np.asarray(samples_p, dtype=float)
     sq = np.asarray(samples_q, dtype=float)
     if sp.size == 0 or sq.size == 0:
@@ -122,19 +124,10 @@ def auto_spec(samples_p, samples_q, mode: str = "scott-gaussian", *,
     pooled = np.concatenate([sp, sq])
     a, b = np.quantile(pooled, [QUANTILE_MARGIN, 1.0 - QUANTILE_MARGIN])
     if not a < b:
-        raise ValueError("degenerate samples: zero spread between the chosen quantiles")
-    if mode == "scott-gaussian":
-        sigma_hat = float(pooled.std(ddof=1))
-        if sigma_hat <= 0:
-            raise ValueError("degenerate samples: zero variance")
-        h = scott_width_gaussian(sigma_hat, sp.size)
-        k_eff = max(2, int(math.ceil((b - a) / h)))
-    elif mode == "fixed-k":
-        if k is None:
-            raise ValueError("fixed-k mode requires k")
-        k_eff = int(k)
-    else:
-        if width is None or width <= 0:
-            raise ValueError("fixed-width mode requires width > 0")
-        k_eff = max(2, int(math.ceil((b - a) / width)))
-    return BinningSpec(float(a), float(b), k_eff)
+        raise DegenerateSamplesError(
+            "degenerate samples: zero spread between the chosen quantiles")
+    if k is not None:
+        return BinningSpec(float(a), float(b), int(k))
+    if width is None:
+        width = scott_width_gaussian(float(pooled.std(ddof=1)), sp.size)
+    return BinningSpec(float(a), float(b), max(2, int(math.ceil((b - a) / width))))

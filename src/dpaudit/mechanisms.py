@@ -29,15 +29,20 @@ def _std_normal_pdf(x):
     return np.exp(-0.5 * x * x) / SQRT_2PI
 
 
+def _require_positive_finite(**fields) -> None:
+    # written so that NaN fails the check
+    for name, value in fields.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def gaussian_density(mu: float, sigma: float, x):
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _require_positive_finite(sigma=sigma)
     return _std_normal_pdf((np.asarray(x, dtype=float) - mu) / sigma) / sigma
 
 
 def laplace_density(b: float, mu: float, x):
-    if b <= 0:
-        raise ValueError("scale must be positive")
+    _require_positive_finite(scale=b)
     return np.exp(-np.abs(np.asarray(x, dtype=float) - mu) / b) / (2.0 * b)
 
 
@@ -47,8 +52,7 @@ def gaussian_delta(eps, sigma: float, sensitivity: float = 1.0):
     Phi(-eps*sigma/D + D/(2 sigma)) - e^eps * Phi(-eps*sigma/D - D/(2 sigma)),
     with the second term evaluated in log space so large eps stays finite.
     """
-    if sigma <= 0 or sensitivity <= 0:
-        raise ValueError("sigma and sensitivity must be positive")
+    _require_positive_finite(sigma=sigma, sensitivity=sensitivity)
     eps = np.asarray(eps, dtype=float)
     a = -eps * sigma / sensitivity + sensitivity / (2.0 * sigma)
     b = -eps * sigma / sensitivity - sensitivity / (2.0 * sigma)
@@ -113,8 +117,7 @@ class GaussianMechanism:
     sensitivity: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.sensitivity <= 0:
-            raise ValueError("sigma and sensitivity must be positive")
+        _require_positive_finite(sigma=self.sigma, sensitivity=self.sensitivity)
 
     def delta(self, eps):
         return gaussian_delta(eps, self.sigma, self.sensitivity)
@@ -143,8 +146,7 @@ class SubsampledGaussianMechanism:
     def __post_init__(self):
         if not 0 < self.q <= 1:
             raise ValueError("q must lie in (0, 1]")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        _require_positive_finite(sigma=self.sigma)
 
     def density_p(self, x):
         return (self.q * gaussian_density(1.0, self.sigma, x)
@@ -219,8 +221,7 @@ class LaplaceMechanism:
     l1_sensitivity: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0 or self.l1_sensitivity <= 0:
-            raise ValueError("scale and l1_sensitivity must be positive")
+        _require_positive_finite(scale=self.scale, l1_sensitivity=self.l1_sensitivity)
 
     def density_p(self, x):
         return laplace_density(self.scale, 0.0, x)

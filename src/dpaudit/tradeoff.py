@@ -18,6 +18,9 @@ from .profiles import PrivacyProfile, csv_text, read_csv
 
 _VALIDATE_SLACK = 1e-9
 MIN_ALPHA_NODES = 512
+# profile_to_tradeoff sweeps delta' over [CURVE_DELTA_TARGET, 1 - CURVE_DELTA_TARGET]
+CURVE_DELTA_TARGET = 1e-3
+CURVE_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,8 @@ def f_eps_delta(eps: float, delta: float, alpha):
     return float(out) if out.ndim == 0 else out
 
 
-def profile_to_tradeoff(profile: PrivacyProfile, delta_target: float = 1e-3,
-                        n_points: int = 200) -> TradeoffCurve:
+def profile_to_tradeoff(profile: PrivacyProfile, delta_target: float = CURVE_DELTA_TARGET,
+                        n_points: int = CURVE_POINTS) -> TradeoffCurve:
     """Convert a privacy profile to a trade-off curve.
 
     For n_points linearly spaced delta' in [delta_target, 1 - delta_target],

@@ -52,7 +52,7 @@ def test_criterion_02_tv_example_with_sigma_interval():
     tvs, sigmas, los, his = [], [], [], []
     for seed in range(5):
         sp, sq = mech.sample_pair(10 ** 6, seed=8800 + seed)
-        spec = auto_spec(sp, sq, "fixed-k", k=20)
+        spec = auto_spec(sp, sq, k=20)
         hist = build_histograms(sp, sq, spec)
         block = estimate_sigma(hist, 0.9999, forward, bracket=(0.05, 10.0))
         tvs.append(block.tv)
@@ -107,7 +107,7 @@ def test_criterion_04_subsampled_tradeoff_recovery():
 def test_criterion_05_laplace_tradeoff():
     mech = LaplaceMechanism(1.0, 1.0)
     sp, sq = mech.sample_pair(10 ** 5, seed=2025)
-    audit = histogram_audit(sp, sq, AuditConfig(binning_mode="fixed-k", bins=100,
+    audit = histogram_audit(sp, sq, AuditConfig(bins=100,
                                                 eps_grid=(-10.0, 10.0, 2001)))
     curve = audit.tradeoff_estimate
     mask = (curve.alphas >= 0.01) & (curve.alphas <= 0.99)
@@ -254,7 +254,7 @@ def test_criterion_12_confidence_coverage():
     covered = 0
     for trial in range(200):
         sp, sq = mech.sample_pair(10 ** 4, seed=62000 + trial)
-        hist = build_histograms(sp, sq, auto_spec(sp, sq, "fixed-k", k=10))
+        hist = build_histograms(sp, sq, auto_spec(sp, sq, k=10))
         delta_hat = estimate_delta_symmetric(hist, 0.0)
         lo, hi = hs_interval(delta_hat, 0.0, radius, radius)
         covered += lo <= truth <= hi

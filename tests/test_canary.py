@@ -12,8 +12,6 @@ from dpaudit.estimators import AuditConfig, histogram_audit
 
 from oracles import one_shot_direct, sample_sphere, whitebox_stream_direct
 
-FAST_AUDIT = AuditConfig(with_curves=False)
-
 
 class TestSampleSphere:
     """The sphere sampler behind the direct law references in oracles.py."""
@@ -263,22 +261,21 @@ class TestGramSampler:
 class TestOneShotAudit:
     def test_deterministic_report(self):
         cfg = OneShotConfig(d=2048, n=200, sigma=1.0, seed=31)
-        r1 = one_shot_audit(cfg, FAST_AUDIT)
-        r2 = one_shot_audit(cfg, FAST_AUDIT)
+        r1 = one_shot_audit(cfg)
+        r2 = one_shot_audit(cfg)
         assert r1.method == "one-shot"
         assert np.array_equal(r1.profile.deltas, r2.profile.deltas)
         assert r1.epsilons == r2.epsilons
 
     def test_large_noise_gives_near_zero_epsilon(self):
         cfg = OneShotConfig(d=2048, n=20000, sigma=100.0, seed=37)
-        report = one_shot_audit(cfg, AuditConfig(delta_targets=(0.05,),
-                                                 with_curves=False))
+        report = one_shot_audit(cfg, AuditConfig(delta_targets=(0.05,)))
         assert report.epsilons[0].point == pytest.approx(0.0, abs=0.05)
 
     def test_recovers_gaussian_delta(self):
         from dpaudit.mechanisms import gaussian_delta
         cfg = OneShotConfig(d=2 ** 16, n=2000, sigma=1.0, seed=41)
-        report = one_shot_audit(cfg, FAST_AUDIT)
+        report = one_shot_audit(cfg)
         estimate = float(report.profile.delta_at(1.0))
         assert estimate == pytest.approx(gaussian_delta(1.0, 1.0), abs=0.05)
 
@@ -310,8 +307,7 @@ class TestWhiteboxStream:
         cfg = WhiteBoxConfig(iterations=20000, canary_prob=1e-12,
                              sigma=1.0, clip=1.0, d=256, seed=23)
         out, out_primed = whitebox_stream(cfg)
-        report = histogram_audit(out_primed, out, AuditConfig(delta_targets=(0.05,),
-                                                              with_curves=False))
+        report = histogram_audit(out_primed, out, AuditConfig(delta_targets=(0.05,)))
         assert report.epsilons[0].point == pytest.approx(0.0, abs=0.1)
 
     def test_nuisance_vector_is_bounded(self):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import tracemalloc
@@ -5,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dpaudit.cli import main
+from dpaudit import pld
+from dpaudit.cli import _audit_config, build_parser, main
 from dpaudit.estimators import AuditConfig, fit_mu_gdp, histogram_audit
 from dpaudit.mechanisms import GaussianMechanism
 from dpaudit.profiles import PrivacyProfile
@@ -16,9 +18,25 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def exit_code(*argv):
+    """The exit code of a run, also when argparse itself refuses the arguments."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 # one-shot canaries at sigma = 0.1 on d = 4096: the held-in and held-out
 # scores do not overlap, so the estimated delta stays at 1
 NON_OVERLAPPING = ["--mode", "one-shot", "-d", 4096, "-n", 50, "--sigma", 0.1, "--seed", 3]
+
+
+@pytest.fixture
+def constant_files(tmp_path):
+    p, q = tmp_path / "c_p.txt", tmp_path / "c_q.txt"
+    for path in (p, q):
+        path.write_text("1.0\n1.0\n1.0\n", encoding="utf-8")
+    return p, q
 
 
 @pytest.fixture
@@ -159,9 +177,7 @@ class TestCompose:
                    "--eps-grid=-6:6:121", "--csv", csv_path) == 0
         composed = PrivacyProfile.from_csv(csv_path)
         report = histogram_audit(np.loadtxt(p), np.loadtxt(q),
-                                 AuditConfig(binning_mode="fixed-k", bins=40,
-                                             eps_grid=(-6.0, 6.0, 121),
-                                             with_curves=False))
+                                 AuditConfig(bins=40, eps_grid=(-6.0, 6.0, 121)))
         step = 2 * 40.0 / 1048576
         assert np.all(composed.deltas >= report.profile.deltas - 1e-9)
         assert np.all(composed.deltas <= report.profile.deltas + 2 * step)
@@ -235,15 +251,15 @@ class TestFitGdp:
         assert run("fit-gdp", "--in-p", p, "--in-q", q, "--bins", 40,
                    "--eps-range", "0:4") == 0
         report = histogram_audit(np.loadtxt(p), np.loadtxt(q),
-                                 AuditConfig(binning_mode="fixed-k", bins=40))
+                                 AuditConfig(bins=40))
         assert capsys.readouterr().out == f"mu={fit_mu_gdp(report.profile, (0.0, 4.0)):.6g}\n"
 
     def test_non_overlapping_score_files(self, tmp_path, capsys):
         op, oq = tmp_path / "p.txt", tmp_path / "q.txt"
         assert run("canary", *NON_OVERLAPPING, "--out-p", op, "--out-q", oq) == 0
         capsys.readouterr()
-        assert run("fit-gdp", "--in-p", op, "--in-q", oq) in (0, 5)
-        assert "invertible" not in capsys.readouterr().err
+        assert run("fit-gdp", "--in-p", op, "--in-q", oq) == 5
+        assert "delta = 1" in capsys.readouterr().err
 
 
 class TestCanaryCommand:
@@ -356,3 +372,124 @@ class TestUsage:
         paths = {"p", "q", "g.csv"}
         assert run(*(tmp_path / a if a in paths else a for a in argv)) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+BINNING_FLAGS = {"--bins", "--bin-width", "--eps-grid", "--json"}
+REPORT_FLAGS = {"--delta", "--confidence", "--curve", "--curve-bound"}
+# every flag and positional each subcommand registers (-h aside)
+REGISTERED = {
+    "simulate": {"--mechanism", "--sigma", "--q", "--scale", "--sensitivity", "-n", "--seed",
+                 "out_p", "out_q"},
+    "audit": {"in_p", "in_q", "--fit-sigma"} | BINNING_FLAGS | REPORT_FLAGS,
+    "tradeoff": {"profile", "--delta-target", "--points", "--out"},
+    "compose": {"in_p", "in_q", "--compositions", "--grid", "--csv"} | BINNING_FLAGS,
+    "fit-gdp": {"--profile", "--in-p", "--in-q", "--eps-range"} | BINNING_FLAGS,
+    "canary": {"--mode", "-d", "-n", "--sigma", "--x-norm", "--iterations", "--canary-prob",
+               "--clip", "--nuisance-norm", "--seed", "--out-p", "--out-q", "--audit"}
+              | BINNING_FLAGS | REPORT_FLAGS,
+}
+
+
+def registered_flags() -> dict:
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {command: {action.option_strings[0] if action.option_strings else action.dest
+                      for action in sub._actions if not isinstance(action, argparse._HelpAction)}
+            for command, sub in subparsers.choices.items()}
+
+
+class TestFlags:
+    def test_each_subcommand_registers_only_the_flags_it_reads(self):
+        flags = registered_flags()
+        assert flags == REGISTERED
+        assert {command: len(names) for command, names in flags.items()} == {
+            "simulate": 9, "audit": 11, "tradeoff": 4, "compose": 9, "fit-gdp": 8, "canary": 21}
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "p", "q"],
+        ["compose", "p", "q", "--compositions", "2"],
+        ["fit-gdp"],
+        ["canary", "--mode", "one-shot", "-d", "8", "--audit"],
+    ])
+    def test_unset_flags_build_the_library_defaults(self, argv):
+        assert _audit_config(build_parser().parse_args(argv)) == AuditConfig()
+
+    def test_unset_grid_is_the_library_default(self, gaussian_files, monkeypatch):
+        grids = []
+
+        def compose_profile(p_hat, q_hat, c, eps_grid, grid):
+            grids.append(grid)
+            return PrivacyProfile([0.0, 1.0], [0.5, 0.1])
+
+        monkeypatch.setattr(pld, "compose_profile", compose_profile)
+        assert run("compose", *gaussian_files, "--compositions", 2) == 0
+        assert grids == [pld.DEFAULT_GRID]
+
+    @pytest.mark.parametrize("command", [["audit"], ["compose", "--compositions", 2]])
+    def test_bins_and_bin_width_exclude_each_other(self, gaussian_files, capsys, command):
+        argv = [command[0], *gaussian_files, *command[1:]]
+        assert exit_code(*argv, "--bins", 20, "--bin-width", 0.01) == 2
+        assert "not allowed with argument --bins" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", sorted(REPORT_FLAGS))
+    def test_compose_and_fit_gdp_refuse_report_flags(self, gaussian_files, tmp_path, flag):
+        value = 0.3 if flag in ("--delta", "--confidence") else tmp_path / "c.csv"
+        assert exit_code("compose", *gaussian_files, "--compositions", 2, flag, value) == 2
+        p, q = gaussian_files
+        assert exit_code("fit-gdp", "--in-p", p, "--in-q", q, flag, value) == 2
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("flags,given", [
+        (["--bins", 5], "--bins"),
+        (["--bin-width", 0.1], "--bin-width"),
+        (["--eps-grid", "0:1:3", "--bins", 5], "--bins, --eps-grid"),
+    ])
+    def test_fit_gdp_profile_refuses_binning_flags(self, tmp_path, capsys, flags, given):
+        # refused before the profile is read: the file does not exist
+        assert run("fit-gdp", "--profile", tmp_path / "g.csv", *flags) == 2
+        assert capsys.readouterr().err == f"error: {given} would not be read with --profile\n"
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--json", "r.json"), ("--curve", "c.csv"), ("--delta", 0.1), ("--bins", 10),
+    ])
+    def test_canary_refuses_audit_flags_without_audit(self, tmp_path, capsys, flag, value):
+        if isinstance(value, str):
+            value = tmp_path / value
+        assert run("canary", "--mode", "white-box", "-d", 8, "--iterations", 10,
+                   "--out-p", tmp_path / "p.txt", flag, value) == 2
+        assert capsys.readouterr().err.endswith("would not be read without --audit\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,field", [
+        (["simulate", "--mechanism", "gaussian", "--sigma", "nan"], "sigma"),
+        (["simulate", "--mechanism", "gaussian", "--sensitivity", "inf"], "sensitivity"),
+        (["simulate", "--mechanism", "subsampled-gaussian", "--q", 0.5, "--sigma=-inf"],
+         "sigma"),
+        (["simulate", "--mechanism", "laplace", "--scale", "nan"], "scale"),
+        (["simulate", "--mechanism", "laplace", "--sensitivity", "inf"], "l1_sensitivity"),
+        (["audit", "--bin-width", "nan"], "width"),
+        (["audit", "--bin-width", "inf"], "width"),
+    ])
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, argv, field):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        if argv[0] == "audit":
+            for path in (a, b):
+                path.write_text("0.0\n1.0\n2.0\n", encoding="utf-8")
+            argv = ["audit", a, b, *argv[1:]]
+        else:
+            argv = [*argv, "-n", 5, a, b]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be positive and finite")
+
+
+class TestDegenerateSamples:
+    @pytest.mark.parametrize("command", [
+        lambda p, q: ["audit", p, q],
+        lambda p, q: ["compose", p, q, "--compositions", 2],
+        lambda p, q: ["fit-gdp", "--in-p", p, "--in-q", q],
+    ])
+    def test_zero_spread_exit_3_naming_both_files(self, constant_files, capsys, command):
+        p, q = constant_files
+        assert run(*command(p, q)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p} and {q}: degenerate samples")

@@ -229,8 +229,7 @@ class TestHistogramAudit:
         rng = np.random.default_rng(8)
         sp, sq = rng.normal(0, 1, 200), rng.normal(5, 1, 200)
         # with disjoint-ish samples the profile floors well above 1e-6
-        report = histogram_audit(sp, sq, AuditConfig(delta_targets=(1e-6,),
-                                                     with_curves=False))
+        report = histogram_audit(sp, sq, AuditConfig(delta_targets=(1e-6,)))
         assert report.epsilons[0].point is None
 
     def test_sigma_block(self):
@@ -238,8 +237,7 @@ class TestHistogramAudit:
         sp, sq = mech.sample_pair(10 ** 5, seed=91)
         report = histogram_audit(
             sp, sq,
-            AuditConfig(binning_mode="fixed-k", bins=20, confidence=0.9999,
-                        with_curves=False),
+            AuditConfig(bins=20, confidence=0.9999),
             sigma_forward_map=lambda s: SubsampledGaussianMechanism(0.25, s).tv())
         assert report.sigma is not None
         assert report.sigma.sigma == pytest.approx(0.302, abs=0.01)

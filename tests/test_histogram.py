@@ -119,7 +119,7 @@ class TestEstimateDelta:
         component = rng.random(n) < 0.25
         sp = rng.normal(np.where(component, 1.0, 0.0), 0.3)
         sq = rng.normal(0.0, 0.3, n)
-        spec = auto_spec(sp, sq, "fixed-k", k=20)
+        spec = auto_spec(sp, sq, k=20)
         hist = build_histograms(sp, sq, spec)
         assert hs_divergence(hist.p_hat, hist.q_hat, math.exp(0.0)) == pytest.approx(
             0.2256, abs=0.01)
@@ -176,21 +176,21 @@ class TestAutoSpec:
     def test_fixed_k(self):
         rng = np.random.default_rng(11)
         sp, sq = rng.normal(0, 1, 100), rng.normal(0, 1, 100)
-        assert auto_spec(sp, sq, "fixed-k", k=10).k == 10
+        assert auto_spec(sp, sq, k=10).k == 10
 
     def test_fixed_width(self):
         rng = np.random.default_rng(12)
         sp, sq = rng.normal(0, 1, 1000), rng.normal(0, 1, 1000)
-        spec = auto_spec(sp, sq, "fixed-width", width=0.5)
+        spec = auto_spec(sp, sq, width=0.5)
         assert spec.h <= 0.5 + 1e-12
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown binning mode"):
-            auto_spec([1.0, 2.0], [1.0, 2.0], "kde")
+    def test_k_and_width_exclude_each_other(self):
+        with pytest.raises(ValueError, match="not both"):
+            auto_spec([1.0, 2.0], [1.0, 2.0], k=10, width=0.5)
 
     def test_quantile_edges_are_robust_to_outliers(self):
         rng = np.random.default_rng(13)
         sp = np.concatenate([rng.normal(0, 1, 10 ** 4), [1e9]])
         sq = np.concatenate([rng.normal(0, 1, 10 ** 4), [-1e9]])
-        spec = auto_spec(sp, sq, "fixed-k", k=30)
+        spec = auto_spec(sp, sq, k=30)
         assert spec.b < 10.0 and spec.a > -10.0
