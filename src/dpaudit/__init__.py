@@ -14,7 +14,7 @@ from .confidence import (canonne_radius, clopper_pearson, hs_interval,
 from .discrete import (DiscreteDistribution, coarsen, hs_divergence,
                        symmetric_delta, tv_distance)
 from .errors import (AuditError, DegenerateSamplesError, FitError, GridOverflowError,
-                     ScoreFileError)
+                     ProfileOrderError, ScoreFileError)
 from .estimators import (AuditConfig, AuditReport, EpsilonEstimate,
                          SigmaEstimate, ThresholdEstimate, exposure,
                          f_alpha_sensitivity, fit_mu_gdp, histogram_audit,

@@ -18,12 +18,12 @@ from pathlib import Path
 from . import pld
 from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_scores_gram,
                      whitebox_stream)
-from .errors import DegenerateSamplesError, FitError, GridOverflowError, ScoreFileError
+from .errors import (DegenerateSamplesError, FitError, GridOverflowError, ProfileOrderError,
+                     ScoreFileError)
 from .estimators import (AuditConfig, binning_json, fit_mu_gdp, histogram_audit, profile_json,
                          spec_from_config)
 from .histogram import build_histograms, estimate_profile
-from .mechanisms import (GaussianMechanism, LaplaceMechanism,
-                         SubsampledGaussianMechanism, gaussian_delta)
+from .mechanisms import GaussianMechanism, LaplaceMechanism, SubsampledGaussianMechanism
 from .profiles import PrivacyProfile
 from .scores import read_scores, write_scores
 from .tradeoff import CURVE_DELTA_TARGET, CURVE_POINTS, profile_to_tradeoff
@@ -72,7 +72,8 @@ def _mechanism_from_args(args) -> object:
 def _sigma_forward_map(spec_text: str):
     """Parse --fit-sigma (gaussian | mixture:q=<val>) into a sigma -> TV map."""
     if spec_text == "gaussian":
-        return lambda s: gaussian_delta(0.0, s, 1.0)
+        # the Gaussian pair is the mixture at q = 1
+        return lambda s: SubsampledGaussianMechanism(1.0, s).tv()
     if spec_text.startswith("mixture:q="):
         try:
             q = float(spec_text.split("=", 1)[1])
@@ -211,11 +212,13 @@ def cmd_compose(args) -> int:
 def cmd_fit_gdp(args) -> int:
     eps_range = _parse_fields(args.eps_range, "eps-range", {"lo": float, "hi": float})
     if args.profile:
-        _refuse_unread(args, _BINNING_DESTS, "with --profile")
+        _refuse_unread(args, ("in_p", "in_q") + _BINNING_DESTS, "with --profile")
         try:
             profile = PrivacyProfile.from_csv(args.profile)
-        except ValueError as exc:
+        except ProfileOrderError as exc:  # well-formed, but no GDP profile can fit it
             raise FitError(f"cannot fit this profile: {exc}") from exc
+        except ValueError as exc:
+            raise ScoreFileError(f"{args.profile}: {exc}") from exc
     else:
         if not (args.in_p and args.in_q):
             raise UsageError("fit-gdp needs --profile or both score files")

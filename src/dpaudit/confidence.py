@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from scipy import special
-
 from .discrete import alpha_from_eps
 
 
@@ -44,6 +42,8 @@ def hs_interval(delta_hat: float, eps: float, tau_p: float,
 
 def clopper_pearson(successes: int, trials: int, confidence: float) -> tuple[float, float]:
     """Exact binomial confidence interval via Beta quantiles."""
+    from scipy import special
+
     if trials < 1 or successes < 0 or successes > trials:
         raise ValueError(f"invalid counts: {successes}/{trials}")
     if not 0 < confidence < 1:

@@ -21,6 +21,10 @@ class DegenerateSamplesError(AuditError, ValueError):
     """Two score samples have no spread to bin: their pooled quantiles coincide."""
 
 
+class ProfileOrderError(AuditError, ValueError):
+    """A profile's deltas rise with eps, which no privacy profile does."""
+
+
 class ScoreFileError(AuditError):
     """An input file (scores, profile or curve CSV) is malformed; carries the line number."""
 

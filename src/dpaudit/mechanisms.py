@@ -8,6 +8,9 @@ single threshold where the ratio crosses e^eps, as for the plain Gaussian
 (Balle & Wang, ICML 2018). Its ``bin_masses`` give the same pair as exact
 masses on a fine binning: the discretised reference that the composition
 tests feed through the PLD engine.
+
+scipy.special is imported inside the functions that need it, so importing
+this module (and the CLI) does not load scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .discrete import DiscreteDistribution, alpha_from_eps
 from .profiles import PrivacyProfile
@@ -52,6 +54,8 @@ def gaussian_delta(eps, sigma: float, sensitivity: float = 1.0):
     Phi(-eps*sigma/D + D/(2 sigma)) - e^eps * Phi(-eps*sigma/D - D/(2 sigma)),
     with the second term evaluated in log space so large eps stays finite.
     """
+    from scipy import special
+
     _require_positive_finite(sigma=sigma, sensitivity=sensitivity)
     eps = np.asarray(eps, dtype=float)
     a = -eps * sigma / sensitivity + sensitivity / (2.0 * sigma)
@@ -64,6 +68,8 @@ def gaussian_delta(eps, sigma: float, sensitivity: float = 1.0):
 
 def gdp_tradeoff(mu: float, alpha):
     """Gaussian trade-off curve Phi(Phi^{-1}(1 - alpha) - mu)."""
+    from scipy import special
+
     if mu < 0:
         raise ValueError("mu must be >= 0")
     alpha = np.asarray(alpha, dtype=float)
@@ -156,6 +162,8 @@ class SubsampledGaussianMechanism:
         return gaussian_density(0.0, self.sigma, x)
 
     def cdf_p(self, x):
+        from scipy import special
+
         x = np.asarray(x, dtype=float)
         return (self.q * special.ndtr((x - 1.0) / self.sigma)
                 + (1.0 - self.q) * special.ndtr(x / self.sigma))
@@ -188,12 +196,14 @@ class SubsampledGaussianMechanism:
         return float(out) if out.ndim == 0 else out
 
     def tv(self) -> float:
-        """TV distance q * (2 Phi(1/(2 sigma)) - 1)."""
-        return float(self.q * (2.0 * special.ndtr(0.5 / self.sigma) - 1.0))
+        """TV distance q * (2 Phi(1/(2 sigma)) - 1) = q * erf(1/(2 sqrt(2) sigma))."""
+        return self.q * math.erf(0.5 / (math.sqrt(2.0) * self.sigma))
 
     def bin_masses(self, *, width: float = 1e-3,
                    tail_sigmas: float = 12.0) -> tuple[DiscreteDistribution, DiscreteDistribution]:
         """Exact masses of the dominating pair on a shared fine binning."""
+        from scipy import special
+
         lo = -tail_sigmas * self.sigma
         hi = 1.0 + tail_sigmas * self.sigma
         p = _cdf_bin_masses(self.cdf_p, lo, hi, width)

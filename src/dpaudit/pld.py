@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import fft
 
 from .discrete import DiscreteDistribution, _prefix_sums
 from .errors import GridOverflowError
@@ -102,6 +101,21 @@ def pld_from_discrete(p: DiscreteDistribution, q: DiscreteDistribution,
     return PLDGrid(lo * step, step, masses, mass_inf)
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: the real-transform length that
+    ``scipy.fft.next_fast_len(n, real=True)`` picks."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            # f35 times the smallest power of two that reaches n
+            best = min(best, f35 << (-(-n // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def self_convolve(pld: PLDGrid, c: int) -> PLDGrid:
     """Distribution of the sum of ``c`` independent copies of ``pld``."""
     if c < 1:
@@ -114,8 +128,8 @@ def self_convolve(pld: PLDGrid, c: int) -> PLDGrid:
             f"{c}-fold convolution would need more than {MAX_NODES} grid nodes"
         )
     # a transform length >= n keeps the circular convolution from wrapping
-    size = fft.next_fast_len(n, real=True)
-    masses = fft.irfft(fft.rfft(pld.masses, size) ** c, size)[:n]
+    size = _next_fast_len(n)
+    masses = np.fft.irfft(np.fft.rfft(pld.masses, size) ** c, size)[:n]
     mass_inf = 1.0 - (1.0 - pld.mass_inf) ** c
     # FFT round-off leaves tiny negative masses, which PLDGrid rejects
     return PLDGrid(c * pld.grid_start, pld.step, np.maximum(masses, 0.0), mass_inf)

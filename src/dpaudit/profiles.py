@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ScoreFileError
+from .errors import ProfileOrderError, ScoreFileError
 
 _MONOTONE_SLACK = 1e-9
 
@@ -81,7 +81,7 @@ class PrivacyProfile:
         if not np.all((del_ >= -_MONOTONE_SLACK) & (del_ <= 1 + _MONOTONE_SLACK)):
             raise ValueError("deltas must be finite and lie in [0, 1]")
         if np.any(np.diff(del_) > _MONOTONE_SLACK):
-            raise ValueError("deltas must be non-increasing in eps")
+            raise ProfileOrderError("deltas must be non-increasing in eps")
 
     @classmethod
     def from_function(cls, fn: Callable, eps_grid) -> "PrivacyProfile":

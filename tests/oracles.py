@@ -2,14 +2,17 @@
 
 These deliberately avoid the library's own code paths: divergences are
 integrated by trapezoid quadrature over dense grids, binomial tails are
-summed with exact integer coefficients, and closed forms come straight from
-scipy's special functions.
+summed with exact integer coefficients, closed forms come straight from
+scipy's special functions, and score files are parsed one line at a time
+with Python's ``float``.
 """
 
 import math
 
 import numpy as np
 from scipy import special
+
+from dpaudit.errors import ScoreFileError
 
 
 def normal_pdf(x, mu=0.0, sigma=1.0):
@@ -106,3 +109,28 @@ def whitebox_stream_direct(cfg, block=64):
         out[sl] = np.einsum("ij,ij->i", grad, canaries)
         out_primed[sl] = np.einsum("ij,ij->i", grad_primed, canaries) + include * cfg.clip ** 2
     return out, out_primed
+
+
+def read_scores_by_line(path):
+    """The score-file format read one line at a time with ``float``.
+
+    Blank and '#' lines are skipped; any other line must hold one finite
+    float. Raises ScoreFileError carrying the number of the first bad line,
+    or None when the file holds no scores.
+    """
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                value = float(line)
+            except ValueError:
+                raise ScoreFileError(f"line {lineno}: not a number", lineno) from None
+            if not math.isfinite(value):
+                raise ScoreFileError(f"line {lineno}: non-finite", lineno)
+            values.append(value)
+    if not values:
+        raise ScoreFileError("no scores", None)
+    return np.asarray(values, dtype=float)

@@ -106,6 +106,13 @@ class TestAudit:
         assert run("audit", p, q) == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_file_exit_3(self, tmp_path, capsys):
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        p.write_bytes(b"1.0\n\xff\n")
+        q.write_text("1.0\n2.0\n", encoding="utf-8")
+        assert run("audit", p, q) == 3
+        assert capsys.readouterr().err == f"error: {p}: line 2: not UTF-8 text\n"
+
     def test_fixed_bins_and_sigma_block(self, tmp_path, capsys):
         p, q = tmp_path / "p.txt", tmp_path / "q.txt"
         assert run("simulate", "--mechanism", "subsampled-gaussian", "--q", 0.25,
@@ -238,10 +245,18 @@ class TestFitGdp:
         assert run("fit-gdp", "--profile", prof_path) == 3
         assert f"{prof_path}: line {lineno}:" in capsys.readouterr().err
 
-    def test_empty_profile_exit_2(self, tmp_path):
+    def test_empty_profile_exit_3(self, tmp_path, capsys):
         prof_path = tmp_path / "empty.csv"
         prof_path.write_text("", encoding="utf-8")
-        assert run("fit-gdp", "--profile", prof_path) in (2, 5)
+        assert run("fit-gdp", "--profile", prof_path) == 3
+        assert f"error: {prof_path}: " in capsys.readouterr().err
+
+    def test_profile_refuses_score_files(self, gaussian_files, tmp_path, capsys):
+        prof_path = tmp_path / "profile.csv"
+        GaussianMechanism(0.5).profile(np.linspace(-2, 6, 801)).to_csv(prof_path)
+        p, q = gaussian_files
+        assert run("fit-gdp", "--profile", prof_path, "--in-p", p, "--in-q", q) == 2
+        assert capsys.readouterr().err == "error: --in-p, --in-q would not be read with --profile\n"
 
     def test_missing_inputs_exit_2(self):
         assert run("fit-gdp") == 2

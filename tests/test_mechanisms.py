@@ -146,6 +146,15 @@ class TestSubsampledGaussianProfile:
                 backward = hs_quadrature_mixture_reverse(math.exp(eps), q, sigma)
                 assert mech.delta(eps) == pytest.approx(max(forward, backward), abs=1e-7)
 
+    def test_tv_matches_the_scipy_closed_form(self):
+        # q = 1 is the --fit-sigma gaussian map, which was gaussian_delta(0, sigma)
+        for sigma in np.geomspace(1e-3, 1e3, 61):
+            gaussian_tv = SubsampledGaussianMechanism(1.0, sigma).tv()
+            assert gaussian_tv == pytest.approx(GaussianMechanism(sigma).tv(), rel=1e-12)
+            for q in (0.01, 0.25, 1.0):
+                assert SubsampledGaussianMechanism(q, sigma).tv() == pytest.approx(
+                    mixture_tv_closed_form(q, sigma), rel=1e-12)
+
     def test_tv_is_profile_at_zero(self):
         for q, sigma in ((0.25, 0.3), (1.0, 1.5), (0.01, 0.1)):
             mech = SubsampledGaussianMechanism(q, sigma)

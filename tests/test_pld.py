@@ -6,7 +6,8 @@ import pytest
 from dpaudit.discrete import DiscreteDistribution, symmetric_delta
 from dpaudit.errors import GridOverflowError
 from dpaudit.mechanisms import gaussian_delta
-from dpaudit.pld import (PLDGrid, compose_profile, delta_from_pld,
+from dpaudit.mechanisms import SubsampledGaussianMechanism
+from dpaudit.pld import (MAX_NODES, PLDGrid, _next_fast_len, compose_profile, delta_from_pld,
                          pld_from_discrete, self_convolve)
 
 
@@ -99,6 +100,26 @@ class TestSelfConvolve:
         wide = PLDGrid(0.0, 0.1, np.full(2 ** 12, 2.0 ** -12), 0.0)
         with pytest.raises(GridOverflowError):
             self_convolve(wide, 2 ** 20)
+
+
+class TestTransformLength:
+    """numpy's FFT at scipy's transform length: the composed masses do not move."""
+
+    def test_next_fast_len_matches_scipy(self):
+        from scipy import fft
+        rng = np.random.default_rng(0)
+        sizes = list(range(1, 2 * 10 ** 4 + 1)) + rng.integers(1, 100 * MAX_NODES, 2000).tolist()
+        assert [n for n in sizes if _next_fast_len(n) != fft.next_fast_len(n, real=True)] == []
+
+    @pytest.mark.parametrize("c", [2, 10, 100])
+    def test_composed_masses_equal_scipy_fft(self, c):
+        from scipy import fft
+        pld = pld_from_discrete(*SubsampledGaussianMechanism(0.25, 0.5).bin_masses(width=0.01),
+                                (40.0, 2 ** 14))
+        n = (pld.masses.size - 1) * c + 1
+        size = fft.next_fast_len(n, real=True)
+        expected = np.maximum(fft.irfft(fft.rfft(pld.masses, size) ** c, size)[:n], 0.0)
+        assert np.array_equal(self_convolve(pld, c).masses, expected)
 
 
 class TestDeltaFromPld:
