@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import AuditConfig, AuditReport, histogram_audit
+from .mechanisms import _require_positive_finite
 
 _ONE_SHOT_BLOCK = 128  # Bartlett factor rows per block; memory stays O(block * min(n, d))
 _WHITEBOX_BLOCK = 2 ** 16  # white-box steps per block; temporaries stay O(block)
@@ -42,9 +43,8 @@ class OneShotConfig:
     def __post_init__(self):
         if self.d < 1 or self.n < 1:
             raise ValueError("need d >= 1 and n >= 1")
-        # written so that NaN fails every check
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        _require_positive_finite(sigma=self.sigma)
+        # written so that NaN fails the check
         if not 0 <= self.x_norm < math.inf:
             raise ValueError(f"x_norm must be finite and >= 0, got {self.x_norm!r}")
 
@@ -66,11 +66,8 @@ class WhiteBoxConfig:
             raise ValueError("need iterations >= 1 and d >= 1")
         if not 0 < self.canary_prob <= 1:
             raise ValueError("canary_prob must lie in (0, 1]")
-        # written so that NaN fails every check
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
-        if not 0 < self.clip < math.inf:
-            raise ValueError(f"clip must be positive and finite, got {self.clip!r}")
+        _require_positive_finite(sigma=self.sigma, clip=self.clip)
+        # written so that NaN fails the check
         if not 0 <= self.nuisance_norm < math.inf:
             raise ValueError(f"nuisance_norm must be finite and >= 0, got {self.nuisance_norm!r}")
 

@@ -26,7 +26,7 @@ from .histogram import build_histograms, estimate_profile
 from .mechanisms import GaussianMechanism, LaplaceMechanism, SubsampledGaussianMechanism
 from .profiles import PrivacyProfile
 from .scores import read_scores, write_scores
-from .tradeoff import CURVE_DELTA_TARGET, CURVE_POINTS, profile_to_tradeoff
+from .tradeoff import profile_to_tradeoff
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,15 +72,16 @@ def _mechanism_from_args(args) -> object:
 def _sigma_forward_map(spec_text: str):
     """Parse --fit-sigma (gaussian | mixture:q=<val>) into a sigma -> TV map."""
     if spec_text == "gaussian":
-        # the Gaussian pair is the mixture at q = 1
-        return lambda s: SubsampledGaussianMechanism(1.0, s).tv()
-    if spec_text.startswith("mixture:q="):
+        q = 1.0  # the Gaussian pair is the mixture at q = 1
+    elif spec_text.startswith("mixture:q="):
         try:
             q = float(spec_text.split("=", 1)[1])
         except ValueError:
             raise UsageError(f"bad --fit-sigma value {spec_text!r}") from None
-        return lambda s: SubsampledGaussianMechanism(q, s).tv()
-    raise UsageError(f"--fit-sigma expects 'gaussian' or 'mixture:q=<val>', got {spec_text!r}")
+    else:
+        raise UsageError(
+            f"--fit-sigma expects 'gaussian' or 'mixture:q=<val>', got {spec_text!r}")
+    return lambda s: SubsampledGaussianMechanism(q, s).tv()
 
 
 def _refuse_unread(args, dests, reason: str) -> None:
@@ -182,7 +183,7 @@ def cmd_tradeoff(args) -> int:
         profile = PrivacyProfile.from_csv(args.profile)
     except ValueError as exc:
         raise ScoreFileError(f"{args.profile}: {exc}") from exc
-    curve = profile_to_tradeoff(profile, args.delta_target, args.points)
+    curve = profile_to_tradeoff(profile)
     curve.to_csv(args.out)
     return EXIT_OK
 
@@ -308,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tradeoff", help="convert a profile CSV to a trade-off curve CSV")
     p.add_argument("profile")
-    p.add_argument("--delta-target", type=float, default=CURVE_DELTA_TARGET)
-    p.add_argument("--points", type=int, default=CURVE_POINTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tradeoff)
 

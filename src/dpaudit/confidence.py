@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from .discrete import alpha_from_eps
 
 
@@ -26,18 +28,20 @@ def canonne_radius(n: int, k: int, failure_prob: float) -> float:
     return max(math.sqrt(k / n), math.sqrt(2.0 * math.log(2.0 / failure_prob) / n))
 
 
-def hs_interval(delta_hat: float, eps: float, tau_p: float,
-                tau_q: float) -> tuple[float, float]:
+def hs_interval(delta_hat, eps, tau_p: float, tau_q: float):
     """Two-sided bound on the true divergence given per-side TV radii.
 
     One radius bounds both sides of the estimate, so the slack is
     (1 + e^eps) * max(tau_p, tau_q) in each direction; the caller splits the
-    failure budget across the two samples.
+    failure budget across the two samples. ``delta_hat`` and ``eps`` may be
+    arrays (bounds elementwise); scalars give a pair of floats.
     """
-    if not 0 <= delta_hat <= 1:
+    delta_hat = np.asarray(delta_hat, dtype=float)
+    if not np.all((delta_hat >= 0) & (delta_hat <= 1)):
         raise ValueError("delta_hat must lie in [0, 1]")
     slack = (1.0 + alpha_from_eps(eps)) * max(tau_p, tau_q)
-    return (max(0.0, delta_hat - slack), min(1.0, delta_hat + slack))
+    lo, hi = np.maximum(0.0, delta_hat - slack), np.minimum(1.0, delta_hat + slack)
+    return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
 
 
 def clopper_pearson(successes: int, trials: int, confidence: float) -> tuple[float, float]:

@@ -17,12 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from .confidence import canonne_radius, invert_monotone, sigma_interval_from_tv
-from .discrete import alpha_from_eps, tv_distance
+from .confidence import canonne_radius, hs_interval, invert_monotone, sigma_interval_from_tv
+from .discrete import tv_distance
 from .errors import FitError
 from .histogram import (BinningSpec, HistogramEstimate, auto_spec,
                         build_histograms, estimate_profile)
-from .mechanisms import gaussian_delta
+from .mechanisms import _std_normal_pdf, gaussian_delta
 from .profiles import PrivacyProfile, csv_text
 from .tradeoff import CURVE_DELTA_TARGET, CURVE_POINTS, TradeoffCurve, profile_to_tradeoff
 
@@ -174,7 +174,7 @@ def histogram_audit(samples_p, samples_q, config: AuditConfig | None = None, *,
     # union bound: each side gets half the failure budget, one radius covers both
     tau = canonne_radius(hist.n, spec.k, (1.0 - config.confidence) / 2.0)
     lower = PrivacyProfile.envelope(
-        eps_values, profile.deltas - (1.0 + alpha_from_eps(eps_values)) * tau)
+        eps_values, hs_interval(profile.deltas, eps_values, tau, tau)[0])
 
     estimates = tuple(EpsilonEstimate(target, _epsilon_for_target(profile, target),
                                       _epsilon_for_target(lower, target))
@@ -206,8 +206,12 @@ def estimate_sigma(hist: HistogramEstimate, confidence: float,
     tau = canonne_radius(hist.n, hist.spec.k, 1.0 - confidence)
     tv_lo = max(0.0, tv_hat - tau)
     tv_hi = min(1.0, tv_hat + tau)
-    sigma_hat = invert_monotone(forward_map, tv_hat, bracket)
-    sigma_interval = sigma_interval_from_tv((tv_lo, tv_hi), forward_map, bracket)
+    try:
+        sigma_hat = invert_monotone(forward_map, tv_hat, bracket)
+        sigma_interval = sigma_interval_from_tv((tv_lo, tv_hi), forward_map, bracket)
+    except ValueError as exc:  # the data put a TV end outside the map's range
+        raise FitError(f"cannot map the TV interval [{tv_lo:.6g}, {tv_hi:.6g}] "
+                       f"to sigma: {exc}") from exc
     return SigmaEstimate(tv=tv_hat, tv_interval=(tv_lo, tv_hi), sigma=sigma_hat,
                          sigma_interval=sigma_interval, confidence=confidence)
 
@@ -333,10 +337,6 @@ def f_alpha_sensitivity(sigma: float, alpha):
     log_a = np.log(alpha)
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
     inv2s = 1.0 / (2.0 * sigma)
-
-    def phi(x):
-        return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-    out = ((-log_a - inv2s2) * phi(-sigma * log_a + inv2s)
-           - alpha * (-log_a + inv2s2) * phi(-sigma * log_a - inv2s))
+    out = ((-log_a - inv2s2) * _std_normal_pdf(-sigma * log_a + inv2s)
+           - alpha * (-log_a + inv2s2) * _std_normal_pdf(-sigma * log_a - inv2s))
     return float(out) if out.ndim == 0 else out

@@ -15,6 +15,7 @@ import numpy as np
 
 from .discrete import DiscreteDistribution, alpha_from_eps, hockey_stick, symmetric_delta
 from .errors import DegenerateSamplesError
+from .mechanisms import _require_positive_finite
 from .profiles import PrivacyProfile
 
 SCOTT_GAUSSIAN_CONSTANT = 2.0 * 3.0 ** (1.0 / 3.0) * math.pi ** (1.0 / 6.0)
@@ -114,9 +115,8 @@ def auto_spec(samples_p, samples_q, *, k: int | None = None,
     """
     if k is not None and width is not None:
         raise ValueError("give k or width, not both")
-    # written so that NaN fails the check
-    if width is not None and not 0 < width < math.inf:
-        raise ValueError(f"width must be positive and finite, got {width!r}")
+    if width is not None:
+        _require_positive_finite(width=width)
     sp = np.asarray(samples_p, dtype=float)
     sq = np.asarray(samples_q, dtype=float)
     if sp.size == 0 or sq.size == 0:

@@ -158,9 +158,6 @@ class SubsampledGaussianMechanism:
         return (self.q * gaussian_density(1.0, self.sigma, x)
                 + (1.0 - self.q) * gaussian_density(0.0, self.sigma, x))
 
-    def density_q(self, x):
-        return gaussian_density(0.0, self.sigma, x)
-
     def cdf_p(self, x):
         from scipy import special
 
@@ -232,12 +229,6 @@ class LaplaceMechanism:
 
     def __post_init__(self):
         _require_positive_finite(scale=self.scale, l1_sensitivity=self.l1_sensitivity)
-
-    def density_p(self, x):
-        return laplace_density(self.scale, 0.0, x)
-
-    def density_q(self, x):
-        return laplace_density(self.scale, self.l1_sensitivity, x)
 
     def sample_pair(self, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
         if n < 1:

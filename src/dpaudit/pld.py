@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discrete import DiscreteDistribution, _prefix_sums
+from .discrete import DiscreteDistribution, _as_readonly, _prefix_sums
 from .errors import GridOverflowError
+from .mechanisms import _require_positive_finite
 from .profiles import PrivacyProfile
 
 DEFAULT_GRID = (40.0, 2 ** 20)
@@ -41,8 +42,7 @@ class PLDGrid:
     mass_inf: float = 0.0
 
     def __post_init__(self):
-        arr = np.array(self.masses, dtype=float)
-        arr.setflags(write=False)
+        arr = _as_readonly(self.masses)
         object.__setattr__(self, "masses", arr)
         if self.step <= 0:
             raise ValueError("step must be positive")
@@ -71,7 +71,8 @@ def pld_from_discrete(p: DiscreteDistribution, q: DiscreteDistribution,
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
     half_width, m = float(grid[0]), int(grid[1])
-    if half_width <= 0 or m < 2:
+    _require_positive_finite(L=half_width)
+    if m < 2:
         raise ValueError("grid must be (L > 0, m >= 2)")
     step = 2.0 * half_width / m
 
@@ -81,8 +82,8 @@ def pld_from_discrete(p: DiscreteDistribution, q: DiscreteDistribution,
     mass_inf = float(pv[pos & (qv == 0)].sum())
 
     ratios = np.log(pv[finite]) - np.log(qv[finite])
-    if ratios.size == 0:
-        return PLDGrid(0.0, step, np.array([0.0]), mass_inf) if mass_inf else PLDGrid(0.0, step, np.array([1.0]), 0.0)
+    if ratios.size == 0:  # all of p's mass sits where q vanishes: mass_inf is 1
+        return PLDGrid(0.0, step, np.array([0.0]), mass_inf)
     worst = float(np.max(np.abs(ratios)))
     if worst > half_width:
         raise GridOverflowError(

@@ -13,7 +13,9 @@ from typing import Callable
 
 import numpy as np
 
+from .discrete import _as_readonly
 from .errors import ProfileOrderError, ScoreFileError
+from .scores import numbered_lines
 
 _MONOTONE_SLACK = 1e-9
 
@@ -33,29 +35,42 @@ def csv_text(header: str, xs, ys) -> str:
 def read_csv(path, header: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse a two-column CSV written by ``csv_text``; blank lines are skipped.
 
-    A wrong header or a row that is not two finite numbers raises
-    :class:`ScoreFileError` with the file and line.
+    A line that is not UTF-8, a wrong header or a row that is not two finite
+    numbers raises :class:`ScoreFileError` with the file and line.
     """
     xs, ys = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if lineno == 1:
-                if line != header:
-                    raise ScoreFileError(
-                        f"{path}: line 1: expected header {header!r}, got {line!r}", 1)
-            elif line:
-                try:
-                    x, y = map(float, line.split(","))
-                except ValueError:  # a wrong field count or a non-number
-                    x = y = math.nan
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ScoreFileError(
-                        f"{path}: line {lineno}: expected two finite numbers, got {line!r}",
-                        lineno)
-                xs.append(x)
-                ys.append(y)
+    for lineno, line in numbered_lines(path):
+        if lineno == 1:
+            if line != header:
+                raise ScoreFileError(
+                    f"{path}: line 1: expected header {header!r}, got {line!r}", 1)
+        elif line:
+            try:
+                x, y = map(float, line.split(","))
+            except ValueError:  # a wrong field count or a non-number
+                x = y = math.nan
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ScoreFileError(
+                    f"{path}: line {lineno}: expected two finite numbers, got {line!r}",
+                    lineno)
+            xs.append(x)
+            ys.append(y)
     return np.asarray(xs), np.asarray(ys)
+
+
+def check_columns(obj, x_name: str, y_name: str, noun: str) -> None:
+    """Store read-only float copies of a curve's x and y columns on the frozen
+    ``obj`` and check them: matching 1-D arrays of at least 2 points, x finite
+    and strictly increasing, y finite and in [0, 1] up to ``_MONOTONE_SLACK``."""
+    x, y = _as_readonly(getattr(obj, x_name)), _as_readonly(getattr(obj, y_name))
+    object.__setattr__(obj, x_name, x)
+    object.__setattr__(obj, y_name, y)
+    if x.ndim != 1 or x.size < 2 or x.shape != y.shape:
+        raise ValueError(f"{noun} needs matching 1-D grids with at least 2 points")
+    if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
+        raise ValueError(f"{x_name} must be finite and strictly increasing")
+    if not np.all((y >= -_MONOTONE_SLACK) & (y <= 1 + _MONOTONE_SLACK)):
+        raise ValueError(f"{y_name} must be finite and lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -68,19 +83,8 @@ class PrivacyProfile:
     heuristic: bool = False
 
     def __post_init__(self):
-        eps = np.array(self.epsilons, dtype=float)
-        del_ = np.array(self.deltas, dtype=float)
-        eps.setflags(write=False)
-        del_.setflags(write=False)
-        object.__setattr__(self, "epsilons", eps)
-        object.__setattr__(self, "deltas", del_)
-        if eps.ndim != 1 or eps.size < 2 or eps.shape != del_.shape:
-            raise ValueError("profile needs matching 1-D grids with at least 2 points")
-        if not (np.all(np.isfinite(eps)) and np.all(np.diff(eps) > 0)):
-            raise ValueError("epsilons must be finite and strictly increasing")
-        if not np.all((del_ >= -_MONOTONE_SLACK) & (del_ <= 1 + _MONOTONE_SLACK)):
-            raise ValueError("deltas must be finite and lie in [0, 1]")
-        if np.any(np.diff(del_) > _MONOTONE_SLACK):
+        check_columns(self, "epsilons", "deltas", "profile")
+        if np.any(np.diff(self.deltas) > _MONOTONE_SLACK):
             raise ProfileOrderError("deltas must be non-increasing in eps")
 
     @classmethod

@@ -42,8 +42,9 @@ def read_scores(path) -> np.ndarray:
     return _read_lines(path)
 
 
-def _read_lines(path) -> np.ndarray:
-    values = []
+def numbered_lines(path):
+    """Yield ``(line number, stripped text)`` per line: the one reader of every
+    input text format, so a line that is not UTF-8 is named the same way in each."""
     # undecodable bytes become lone surrogates, so the bad line can be named
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -53,18 +54,23 @@ def _read_lines(path) -> np.ndarray:
                 except UnicodeEncodeError:
                     raise ScoreFileError(
                         f"{path}: line {lineno}: not UTF-8 text", lineno) from None
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise ScoreFileError(
-                    f"{path}: line {lineno}: not a number: {line!r}", lineno) from None
-            if not math.isfinite(value):
-                raise ScoreFileError(
-                    f"{path}: line {lineno}: non-finite value {line!r}", lineno)
-            values.append(value)
+            yield lineno, raw.strip()
+
+
+def _read_lines(path) -> np.ndarray:
+    values = []
+    for lineno, line in numbered_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise ScoreFileError(
+                f"{path}: line {lineno}: not a number: {line!r}", lineno) from None
+        if not math.isfinite(value):
+            raise ScoreFileError(
+                f"{path}: line {lineno}: non-finite value {line!r}", lineno)
+        values.append(value)
     if not values:
         raise ScoreFileError(f"{path}: no scores found", None)
     return np.asarray(values, dtype=float)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import alpha_from_eps
-from .profiles import PrivacyProfile, csv_text, read_csv
+from .profiles import PrivacyProfile, check_columns, csv_text, read_csv
 
 _VALIDATE_SLACK = 1e-9
 MIN_ALPHA_NODES = 512
@@ -31,20 +31,9 @@ class TradeoffCurve:
     betas: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.alphas, dtype=float)
-        b = np.array(self.betas, dtype=float)
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "alphas", a)
-        object.__setattr__(self, "betas", b)
-        if a.ndim != 1 or a.size < 2 or a.shape != b.shape:
-            raise ValueError("curve needs matching 1-D node arrays with >= 2 points")
-        if not (np.all(np.isfinite(a)) and np.all(np.diff(a) > 0)):
-            raise ValueError("alphas must be finite and strictly increasing")
-        if a[0] < -_VALIDATE_SLACK or a[-1] > 1 + _VALIDATE_SLACK:
+        check_columns(self, "alphas", "betas", "curve")
+        if self.alphas[0] < -_VALIDATE_SLACK or self.alphas[-1] > 1 + _VALIDATE_SLACK:
             raise ValueError("alphas must lie in [0, 1]")
-        if not np.all((b >= -_VALIDATE_SLACK) & (b <= 1 + _VALIDATE_SLACK)):
-            raise ValueError("betas must be finite and lie in [0, 1]")
 
     def evaluate(self, alpha):
         """Piecewise-linear interpolation, clamped to the end nodes."""

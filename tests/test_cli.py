@@ -113,6 +113,18 @@ class TestAudit:
         assert run("audit", p, q) == 3
         assert capsys.readouterr().err == f"error: {p}: line 2: not UTF-8 text\n"
 
+    def test_fit_sigma_outside_the_map_exit_5(self, tmp_path, capsys):
+        # at 5000 scores per side the TV interval reaches above q = 0.25, the
+        # largest TV the mixture map gives
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        assert run("simulate", "--mechanism", "subsampled-gaussian", "--q", 0.25,
+                   "--sigma", 0.5, "-n", 5000, "--seed", 1, p, q) == 0
+        assert run("audit", p, q, "--fit-sigma", "mixture:q=0.25") == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot map the TV interval [")
+        assert "outside the range" in err
+
     def test_fixed_bins_and_sigma_block(self, tmp_path, capsys):
         p, q = tmp_path / "p.txt", tmp_path / "q.txt"
         assert run("simulate", "--mechanism", "subsampled-gaussian", "--q", 0.25,
@@ -135,6 +147,9 @@ MALFORMED_PROFILES = [
     ("epsilon,delta\n0,0.5\n1,0.1,7\n", 3),
     ("epsilon,delta\n0,0.5\n1,abc\n", 3),
 ]
+
+# a profile CSV with a Latin-1 byte on line 3
+LATIN1_PROFILE = "epsilon,delta\n0,0.5\n1,0.1 caf\xe9\n2,0.01\n".encode("latin-1")
 
 
 class TestTradeoffCommand:
@@ -160,6 +175,12 @@ class TestTradeoffCommand:
         prof_path.write_text(text, encoding="utf-8")
         assert run("tradeoff", prof_path, "--out", tmp_path / "curve.csv") == 3
         assert f"{prof_path}: line {lineno}:" in capsys.readouterr().err
+
+    def test_non_utf8_profile_exit_3(self, tmp_path, capsys):
+        prof_path = tmp_path / "latin1.csv"
+        prof_path.write_bytes(LATIN1_PROFILE)
+        assert run("tradeoff", prof_path, "--out", tmp_path / "curve.csv") == 3
+        assert capsys.readouterr().err.endswith("line 3: not UTF-8 text\n")
 
     def test_empty_profile_exit_3(self, tmp_path, capsys):
         prof_path = tmp_path / "empty.csv"
@@ -244,6 +265,12 @@ class TestFitGdp:
         prof_path.write_text(text, encoding="utf-8")
         assert run("fit-gdp", "--profile", prof_path) == 3
         assert f"{prof_path}: line {lineno}:" in capsys.readouterr().err
+
+    def test_non_utf8_profile_exit_3(self, tmp_path, capsys):
+        prof_path = tmp_path / "latin1.csv"
+        prof_path.write_bytes(LATIN1_PROFILE)
+        assert run("fit-gdp", "--profile", prof_path) == 3
+        assert capsys.readouterr().err.endswith("line 3: not UTF-8 text\n")
 
     def test_empty_profile_exit_3(self, tmp_path, capsys):
         prof_path = tmp_path / "empty.csv"
@@ -396,7 +423,7 @@ REGISTERED = {
     "simulate": {"--mechanism", "--sigma", "--q", "--scale", "--sensitivity", "-n", "--seed",
                  "out_p", "out_q"},
     "audit": {"in_p", "in_q", "--fit-sigma"} | BINNING_FLAGS | REPORT_FLAGS,
-    "tradeoff": {"profile", "--delta-target", "--points", "--out"},
+    "tradeoff": {"profile", "--out"},
     "compose": {"in_p", "in_q", "--compositions", "--grid", "--csv"} | BINNING_FLAGS,
     "fit-gdp": {"--profile", "--in-p", "--in-q", "--eps-range"} | BINNING_FLAGS,
     "canary": {"--mode", "-d", "-n", "--sigma", "--x-norm", "--iterations", "--canary-prob",
@@ -418,7 +445,7 @@ class TestFlags:
         flags = registered_flags()
         assert flags == REGISTERED
         assert {command: len(names) for command, names in flags.items()} == {
-            "simulate": 9, "audit": 11, "tradeoff": 4, "compose": 9, "fit-gdp": 8, "canary": 21}
+            "simulate": 9, "audit": 11, "tradeoff": 2, "compose": 9, "fit-gdp": 8, "canary": 21}
 
     @pytest.mark.parametrize("argv", [
         ["audit", "p", "q"],
@@ -484,13 +511,17 @@ class TestFlags:
         (["simulate", "--mechanism", "laplace", "--sensitivity", "inf"], "l1_sensitivity"),
         (["audit", "--bin-width", "nan"], "width"),
         (["audit", "--bin-width", "inf"], "width"),
+        (["compose", "--compositions", 2, "--grid", "nan:1024"], "L"),
+        (["compose", "--compositions", 2, "--grid", "inf:1024"], "L"),
     ])
+    # a numpy RuntimeWarning on the way to the error fails the test
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_value_exit_2(self, tmp_path, capsys, argv, field):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        if argv[0] == "audit":
+        if argv[0] in ("audit", "compose"):
             for path in (a, b):
                 path.write_text("0.0\n1.0\n2.0\n", encoding="utf-8")
-            argv = ["audit", a, b, *argv[1:]]
+            argv = [argv[0], a, b, *argv[1:]]
         else:
             argv = [*argv, "-n", 5, a, b]
         assert run(*argv) == 2

@@ -56,6 +56,14 @@ class TestHsInterval:
             widths.append(hi - lo)
         assert widths[0] < widths[1] < widths[2]
 
+    def test_arrays_match_scalar_calls(self):
+        deltas = np.linspace(0.0, 1.0, 41)
+        eps = np.append(np.linspace(-5.0, 5.0, 40), 800.0)
+        lo, hi = hs_interval(deltas, eps, 0.03, 0.02)
+        pairs = [hs_interval(d, e, 0.03, 0.02) for d, e in zip(deltas, eps)]
+        assert lo.tolist() == [pair[0] for pair in pairs]
+        assert hi.tolist() == [pair[1] for pair in pairs]
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             hs_interval(1.2, 0.0, 0.01, 0.01)

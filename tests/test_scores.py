@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpaudit.errors import ScoreFileError
+from dpaudit.profiles import read_csv
 from dpaudit.scores import WRITE_BLOCK, read_scores, write_scores
 from oracles import read_scores_by_line
 
@@ -160,3 +161,39 @@ class TestScoreFileMemory:
         assert np.array_equal(read, values)
         assert write_peak < 16 * MB
         assert read_peak < 32 * MB
+
+
+def _undecodable(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return b"\n" not in raw and b"\r" not in raw
+    return False
+
+
+# byte runs no UTF-8 decoder takes; appended to an ASCII line, nothing completes them
+undecodable_runs = st.binary(min_size=1, max_size=4).filter(_undecodable)
+csv_rows = st.one_of(st.just(""), st.tuples(finite_floats, finite_floats).map(
+    lambda xy: f"{xy[0]!r},{xy[1]!r}"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_both_readers_name_the_non_utf8_line(tmp_path_factory, data):
+    score_text = st.one_of(finite_floats.map(repr), st.sampled_from(["", "# note"]))
+    formats = [
+        ("scores.txt", data.draw(st.lists(score_text, min_size=1, max_size=8)), read_scores),
+        ("profile.csv", ["epsilon,delta"] + data.draw(st.lists(csv_rows, max_size=8)),
+         lambda path: read_csv(path, "epsilon,delta")),
+    ]
+    directory = tmp_path_factory.mktemp("utf8")
+    for name, lines, read in formats:
+        k = data.draw(st.integers(1, len(lines)))
+        body = [line.encode("utf-8") for line in lines]
+        body[k - 1] += data.draw(undecodable_runs)
+        path = directory / name
+        path.write_bytes(b"\n".join(body) + b"\n")
+        with pytest.raises(ScoreFileError) as exc_info:
+            read(path)
+        assert exc_info.value.line_number == k
+        assert str(exc_info.value) == f"{path}: line {k}: not UTF-8 text"
