@@ -83,16 +83,19 @@ def _cosines(rng: np.random.Generator, d: int, size: int) -> np.ndarray:
     return 2.0 * b - 1.0
 
 
-def _factor_rows(d: int, start: int, stop: int, seed_seq) -> tuple[np.ndarray, np.ndarray]:
+def _factor_rows(d: int, start: int, stop: int, seed_seq,
+                 buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows [start, stop) of the Bartlett factor and their inverse norms.
 
     Row i holds the Gram-Schmidt coordinates of the i-th of a sequence of
     i.i.d. N(0, I_d) vectors: N(0, 1) in columns [0, min(i, d)) and, when
-    i < d, the diagonal sqrt(chi^2(d - i)). The block has min(stop, d) columns.
+    i < d, the diagonal sqrt(chi^2(d - i)). The block has min(stop, d) columns
+    and is a view of ``buffer``, so every block reuses the same memory.
     """
     rng = np.random.default_rng(seed_seq)
     cols = min(stop, d)
-    rows = rng.standard_normal((stop - start, cols))
+    rows = buffer[:(stop - start) * cols].reshape(stop - start, cols)
+    rng.standard_normal(out=rows)
     # only columns >= start can lie above the diagonal
     rows[:, start:][np.arange(stop - start)[:, None] < np.arange(cols - start)] = 0.0
     diag = np.arange(start, min(stop, d))
@@ -110,7 +113,9 @@ def one_shot_scores_gram(cfg: OneShotConfig) -> tuple[np.ndarray, np.ndarray]:
     released sum (x_norm for the data row, 1 for each held-in row), so the
     held-in scores are L u. The factor is drawn in row blocks from per-block
     SeedSequence children: pass one sums the weighted rows into u, pass two
-    draws the same blocks again and scores them. Memory is O(block * R).
+    draws the same blocks again and scores them. Memory is O(block * R), in
+    one buffer that every block reuses, so the peak RSS does not depend on
+    where the allocator would place a fresh block each time.
 
     A held-out canary is a uniform direction independent of the release
     theta, so its score is |theta| (2B - 1) (see :func:`_cosines`), i.i.d.
@@ -125,14 +130,15 @@ def one_shot_scores_gram(cfg: OneShotConfig) -> tuple[np.ndarray, np.ndarray]:
 
     width = min(t, cfg.d)
     release = cfg.sigma * rng.standard_normal(width)
+    buffer = np.empty(_ONE_SHOT_BLOCK * width)
     for start, stop, seq in blocks:
-        rows, inv_norm = _factor_rows(cfg.d, start, stop, seq)
+        rows, inv_norm = _factor_rows(cfg.d, start, stop, seq, buffer)
         if start == 0:
             inv_norm[:extra] *= cfg.x_norm
         release[:rows.shape[1]] += np.einsum("i,ij->j", inv_norm, rows)
     held_in = np.empty(t)
     for start, stop, seq in blocks:
-        rows, inv_norm = _factor_rows(cfg.d, start, stop, seq)
+        rows, inv_norm = _factor_rows(cfg.d, start, stop, seq, buffer)
         held_in[start:stop] = np.einsum("ij,j->i", rows, release[:rows.shape[1]]) * inv_norm
 
     norm2 = release @ release

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -25,7 +26,7 @@ from .estimators import (AuditConfig, binning_json, fit_mu_gdp, histogram_audit,
 from .histogram import build_histograms, estimate_profile
 from .mechanisms import GaussianMechanism, LaplaceMechanism, SubsampledGaussianMechanism
 from .profiles import PrivacyProfile
-from .scores import read_scores, write_scores
+from .scores import both, read_scores, write_scores
 from .tradeoff import profile_to_tradeoff
 
 EXIT_OK = 0
@@ -104,8 +105,7 @@ def _audit_config(args) -> AuditConfig:
 
 
 def _load_equal_pair(path_p, path_q):
-    scores_p = read_scores(path_p)
-    scores_q = read_scores(path_q)
+    scores_p, scores_q = both(read_scores, (path_p,), (path_q,))
     if scores_p.size != scores_q.size:
         raise ScoreFileError(
             f"unequal sample counts: {path_p} has {scores_p.size}, "
@@ -128,6 +128,17 @@ def _load_histogram(args, config: AuditConfig):
     with _spread_checked(args):
         spec = spec_from_config(scores_p, scores_q, config)
     return build_histograms(scores_p, scores_q, spec)
+
+
+def _write_pair(path_p, scores_p, path_q, scores_q) -> None:
+    """Write each side whose path is given; two files are written at once."""
+    if path_p and path_q:
+        # two processes writing one file would interleave their lines
+        if os.path.realpath(path_p) == os.path.realpath(path_q):
+            raise UsageError(f"{path_p} and {path_q} name the same file")
+        both(write_scores, (path_p, scores_p), (path_q, scores_q))
+    elif path_p or path_q:
+        write_scores(*((path_p, scores_p) if path_p else (path_q, scores_q)))
 
 
 def _write_json(path, text: str) -> None:
@@ -162,8 +173,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("n must be >= 1")
     mech = _mechanism_from_args(args)
     scores_p, scores_q = mech.sample_pair(args.n, args.seed)
-    write_scores(args.out_p, scores_p)
-    write_scores(args.out_q, scores_q)
+    _write_pair(args.out_p, scores_p, args.out_q, scores_q)
     return EXIT_OK
 
 
@@ -251,9 +261,8 @@ def cmd_canary(args) -> int:
         scores = (out_primed, out)
         if args.audit:
             report = histogram_audit(out_primed, out, _audit_config(args))
-    for path, values in zip((args.out_p, args.out_q), scores or ()):
-        if path:
-            write_scores(path, values)
+    if scores:
+        _write_pair(args.out_p, scores[0], args.out_q, scores[1])
     if report is not None:
         _print_report_lines(report)
         _write_report(report, args)

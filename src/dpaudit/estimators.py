@@ -22,7 +22,7 @@ from .discrete import tv_distance
 from .errors import FitError
 from .histogram import (BinningSpec, HistogramEstimate, auto_spec,
                         build_histograms, estimate_profile)
-from .mechanisms import _std_normal_pdf, gaussian_delta
+from .mechanisms import _require_positive_finite, _std_normal_pdf, gaussian_delta
 from .profiles import PrivacyProfile, csv_text
 from .tradeoff import CURVE_DELTA_TARGET, CURVE_POINTS, TradeoffCurve, profile_to_tradeoff
 
@@ -49,6 +49,8 @@ class AuditConfig:
         if not 0 < self.confidence < 1:
             raise ValueError("confidence must lie in (0, 1)")
         lo, hi, m = self.eps_grid
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"eps_grid ends must be finite, got lo={lo!r}, hi={hi!r}")
         if not (lo < hi and int(m) >= 2):
             raise ValueError("eps_grid must be (lo < hi, m >= 2)")
         for d in self.delta_targets:
@@ -329,8 +331,7 @@ def f_alpha_sensitivity(sigma: float, alpha):
 
     (-ln a - 1/(2 s^2)) phi(-s ln a + 1/(2s)) - a (-ln a + 1/(2 s^2)) phi(-s ln a - 1/(2s)).
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _require_positive_finite(sigma=sigma)
     alpha = np.asarray(alpha, dtype=float)
     if np.any(alpha <= 0):
         raise ValueError("alpha must be positive")

@@ -13,11 +13,17 @@ an empty file) goes through the Python line loop, which accepts exactly what
 parsers round with the same correctly rounded ``strtod``, so a file either
 path accepts gives the same array. Writing formats blocks of values at a
 time, so memory stays O(block) at any file size.
+
+A run's two score files (one per side) are read or written at once by
+:func:`both`: a forked child takes the second file while this process takes
+the first, because text parsing and formatting hold one core each.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import warnings
 
 import numpy as np
@@ -86,3 +92,56 @@ def write_scores(path, values) -> None:
         for start in range(0, arr.size, WRITE_BLOCK):
             fh.write("\n".join(map(repr, arr[start:start + WRITE_BLOCK].tolist())))
             fh.write("\n")
+
+
+def both(fn, first, second) -> tuple:
+    """Return ``(fn(*first), fn(*second))``, making the second call in a forked child.
+
+    The child sends its result or its exception back pickled over a pipe and
+    always ends in ``os._exit``, so it never returns into the caller and never
+    flushes the caller's stdio buffers; this process reaps it before returning
+    or raising. Errors come as in the sequential order: the first call's error
+    wins, and otherwise the child's is raised here with its type and message.
+    A child that ends without a result raises ``OSError`` naming ``second[0]``,
+    the file of its call. Without ``os.fork`` the calls run in turn.
+    """
+    if not hasattr(os, "fork"):
+        return fn(*first), fn(*second)
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                outcome = (True, fn(*second))
+            except BaseException as exc:
+                outcome = (False, exc)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    outcome = None
+    try:
+        with open(read_end, "rb") as pipe:
+            result = fn(*first)
+            try:
+                outcome = pickle.load(pipe)
+            except Exception:  # the child died, or sent what cannot be rebuilt here
+                pass
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if outcome is None:
+        raise OSError(f"{second[0]}: the process handling this file ended without a result "
+                      f"(exit status {os.waitstatus_to_exitcode(status)})")
+    ok, value = outcome
+    if not ok:
+        raise value
+    return result, value

@@ -116,8 +116,8 @@ def _blocked_and_dense(cfg, monkeypatch):
     calls = []
     draw = canary._factor_rows
 
-    def record(d, start, stop, seed_seq):
-        rows, inv_norm = draw(d, start, stop, seed_seq)
+    def record(d, start, stop, seed_seq, buffer):
+        rows, inv_norm = draw(d, start, stop, seed_seq, buffer)
         calls.append((start, stop, rows * inv_norm[:, None]))
         return rows, inv_norm
 

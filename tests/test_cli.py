@@ -58,6 +58,13 @@ class TestSimulate:
         assert a1.read_bytes() == a2.read_bytes()
         assert b1.read_bytes() == b2.read_bytes()
 
+    def test_one_file_for_both_sides_exit_2(self, tmp_path, capsys):
+        # the two sides are written at once, so one file would get both interleaved
+        a, same = tmp_path / "a.txt", f"{tmp_path}/./a.txt"
+        assert run("simulate", "--mechanism", "gaussian", "-n", 5, a, same) == 2
+        assert capsys.readouterr().err == f"error: {a} and {same} name the same file\n"
+        assert not a.exists()
+
     def test_zero_samples_usage_error(self, tmp_path):
         assert run("simulate", "--mechanism", "gaussian", "-n", 0, "--seed", 1,
                    tmp_path / "p.txt", tmp_path / "q.txt") == 2
@@ -93,11 +100,12 @@ class TestAudit:
         assert doc["eps"][0]["delta"] == 0.05
         assert curve_path.read_text().startswith("alpha,beta\n")
 
-    def test_unequal_counts_exit_3(self, tmp_path):
+    def test_unequal_counts_exit_3(self, tmp_path, capsys):
         p, q = tmp_path / "p.txt", tmp_path / "q.txt"
         p.write_text("1.0\n2.0\n", encoding="utf-8")
         q.write_text("1.0\n", encoding="utf-8")
         assert run("audit", p, q) == 3
+        assert capsys.readouterr().err == f"error: unequal sample counts: {p} has 2, {q} has 1\n"
 
     def test_malformed_line_exit_3(self, tmp_path, capsys):
         p, q = tmp_path / "p.txt", tmp_path / "q.txt"
@@ -502,21 +510,27 @@ class TestFlags:
         assert capsys.readouterr().err.endswith("would not be read without --audit\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv,field", [
-        (["simulate", "--mechanism", "gaussian", "--sigma", "nan"], "sigma"),
-        (["simulate", "--mechanism", "gaussian", "--sensitivity", "inf"], "sensitivity"),
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--mechanism", "gaussian", "--sigma", "nan"],
+         "sigma must be positive and finite"),
+        (["simulate", "--mechanism", "gaussian", "--sensitivity", "inf"],
+         "sensitivity must be positive and finite"),
         (["simulate", "--mechanism", "subsampled-gaussian", "--q", 0.5, "--sigma=-inf"],
-         "sigma"),
-        (["simulate", "--mechanism", "laplace", "--scale", "nan"], "scale"),
-        (["simulate", "--mechanism", "laplace", "--sensitivity", "inf"], "l1_sensitivity"),
-        (["audit", "--bin-width", "nan"], "width"),
-        (["audit", "--bin-width", "inf"], "width"),
-        (["compose", "--compositions", 2, "--grid", "nan:1024"], "L"),
-        (["compose", "--compositions", 2, "--grid", "inf:1024"], "L"),
+         "sigma must be positive and finite"),
+        (["simulate", "--mechanism", "laplace", "--scale", "nan"],
+         "scale must be positive and finite"),
+        (["simulate", "--mechanism", "laplace", "--sensitivity", "inf"],
+         "l1_sensitivity must be positive and finite"),
+        (["audit", "--bin-width", "nan"], "width must be positive and finite"),
+        (["audit", "--bin-width", "inf"], "width must be positive and finite"),
+        (["audit", "--eps-grid", "0:inf:3"], "eps_grid ends must be finite, got lo=0.0, hi=inf"),
+        (["audit", "--eps-grid", "nan:1:3"], "eps_grid ends must be finite, got lo=nan, hi=1.0"),
+        (["compose", "--compositions", 2, "--grid", "nan:1024"], "L must be positive and finite"),
+        (["compose", "--compositions", 2, "--grid", "inf:1024"], "L must be positive and finite"),
     ])
     # a numpy RuntimeWarning on the way to the error fails the test
     @pytest.mark.filterwarnings("error")
-    def test_non_finite_value_exit_2(self, tmp_path, capsys, argv, field):
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, argv, message):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         if argv[0] in ("audit", "compose"):
             for path in (a, b):
@@ -525,7 +539,7 @@ class TestFlags:
         else:
             argv = [*argv, "-n", 5, a, b]
         assert run(*argv) == 2
-        assert capsys.readouterr().err.startswith(f"error: {field} must be positive and finite")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestDegenerateSamples:

@@ -163,6 +163,11 @@ class TestFAlphaSensitivity:
                 fd = (gaussian_delta(eps, sigma + h) - gaussian_delta(eps, sigma - h)) / (2 * h)
                 assert f_alpha_sensitivity(sigma, alpha) == pytest.approx(fd, abs=1e-6)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0])
+    def test_rejects_sigma_that_is_not_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            f_alpha_sensitivity(sigma, 1.0)
+
     def test_strictly_negative_for_alpha_geq_one(self):
         rng = np.random.default_rng(2)
         for _ in range(100):

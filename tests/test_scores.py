@@ -1,3 +1,5 @@
+import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -5,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpaudit import cli
+from dpaudit.cli import main
 from dpaudit.errors import ScoreFileError
 from dpaudit.profiles import read_csv
-from dpaudit.scores import WRITE_BLOCK, read_scores, write_scores
+from dpaudit.scores import WRITE_BLOCK, both, read_scores, write_scores
 from oracles import read_scores_by_line
 
 MB = 2 ** 20
@@ -197,3 +201,101 @@ def test_both_readers_name_the_non_utf8_line(tmp_path_factory, data):
             read(path)
         assert exc_info.value.line_number == k
         assert str(exc_info.value) == f"{path}: line {k}: not UTF-8 text"
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestBoth:
+    """``both`` makes the second of two calls in a forked child."""
+
+    def test_score_file_error_pickles_with_its_line(self):
+        exc = pickle.loads(pickle.dumps(ScoreFileError("s.txt: line 4: not a number: 'x'", 4)))
+        assert (type(exc), str(exc), exc.line_number) == (
+            ScoreFileError, "s.txt: line 4: not a number: 'x'", 4)
+
+    def test_reads_equal_the_serial_pair(self, tmp_path):
+        rng = np.random.default_rng(5)
+        paths = [tmp_path / "p.txt", tmp_path / "q.txt"]
+        for path, n in zip(paths, (1000, 70001)):
+            write_scores(path, rng.normal(0, 1, n))
+        pair = both(read_scores, (paths[0],), (paths[1],))
+        for got, path in zip(pair, paths):
+            assert got.tobytes() == read_scores(path).tobytes()
+        assert no_child_left()
+
+    def test_writes_equal_the_serial_pair(self, tmp_path):
+        rng = np.random.default_rng(6)
+        values = [rng.normal(0, 1, 3 * WRITE_BLOCK + 1), rng.normal(0, 1, 17)]
+        assert both(write_scores, (tmp_path / "a.txt", values[0]),
+                    (tmp_path / "b.txt", values[1])) == (None, None)
+        for name, side in zip(("a", "b"), values):
+            write_scores(tmp_path / f"{name}_serial.txt", side)
+            assert ((tmp_path / f"{name}.txt").read_bytes()
+                    == (tmp_path / f"{name}_serial.txt").read_bytes())
+        assert no_child_left()
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_child_error_keeps_its_type_message_and_line(self, tmp_path, k):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("1.0\n2.0\n", encoding="utf-8")
+        lines = ["0.5"] * 8
+        lines[k - 1] = "oops"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ScoreFileError) as exc_info:
+            both(read_scores, (good,), (bad,))
+        assert exc_info.value.line_number == k
+        assert str(exc_info.value) == f"{bad}: line {k}: not a number: 'oops'"
+        assert no_child_left()
+
+    def test_first_error_wins_when_both_fail(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("abc\n", encoding="utf-8")
+        with pytest.raises(FileNotFoundError, match="missing.txt"):
+            both(read_scores, (tmp_path / "missing.txt",), (bad,))
+        assert no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="os._exit would end the test run")
+    def test_child_without_a_result_exits_3_naming_its_file(self, tmp_path, capsys,
+                                                            monkeypatch):
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        for path in (p, q):
+            path.write_text("0.0\n1.0\n2.0\n", encoding="utf-8")
+
+        def read_or_die(path):
+            if path == str(q):
+                os._exit(7)  # only ever reached in the child, which reads q
+            return read_scores(path)
+
+        monkeypatch.setattr(cli, "read_scores", read_or_die)
+        assert main(["audit", str(p), str(q)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {q}: the process handling this file ended without a result "
+            f"(exit status 7)\n")
+        assert no_child_left()
+
+    @pytest.mark.parametrize("argv,code", [
+        (["audit", "{p}", "{q}"], 0),
+        (["audit", "{p}", "{bad}"], 3),
+        (["audit", "{missing}", "{bad}"], 3),
+        (["simulate", "--mechanism", "gaussian", "-n", "50", "{out}/a.txt", "{out}/b.txt"], 0),
+        (["simulate", "--mechanism", "gaussian", "-n", "50", "{out}/a.txt", "{missing}/b.txt"],
+         3),
+        (["canary", "--mode", "white-box", "-d", "8", "--iterations", "50",
+          "--out-p", "{out}/a.txt", "--out-q", "{out}/b.txt"], 0),
+        (["canary", "--mode", "one-shot", "-d", "8", "-n", "20", "--audit",
+          "--out-p", "{out}/a.txt", "--out-q", "{out}/b.txt"], 0),
+    ])
+    def test_no_child_left_after_main(self, tmp_path, capsys, argv, code):
+        names = {"p": tmp_path / "p.txt", "q": tmp_path / "q.txt", "bad": tmp_path / "bad.txt",
+                 "missing": tmp_path / "missing", "out": tmp_path}
+        for path in (names["p"], names["q"]):
+            path.write_text("0.0\n1.0\n2.0\n", encoding="utf-8")
+        names["bad"].write_text("0.0\nx\n", encoding="utf-8")
+        assert main([arg.format(**names) for arg in argv]) == code
+        assert no_child_left()
