@@ -510,27 +510,21 @@ class TestFlags:
         assert capsys.readouterr().err.endswith("would not be read without --audit\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv,message", [
-        (["simulate", "--mechanism", "gaussian", "--sigma", "nan"],
-         "sigma must be positive and finite"),
-        (["simulate", "--mechanism", "gaussian", "--sensitivity", "inf"],
-         "sensitivity must be positive and finite"),
+    @pytest.mark.parametrize("argv,field", [
+        (["simulate", "--mechanism", "gaussian", "--sigma", "nan"], "sigma"),
+        (["simulate", "--mechanism", "gaussian", "--sensitivity", "inf"], "sensitivity"),
         (["simulate", "--mechanism", "subsampled-gaussian", "--q", 0.5, "--sigma=-inf"],
-         "sigma must be positive and finite"),
-        (["simulate", "--mechanism", "laplace", "--scale", "nan"],
-         "scale must be positive and finite"),
-        (["simulate", "--mechanism", "laplace", "--sensitivity", "inf"],
-         "l1_sensitivity must be positive and finite"),
-        (["audit", "--bin-width", "nan"], "width must be positive and finite"),
-        (["audit", "--bin-width", "inf"], "width must be positive and finite"),
-        (["audit", "--eps-grid", "0:inf:3"], "eps_grid ends must be finite, got lo=0.0, hi=inf"),
-        (["audit", "--eps-grid", "nan:1:3"], "eps_grid ends must be finite, got lo=nan, hi=1.0"),
-        (["compose", "--compositions", 2, "--grid", "nan:1024"], "L must be positive and finite"),
-        (["compose", "--compositions", 2, "--grid", "inf:1024"], "L must be positive and finite"),
+         "sigma"),
+        (["simulate", "--mechanism", "laplace", "--scale", "nan"], "scale"),
+        (["simulate", "--mechanism", "laplace", "--sensitivity", "inf"], "l1_sensitivity"),
+        (["audit", "--bin-width", "nan"], "width"),
+        (["audit", "--bin-width", "inf"], "width"),
+        (["compose", "--compositions", 2, "--grid", "nan:1024"], "L"),
+        (["compose", "--compositions", 2, "--grid", "inf:1024"], "L"),
     ])
     # a numpy RuntimeWarning on the way to the error fails the test
     @pytest.mark.filterwarnings("error")
-    def test_non_finite_value_exit_2(self, tmp_path, capsys, argv, message):
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, argv, field):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         if argv[0] in ("audit", "compose"):
             for path in (a, b):
@@ -539,7 +533,19 @@ class TestFlags:
         else:
             argv = [*argv, "-n", 5, a, b]
         assert run(*argv) == 2
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert capsys.readouterr().err.startswith(f"error: {field} must be positive and finite")
+
+    @pytest.mark.parametrize("grid,ends", [
+        ("0:inf:3", "lo=0.0, hi=inf"),
+        ("nan:1:3", "lo=nan, hi=1.0"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_eps_grid_exit_2(self, tmp_path, capsys, grid, ends):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        for path in (a, b):
+            path.write_text("0.0\n1.0\n2.0\n", encoding="utf-8")
+        assert run("audit", a, b, "--eps-grid", grid) == 2
+        assert capsys.readouterr().err.startswith(f"error: eps_grid ends must be finite, got {ends}")
 
 
 class TestDegenerateSamples:
