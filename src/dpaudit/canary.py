@@ -25,17 +25,18 @@ import numpy as np
 
 from .estimators import AuditConfig, AuditReport, histogram_audit
 from .mechanisms import _require_positive_finite
+from .scores import both
 
 _ONE_SHOT_BLOCK = 128  # Bartlett factor rows per block; memory stays O(block * min(n, d))
 _WHITEBOX_BLOCK = 2 ** 16  # white-box steps per block; temporaries stay O(block)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class OneShotConfig:
     """One release, n train and n test canaries on the d-sphere."""
 
     d: int
-    n: int
+    n: int = 1
     sigma: float
     x_norm: float = 0.0
     seed: int = 0
@@ -49,14 +50,14 @@ class OneShotConfig:
             raise ValueError(f"x_norm must be finite and >= 0, got {self.x_norm!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class WhiteBoxConfig:
     """Iterative noisy-sum release with per-step canaries."""
 
-    iterations: int
-    canary_prob: float
+    iterations: int = 1000
+    canary_prob: float = 1.0
     sigma: float
-    clip: float
+    clip: float = 1.0
     d: int
     seed: int = 0
     nuisance_norm: float = 0.0
@@ -103,6 +104,60 @@ def _factor_rows(d: int, start: int, stop: int, seed_seq,
     return rows, 1.0 / np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
+def _split(blocks: list, d: int) -> tuple[list, list]:
+    """Blocks [0, m) and [m, B), cut where the entries drawn on each side are
+    closest to half the total; a single block leaves the second side empty."""
+    drawn = np.cumsum([(stop - start) * min(stop, d) for start, stop, _ in blocks])
+    m = 1 + int(np.argmin(np.maximum(drawn, drawn[-1] - drawn)))
+    return blocks[:m], blocks[m:]
+
+
+def _on_both_halves(fn, first: tuple, second: tuple) -> tuple:
+    """``(fn(*first), fn(*second))``, the second call in a forked child (see
+    :func:`scores.both`) unless its blocks, ``second[0]``, are none."""
+    if not second[0]:
+        return fn(*first), fn(*second)
+    return both(fn, first, second, child="one-shot sampler: the forked process")
+
+
+def _block_buffer(blocks: list, d: int) -> np.ndarray:
+    """One buffer for the largest of ``blocks``' factor blocks. Only the
+    process that draws these blocks touches its pages, so a buffer made
+    before a fork adds nothing to the other process's resident memory."""
+    return np.empty(max(((stop - start) * min(stop, d) for start, stop, _ in blocks),
+                        default=0))
+
+
+def _release_sums(blocks: list, buffer: np.ndarray, d: int, x_norm: float,
+                  release=None) -> list:
+    """Pass one over ``blocks``: each block's weighted row sum (x_norm for the
+    data row, 1 for a held-in row), added into ``release`` in block order, or
+    returned one vector per block when no ``release`` is given."""
+    sums = []
+    for start, stop, seq in blocks:
+        rows, inv_norm = _factor_rows(d, start, stop, seq, buffer)
+        if start == 0 and x_norm > 0:
+            inv_norm[0] *= x_norm
+        block_sum = np.einsum("i,ij->j", inv_norm, rows)
+        if release is None:
+            sums.append(block_sum)
+        else:
+            release[:block_sum.size] += block_sum
+    return sums
+
+
+def _held_in_scores(blocks: list, buffer: np.ndarray, d: int,
+                    release: np.ndarray) -> np.ndarray:
+    """Pass two over ``blocks``: the held-in scores of their rows, in row order."""
+    scores = np.empty(sum(stop - start for start, stop, _ in blocks))
+    first = blocks[0][0] if blocks else 0
+    for start, stop, seq in blocks:
+        rows, inv_norm = _factor_rows(d, start, stop, seq, buffer)
+        scores[start - first:stop - first] = np.einsum(
+            "ij,j->i", rows, release[:rows.shape[1]]) * inv_norm
+    return scores
+
+
 def one_shot_scores_gram(cfg: OneShotConfig) -> tuple[np.ndarray, np.ndarray]:
     """Held-in and held-out one-shot scores, drawn from their exact law.
 
@@ -114,8 +169,17 @@ def one_shot_scores_gram(cfg: OneShotConfig) -> tuple[np.ndarray, np.ndarray]:
     held-in scores are L u. The factor is drawn in row blocks from per-block
     SeedSequence children: pass one sums the weighted rows into u, pass two
     draws the same blocks again and scores them. Memory is O(block * R), in
-    one buffer that every block reuses, so the peak RSS does not depend on
-    where the allocator would place a fresh block each time.
+    one buffer per process that every block of both passes reuses, so the
+    peak RSS does not depend on where the allocator would place a fresh block
+    each time.
+
+    Each pass runs on two cores: this process takes the first blocks and a
+    forked child the rest, cut where the drawn entries are closest to half
+    the total (:func:`_split`). The child's pass-one sums are added after this
+    process's own, so u is summed in block order and every array is the same
+    bit for bit as when the blocks run in turn. The child draws and sums with
+    random fills and ``einsum`` only, never BLAS, whose thread pool not every
+    BLAS build restarts after a fork.
 
     A held-out canary is a uniform direction independent of the release
     theta, so its score is |theta| (2B - 1) (see :func:`_cosines`), i.i.d.
@@ -125,21 +189,18 @@ def one_shot_scores_gram(cfg: OneShotConfig) -> tuple[np.ndarray, np.ndarray]:
     t = extra + cfg.n
     starts = list(range(0, t, _ONE_SHOT_BLOCK))
     noise_seq, *seqs = np.random.SeedSequence(cfg.seed).spawn(len(starts) + 1)
-    blocks = list(zip(starts, [*starts[1:], t], seqs))
+    mine, theirs = ((blocks, _block_buffer(blocks, cfg.d))
+                    for blocks in _split(list(zip(starts, [*starts[1:], t], seqs)), cfg.d))
     rng = np.random.default_rng(noise_seq)
 
     width = min(t, cfg.d)
     release = cfg.sigma * rng.standard_normal(width)
-    buffer = np.empty(_ONE_SHOT_BLOCK * width)
-    for start, stop, seq in blocks:
-        rows, inv_norm = _factor_rows(cfg.d, start, stop, seq, buffer)
-        if start == 0:
-            inv_norm[:extra] *= cfg.x_norm
-        release[:rows.shape[1]] += np.einsum("i,ij->j", inv_norm, rows)
-    held_in = np.empty(t)
-    for start, stop, seq in blocks:
-        rows, inv_norm = _factor_rows(cfg.d, start, stop, seq, buffer)
-        held_in[start:stop] = np.einsum("ij,j->i", rows, release[:rows.shape[1]]) * inv_norm
+    _, sums = _on_both_halves(_release_sums, (*mine, cfg.d, cfg.x_norm, release),
+                              (*theirs, cfg.d, cfg.x_norm))
+    for block_sum in sums:
+        release[:block_sum.size] += block_sum
+    held_in = np.concatenate(_on_both_halves(_held_in_scores, (*mine, cfg.d, release),
+                                             (*theirs, cfg.d, release)))
 
     norm2 = release @ release
     if cfg.d > width:

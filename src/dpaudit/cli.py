@@ -39,6 +39,9 @@ EXIT_FIT = 5
 # argparse dests of the flags that set the binning, and of every audit flag
 _BINNING_DESTS = ("bins", "bin_width", "eps_grid")
 _AUDIT_DESTS = _BINNING_DESTS + ("json", "delta", "confidence", "curve", "curve_bound")
+# argparse dests of each canary mode's own flags; their defaults live in the configs
+_CANARY_DESTS = {"one-shot": ("n", "x_norm"),
+                 "white-box": ("iterations", "canary_prob", "clip", "nuisance_norm")}
 
 
 class UsageError(Exception):
@@ -87,7 +90,9 @@ def _sigma_forward_map(spec_text: str):
 
 def _refuse_unread(args, dests, reason: str) -> None:
     """Refuse the flags among ``dests`` that were given but would not be read."""
-    given = ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) is not None]
+    # a one-letter dest is a short flag (-n)
+    given = [("-" if len(dest) == 1 else "--") + dest.replace("_", "-")
+             for dest in dests if getattr(args, dest) is not None]
     if given:
         raise UsageError(f"{', '.join(given)} would not be read {reason}")
 
@@ -245,18 +250,22 @@ def cmd_fit_gdp(args) -> int:
 def cmd_canary(args) -> int:
     if not args.audit:
         _refuse_unread(args, _AUDIT_DESTS, "without --audit")
+    for mode, dests in _CANARY_DESTS.items():
+        if mode != args.mode:
+            _refuse_unread(args, dests, f"in {args.mode} mode")
+    # a mode flag left unset keeps its config default
+    fields = {dest: getattr(args, dest) for dest in _CANARY_DESTS[args.mode]
+              if getattr(args, dest) is not None}
+    fields.update(d=args.d, sigma=args.sigma, seed=args.seed)
     report = scores = None
     if args.mode == "one-shot":
-        cfg = OneShotConfig(d=args.d, n=args.n, sigma=args.sigma,
-                            x_norm=args.x_norm, seed=args.seed)
+        cfg = OneShotConfig(**fields)
         if args.audit:
             report = one_shot_audit(cfg, _audit_config(args))
         if args.out_p or args.out_q:
             scores = one_shot_scores_gram(cfg)  # the draw the audit used
     else:
-        cfg = WhiteBoxConfig(iterations=args.iterations, canary_prob=args.canary_prob,
-                             sigma=args.sigma, clip=args.clip, d=args.d, seed=args.seed,
-                             nuisance_norm=args.nuisance_norm)
+        cfg = WhiteBoxConfig(**fields)
         out, out_primed = whitebox_stream(cfg)
         scores = (out_primed, out)
         if args.audit:
@@ -341,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("canary", help="synthetic canary simulators")
     p.add_argument("--mode", required=True, choices=["one-shot", "white-box"])
     p.add_argument("-d", type=int, required=True, help="dimension")
-    p.add_argument("-n", type=int, default=1, help="canaries per side (one-shot)")
+    p.add_argument("-n", type=int, help="canaries per side (one-shot)")
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--x-norm", type=float, default=0.0)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--canary-prob", type=float, default=1.0)
-    p.add_argument("--clip", type=float, default=1.0)
-    p.add_argument("--nuisance-norm", type=float, default=0.0)
+    p.add_argument("--x-norm", type=float, help="data vector norm (one-shot)")
+    p.add_argument("--iterations", type=int, help="steps (white-box)")
+    p.add_argument("--canary-prob", type=float, help="canary inclusion probability (white-box)")
+    p.add_argument("--clip", type=float, help="clip norm (white-box)")
+    p.add_argument("--nuisance-norm", type=float, help="nuisance vector norm (white-box)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-p", default=None, help="score file for the held-in side")
     p.add_argument("--out-q", default=None, help="score file for the held-out side")

@@ -16,7 +16,9 @@ time, so memory stays O(block) at any file size.
 
 A run's two score files (one per side) are read or written at once by
 :func:`both`: a forked child takes the second file while this process takes
-the first, because text parsing and formatting hold one core each.
+the first, because text parsing and formatting hold one core each. The
+one-shot canary sampler splits its row blocks between two processes the
+same way.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def write_scores(path, values) -> None:
             fh.write("\n")
 
 
-def both(fn, first, second) -> tuple:
+def both(fn, first, second, child=None) -> tuple:
     """Return ``(fn(*first), fn(*second))``, making the second call in a forked child.
 
     The child sends its result or its exception back pickled over a pipe and
@@ -102,8 +104,11 @@ def both(fn, first, second) -> tuple:
     flushes the caller's stdio buffers; this process reaps it before returning
     or raising. Errors come as in the sequential order: the first call's error
     wins, and otherwise the child's is raised here with its type and message.
-    A child that ends without a result raises ``OSError`` naming ``second[0]``,
-    the file of its call. Without ``os.fork`` the calls run in turn.
+    A child that ends without a result raises ``OSError`` that starts with
+    ``child``, by default ``"<second[0]>: the process handling this file"``
+    for a call on the file ``second[0]``. Without ``os.fork`` the calls run
+    in turn. ``fn`` should not call BLAS: only the forking thread lives on
+    in the child, and not every BLAS build restarts its thread pool there.
     """
     if not hasattr(os, "fork"):
         return fn(*first), fn(*second)
@@ -139,7 +144,9 @@ def both(fn, first, second) -> tuple:
     finally:
         _, status = os.waitpid(pid, 0)
     if outcome is None:
-        raise OSError(f"{second[0]}: the process handling this file ended without a result "
+        if child is None:
+            child = f"{second[0]}: the process handling this file"
+        raise OSError(f"{child} ended without a result "
                       f"(exit status {os.waitstatus_to_exitcode(status)})")
     ok, value = outcome
     if not ok:

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import stats
 from dpaudit import canary
 from dpaudit.canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit,
                             one_shot_scores_gram, whitebox_stream)
+from dpaudit.cli import main
 from dpaudit.estimators import AuditConfig, histogram_audit
 
 from oracles import one_shot_direct, sample_sphere, whitebox_stream_direct
@@ -111,7 +113,10 @@ def _blocked_and_dense(cfg, monkeypatch):
     Records every block the two passes draw, checks that pass two redraws
     pass one's blocks bit for bit, assembles the whole t x R factor from them
     and scores it in one product, with the noise from the same seed stream.
+    The blocks run in turn in this process, where they can be recorded; the
+    forked path gives the same arrays (TestTwoProcesses).
     """
+    monkeypatch.delattr(os, "fork", raising=False)
     monkeypatch.setattr(canary, "_ONE_SHOT_BLOCK", 16)
     calls = []
     draw = canary._factor_rows
@@ -221,8 +226,11 @@ class TestGramSampler:
     def test_matches_direct_law(self, monkeypatch, n, d, x_norm, sigma):
         # per-seed means and sds of both sides against the O(n d) simulation;
         # at sigma = 0.05 the canaries' geometry sets the scores; blocks of
-        # 7 rows put block edges inside the held-in rows
+        # 7 rows put block edges inside the held-in rows. The blocks run in
+        # turn: 3000 forks of this process would cost more than the draws,
+        # and the forked path gives the same arrays (TestTwoProcesses)
         monkeypatch.setattr(canary, "_ONE_SHOT_BLOCK", 7)
+        monkeypatch.delattr(os, "fork", raising=False)
         stats_gram, stats_direct = [], []
         for seed in range(1500):
             cfg = OneShotConfig(d=d, n=n, sigma=sigma, x_norm=x_norm, seed=seed)
@@ -256,6 +264,119 @@ class TestGramSampler:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _blocks(t):
+    starts = list(range(0, t, canary._ONE_SHOT_BLOCK))
+    return list(zip(starts, [*starts[1:], t], [None] * len(starts)))
+
+
+def _one_loop(cfg):
+    """The sampler as one process drawing every block in one loop per pass."""
+    extra = 1 if cfg.x_norm > 0 else 0
+    t = extra + cfg.n
+    starts = list(range(0, t, canary._ONE_SHOT_BLOCK))
+    noise_seq, *seqs = np.random.SeedSequence(cfg.seed).spawn(len(starts) + 1)
+    blocks = list(zip(starts, [*starts[1:], t], seqs))
+    rng = np.random.default_rng(noise_seq)
+    width = min(t, cfg.d)
+    release = cfg.sigma * rng.standard_normal(width)
+    buffer = np.empty(canary._ONE_SHOT_BLOCK * width)
+    for start, stop, seq in blocks:
+        rows, inv_norm = canary._factor_rows(cfg.d, start, stop, seq, buffer)
+        if start == 0:
+            inv_norm[:extra] *= cfg.x_norm
+        release[:rows.shape[1]] += np.einsum("i,ij->j", inv_norm, rows)
+    held_in = np.empty(t)
+    for start, stop, seq in blocks:
+        rows, inv_norm = canary._factor_rows(cfg.d, start, stop, seq, buffer)
+        held_in[start:stop] = np.einsum("ij,j->i", rows, release[:rows.shape[1]]) * inv_norm
+    norm2 = release @ release
+    if cfg.d > width:
+        norm2 += cfg.sigma ** 2 * rng.chisquare(cfg.d - width)
+    return held_in[extra:], np.sqrt(norm2) * canary._cosines(rng, cfg.d, cfg.n)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the blocks run in turn without os.fork")
+class TestTwoProcesses:
+    """The sampler's passes split the row blocks between this process and a forked child."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(canary, "_ONE_SHOT_BLOCK", 16)
+
+    @pytest.mark.parametrize("d,t,first", [
+        (64, 16, 1),     # one block: no second side
+        (64, 17, 1),     # two blocks, the second of one row
+        (4096, 200, 9),  # the later blocks draw wider rows, so the cut lies past the middle
+        (24, 100, 3),    # d < t: blocks of full rows draw equally
+    ])
+    def test_cut_halves_the_drawn_entries(self, d, t, first):
+        mine, theirs = canary._split(_blocks(t), d)
+        assert (len(mine), len(mine) + len(theirs)) == (first, len(_blocks(t)))
+
+    @pytest.mark.parametrize("cfg", [
+        OneShotConfig(d=64, n=100, sigma=1.0, x_norm=2.0, seed=1),  # a data row
+        OneShotConfig(d=24, n=99, sigma=1.0, seed=2),                # d < n
+        OneShotConfig(d=64, n=1, sigma=1.0, seed=3),                 # n = 1: one block
+        OneShotConfig(d=4096, n=200, sigma=0.5, seed=4),             # the cut falls mid-way
+    ], ids=["x_norm", "d<n", "n=1", "mid-way"])
+    def test_forked_equals_in_turn(self, cfg, monkeypatch):
+        # bit for bit, and equal to one loop over the blocks: the split keeps
+        # the order in which the release sums the blocks
+        forked = one_shot_scores_gram(cfg)
+        assert no_child_left()
+        monkeypatch.delattr(os, "fork")
+        in_turn = one_shot_scores_gram(cfg)
+        for a, b, c in zip(forked, in_turn, _one_loop(cfg)):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+
+    def test_child_error_keeps_its_type_and_message(self, monkeypatch):
+        draw = canary._factor_rows
+
+        def failing(d, start, stop, seed_seq, buffer):
+            if start >= 160:  # blocks [0, 9) start below 144 and stay in this process
+                raise FloatingPointError(f"no block at {start}")
+            return draw(d, start, stop, seed_seq, buffer)
+
+        monkeypatch.setattr(canary, "_factor_rows", failing)
+        with pytest.raises(FloatingPointError, match="^no block at 160$"):
+            one_shot_scores_gram(OneShotConfig(d=4096, n=200, sigma=1.0))
+        assert no_child_left()
+
+    def test_child_without_a_result_exits_3_naming_the_sampler(self, capsys, monkeypatch):
+        draw = canary._factor_rows
+
+        def draw_or_die(d, start, stop, seed_seq, buffer):
+            if start >= 144:
+                os._exit(7)  # only ever reached in the child, which draws these blocks
+            return draw(d, start, stop, seed_seq, buffer)
+
+        monkeypatch.setattr(canary, "_factor_rows", draw_or_die)
+        assert main(["canary", "--mode", "one-shot", "-d", "4096", "-n", "200", "--audit"]) == 3
+        assert capsys.readouterr() == (
+            "", "error: one-shot sampler: the forked process ended without a result "
+                "(exit status 7)\n")
+        assert no_child_left()
+
+    def test_single_block_makes_no_child(self, monkeypatch):
+        def no_fork():
+            raise OSError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        for n in (1, 15, 16):
+            scores_p, scores_q = one_shot_scores_gram(OneShotConfig(d=64, n=n, sigma=1.0))
+            assert scores_p.shape == scores_q.shape == (n,)
+        with pytest.raises(OSError, match="os.fork called"):
+            one_shot_scores_gram(OneShotConfig(d=64, n=17, sigma=1.0))
 
 
 class TestOneShotAudit:

@@ -510,6 +510,33 @@ class TestFlags:
         assert capsys.readouterr().err.endswith("would not be read without --audit\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("mode,flags,given", [
+        ("one-shot", ["--clip", 9, "--iterations", 3], "--iterations, --clip"),
+        ("one-shot", ["--canary-prob", 0.5], "--canary-prob"),
+        ("one-shot", ["--nuisance-norm", 0], "--nuisance-norm"),
+        ("white-box", ["-n", 5], "-n"),
+        ("white-box", ["--x-norm", 0, "-n", 1], "-n, --x-norm"),
+    ])
+    def test_canary_refuses_the_other_modes_flags(self, tmp_path, capsys, mode, flags, given):
+        assert run("canary", "--mode", mode, "-d", 8, *flags,
+                   "--out-p", tmp_path / "p.txt") == 2
+        assert capsys.readouterr().err == f"error: {given} would not be read in {mode} mode\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode,defaults", [
+        ("one-shot", ["-n", 1, "--x-norm", 0]),
+        ("white-box", ["--iterations", 1000, "--canary-prob", 1, "--clip", 1,
+                       "--nuisance-norm", 0]),
+    ])
+    def test_unset_canary_flags_keep_their_defaults(self, tmp_path, mode, defaults):
+        files = []
+        for tag, flags in (("unset", []), ("given", defaults)):
+            out = [tmp_path / f"{tag}_p.txt", tmp_path / f"{tag}_q.txt"]
+            assert run("canary", "--mode", mode, "-d", 8, *flags,
+                       "--out-p", out[0], "--out-q", out[1]) == 0
+            files.append([path.read_bytes() for path in out])
+        assert files[0] == files[1]
+
     @pytest.mark.parametrize("argv,field", [
         (["simulate", "--mechanism", "gaussian", "--sigma", "nan"], "sigma"),
         (["simulate", "--mechanism", "gaussian", "--sensitivity", "inf"], "sensitivity"),
