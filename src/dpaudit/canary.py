@@ -29,6 +29,10 @@ from .scores import both
 
 _ONE_SHOT_BLOCK = 128  # Bartlett factor rows per block; memory stays O(block * min(n, d))
 _WHITEBOX_BLOCK = 2 ** 16  # white-box steps per block; temporaries stay O(block)
+# drawn factor entries below which a forked child costs more than it saves:
+# forked and in-turn draws tie near 3.3e6 entries (d = 2^21, n = 2500) on a
+# 2-vCPU host; at 2e5 entries the fork alone takes longer than the draw
+_FORK_MIN_ENTRIES = 3_300_000
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -106,8 +110,11 @@ def _factor_rows(d: int, start: int, stop: int, seed_seq,
 
 def _split(blocks: list, d: int) -> tuple[list, list]:
     """Blocks [0, m) and [m, B), cut where the entries drawn on each side are
-    closest to half the total; a single block leaves the second side empty."""
+    closest to half the total. A single block, or fewer than
+    ``_FORK_MIN_ENTRIES`` drawn entries in all, leaves the second side empty."""
     drawn = np.cumsum([(stop - start) * min(stop, d) for start, stop, _ in blocks])
+    if drawn[-1] < _FORK_MIN_ENTRIES:
+        return blocks, []
     m = 1 + int(np.argmin(np.maximum(drawn, drawn[-1] - drawn)))
     return blocks[:m], blocks[m:]
 
@@ -173,13 +180,14 @@ def one_shot_scores_gram(cfg: OneShotConfig) -> tuple[np.ndarray, np.ndarray]:
     peak RSS does not depend on where the allocator would place a fresh block
     each time.
 
-    Each pass runs on two cores: this process takes the first blocks and a
-    forked child the rest, cut where the drawn entries are closest to half
-    the total (:func:`_split`). The child's pass-one sums are added after this
-    process's own, so u is summed in block order and every array is the same
-    bit for bit as when the blocks run in turn. The child draws and sums with
-    random fills and ``einsum`` only, never BLAS, whose thread pool not every
-    BLAS build restarts after a fork.
+    From ``_FORK_MIN_ENTRIES`` drawn entries on, each pass runs on two cores:
+    this process takes the first blocks and a forked child the rest, cut
+    where the drawn entries are closest to half the total (:func:`_split`).
+    The child's pass-one sums are added after this process's own, so u is
+    summed in block order and every array is the same bit for bit as when the
+    blocks run in turn. The child draws and sums with random fills and
+    ``einsum`` only, never BLAS, whose thread pool not every BLAS build
+    restarts after a fork.
 
     A held-out canary is a uniform direction independent of the release
     theta, so its score is |theta| (2B - 1) (see :func:`_cosines`), i.i.d.

@@ -7,7 +7,8 @@ the nearest node, which biases every downstream delta estimate high
 +infinity. Composition is c-fold convolution of the finite part, computed as
 one rfft power (Koskela, Jalko & Honkela, AISTATS 2020); the infinity atom
 composes as 1 - (1 - w)**c. delta is read for a whole eps grid from one
-suffix-sum pass over the nodes.
+blocked pass that sums the nodes between consecutive eps, in
+O(block + len(eps)) memory beside the PLD itself.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discrete import DiscreteDistribution, _as_readonly, _prefix_sums
+from .discrete import DiscreteDistribution, _as_readonly
 from .errors import GridOverflowError
 from .mechanisms import _require_positive_finite
 from .profiles import PrivacyProfile
@@ -25,6 +26,8 @@ DEFAULT_GRID = (40.0, 2 ** 20)
 PLD_MASS_TOLERANCE = 1e-6
 # largest node array a PLD may occupy, before or after composition
 MAX_NODES = 2 ** 26
+# nodes per block when delta is read off a PLD; temporaries stay O(block)
+DELTA_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class PLDGrid:
             raise ValueError(f"total PLD mass {total!r} outside 1 +/- {PLD_MASS_TOLERANCE}")
 
     def node_values(self) -> np.ndarray:
-        return self.grid_start + self.step * np.arange(self.masses.size)
+        return _node_values(self, np.arange(self.masses.size))
 
 
 def pld_from_discrete(p: DiscreteDistribution, q: DiscreteDistribution,
@@ -130,29 +133,79 @@ def self_convolve(pld: PLDGrid, c: int) -> PLDGrid:
         )
     # a transform length >= n keeps the circular convolution from wrapping
     size = _next_fast_len(n)
-    masses = np.fft.irfft(np.fft.rfft(pld.masses, size) ** c, size)[:n]
-    mass_inf = 1.0 - (1.0 - pld.mass_inf) ** c
+    spectrum = np.fft.rfft(pld.masses, size)
+    spectrum **= c
+    masses = np.fft.irfft(spectrum, size)[:n]
+    del spectrum  # before PLDGrid copies the masses: the peak stays at the transform's
     # FFT round-off leaves tiny negative masses, which PLDGrid rejects
-    return PLDGrid(c * pld.grid_start, pld.step, np.maximum(masses, 0.0), mass_inf)
+    np.maximum(masses, 0.0, out=masses)
+    return PLDGrid(c * pld.grid_start, pld.step, masses, 1.0 - (1.0 - pld.mass_inf) ** c)
+
+
+def _node_values(pld: PLDGrid, index) -> np.ndarray:
+    """The nodes at ``index``: one float expression for every node value."""
+    return pld.grid_start + pld.step * index
+
+
+def _first_above(pld: PLDGrid, eps: np.ndarray) -> np.ndarray:
+    """Index of the first node above each eps: ``searchsorted(node_values(),
+    eps, "right")``, found without the node array (NaN sorts past the end)."""
+    n = pld.masses.size
+    with np.errstate(over="ignore"):
+        guess = np.floor((eps - pld.grid_start) / pld.step) + 1
+    first = np.clip(np.nan_to_num(guess, nan=n), 0, n).astype(np.int64)
+    # the quotient's rounding can leave the guess a node off either way
+    while True:
+        down = (first > 0) & (_node_values(pld, first - 1) > eps)
+        up = (first < n) & (_node_values(pld, first) <= eps)
+        if not (down.any() or up.any()):
+            return first
+        first += up.astype(np.int64) - down
 
 
 def delta_from_pld(pld: PLDGrid, eps):
     """mass_inf + E[1 - exp(eps - s)]_+ over the finite part, for each eps.
 
-    With j the first node above eps, delta = mass_inf + S0[j] - e^eps S1[j],
-    where S0 and S1 are suffix sums of m and m e^-s. S1 is kept as a log
-    (``logaddexp``), so no e^-s overflows however far the support reaches.
-    A scalar eps gives a float.
+    The distinct first nodes f_0 < f_1 < ... above the eps cut the support
+    from f_0 on into segments [f_k, f_k+1). One pass over those nodes, in
+    blocks of ``DELTA_BLOCK``, sums m and m e^-(s - s_f_k) per segment. Chained
+    from the right with factors e^-(s_f_k+1 - s_f_k), they give the suffix
+    sums S0 of m and S1 of m e^-(s - s_f_k) from each f_k, and
+    delta = mass_inf + S0 - e^(eps - s_f_k) S1. Every exponent is <= 0, so
+    nothing overflows however far the support reaches, and the extra memory
+    is O(DELTA_BLOCK + len(eps)). The eps may come in any order; a scalar
+    eps gives a float.
     """
-    masses, s = pld.masses, pld.node_values()
-    # suffix sums run from the right; index n (past the last node) is empty
-    tail_mass = _prefix_sums(masses, np.arange(masses.size - 1, -1, -1))[::-1]
-    with np.errstate(divide="ignore"):
-        log_terms = np.log(masses) - s
-    log_tail = np.append(np.logaddexp.accumulate(log_terms[::-1])[::-1], -np.inf)
-    first = np.searchsorted(s, eps, side="right")
-    delta = pld.mass_inf + tail_mass[first] - np.exp(eps + log_tail[first])
-    return float(delta) if np.ndim(delta) == 0 else delta
+    eps = np.asarray(eps, dtype=float)
+    flat = eps.ravel()
+    n = pld.masses.size
+    starts, which = np.unique(_first_above(pld, flat), return_inverse=True)
+    cuts = starts[starts < n]  # a first node at n starts an empty segment
+    anchors = _node_values(pld, starts)
+    # one entry more than segments, for the empty one a first node at n starts
+    mass = np.zeros(cuts.size + 1, dtype=np.longdouble)
+    weighted = np.zeros(cuts.size + 1, dtype=np.longdouble)
+    for lo in range(int(cuts[0]) if cuts.size else n, n, DELTA_BLOCK):
+        hi = min(lo + DELTA_BLOCK, n)
+        # the segments that meet [lo, hi): the one holding lo, then those starting before hi
+        k0, k1 = np.searchsorted(cuts, lo, "right") - 1, np.searchsorted(cuts, hi)
+        offsets = np.maximum(cuts[k0:k1], lo) - lo
+        decay = _node_values(pld, np.arange(lo, hi))
+        np.subtract(np.repeat(anchors[k0:k1], np.diff(offsets, append=hi - lo)), decay,
+                    out=decay)
+        np.exp(decay, out=decay)
+        decay *= pld.masses[lo:hi]
+        mass[k0:k1] += np.add.reduceat(pld.masses[lo:hi], offsets, dtype=np.longdouble)
+        weighted[k0:k1] += np.add.reduceat(decay, offsets, dtype=np.longdouble)
+    tail_mass = np.cumsum(mass[::-1])[::-1].astype(float)
+    tail = weighted.astype(float).tolist()
+    factors = np.exp(anchors[:-1] - anchors[1:]).tolist()
+    for k in range(len(factors) - 1, -1, -1):
+        tail[k] += factors[k] * tail[k + 1]
+    # past the last node S0 = S1 = 0, and eps may lie above s_n there
+    scale = np.exp(np.minimum(flat - anchors[which], 0.0))
+    delta = pld.mass_inf + tail_mass[which] - scale * np.asarray(tail)[which]
+    return float(delta[0]) if eps.ndim == 0 else delta.reshape(eps.shape)
 
 
 def compose_profile(p: DiscreteDistribution, q: DiscreteDistribution, c: int,
@@ -165,8 +218,9 @@ def compose_profile(p: DiscreteDistribution, q: DiscreteDistribution, c: int,
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size < 2:
         raise ValueError("eps_grid needs at least 2 points")
-    forward = self_convolve(pld_from_discrete(p, q, grid), c)
-    backward = self_convolve(pld_from_discrete(q, p, grid), c)
-    deltas = np.maximum(delta_from_pld(forward, eps_grid), delta_from_pld(backward, eps_grid))
+    # one direction at a time, so only one composed PLD is alive at once
+    forward = delta_from_pld(self_convolve(pld_from_discrete(p, q, grid), c), eps_grid)
+    backward = delta_from_pld(self_convolve(pld_from_discrete(q, p, grid), c), eps_grid)
+    deltas = np.maximum(forward, backward)
     # up-rounding keeps each direction non-increasing; the envelope guards fp wiggle
     return replace(PrivacyProfile.envelope(eps_grid, deltas), heuristic=True)

@@ -226,11 +226,9 @@ class TestGramSampler:
     def test_matches_direct_law(self, monkeypatch, n, d, x_norm, sigma):
         # per-seed means and sds of both sides against the O(n d) simulation;
         # at sigma = 0.05 the canaries' geometry sets the scores; blocks of
-        # 7 rows put block edges inside the held-in rows. The blocks run in
-        # turn: 3000 forks of this process would cost more than the draws,
-        # and the forked path gives the same arrays (TestTwoProcesses)
+        # 7 rows put block edges inside the held-in rows. These draws lie
+        # below the fork floor, so the blocks run in turn in this process
         monkeypatch.setattr(canary, "_ONE_SHOT_BLOCK", 7)
-        monkeypatch.delattr(os, "fork", raising=False)
         stats_gram, stats_direct = [], []
         for seed in range(1500):
             cfg = OneShotConfig(d=d, n=n, sigma=sigma, x_norm=x_norm, seed=seed)
@@ -252,6 +250,27 @@ class TestGramSampler:
         a = one_shot_scores_gram(cfg)
         b = one_shot_scores_gram(cfg)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_small_multi_block_draw_makes_no_child(self, monkeypatch):
+        def no_fork():
+            raise OSError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        cfg = OneShotConfig(d=2 ** 21, n=2000, sigma=1.0)  # 16 blocks, 2.1e6 entries
+        assert len(canary._split(_blocks(cfg.n), cfg.d)[0]) == 16
+        scores_p, scores_q = one_shot_scores_gram(cfg)
+        assert scores_p.shape == scores_q.shape == (2000,)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the blocks run in turn without os.fork")
+    def test_benchmark_shape_forks(self, monkeypatch):
+        # n = 6000, d = 2^21 draws 1.8e7 entries: the fork is asked for
+        # before any block is drawn
+        def no_fork():
+            raise OSError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(OSError, match="os.fork called"):
+            one_shot_scores_gram(OneShotConfig(d=2 ** 21, n=6000, sigma=1.0))
 
     def test_memory_bounded_by_blocks(self):
         # a dense 4000 x 4000 factor alone would take 128 MB, the canaries
@@ -311,7 +330,9 @@ class TestTwoProcesses:
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
+        # these small draws fork too, so they exercise the forked path
         monkeypatch.setattr(canary, "_ONE_SHOT_BLOCK", 16)
+        monkeypatch.setattr(canary, "_FORK_MIN_ENTRIES", 0)
 
     @pytest.mark.parametrize("d,t,first", [
         (64, 16, 1),     # one block: no second side

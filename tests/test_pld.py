@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,46 @@ class TestDeltaFromPld:
             assert finest >= exact - 1e-12
 
 
+def traced_peak(fn):
+    """Peak bytes that ``fn()`` holds at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def gaussian_pair(sigma, width):
+    """N(0, sigma^2) against N(1, sigma^2), binned on +-12 sigma."""
+    from scipy import special
+    edges = np.arange(-12 * sigma, 1 + 12 * sigma + width, width)
+    cp = special.ndtr(edges / sigma)
+    cq = special.ndtr((edges - 1.0) / sigma)
+    p = np.diff(cp); p[0] += cp[0]; p[-1] += 1 - cp[-1]
+    q = np.diff(cq); q[0] += cq[0]; q[-1] += 1 - cq[-1]
+    return DiscreteDistribution.normalized(p), DiscreteDistribution.normalized(q)
+
+
+class TestEvaluationMemory:
+    def test_delta_holds_no_node_length_array(self):
+        rng = np.random.default_rng(7)
+        masses = rng.random(2 ** 22)
+        pld = PLDGrid(-2.0, 1e-6, masses / masses.sum(), 0.0)  # nodes cover [-2, 2.2]
+        eps = np.linspace(-3.0, 3.0, 401)
+        assert traced_peak(lambda: delta_from_pld(pld, eps)) < 4 * 2 ** 20  # masses: 32 MB
+
+    def test_compose_peaks_no_higher_than_one_convolution(self):
+        # each direction is composed, read and dropped before the other is built;
+        # the allowance covers the eps-length arrays
+        p, q = gaussian_pair(sigma=2.0, width=0.01)
+        eps = np.linspace(0.0, 10.0, 401)
+        convolve = max(traced_peak(lambda: self_convolve(pld_from_discrete(a, b, TEST_GRID), 4))
+                       for a, b in ((p, q), (q, p)))
+        compose = traced_peak(lambda: compose_profile(p, q, 4, eps, grid=TEST_GRID))
+        assert compose <= convolve + 2 ** 16
+
+
 class TestComposeProfile:
     def test_single_composition_matches_symmetric_delta(self):
         rng = np.random.default_rng(0)
@@ -174,16 +215,8 @@ class TestComposeProfile:
 
     def test_gaussian_composition_oracle(self):
         # compact version of the composition check: sigma=2 bins, c=4
-        from scipy import special
-        sigma, width = 2.0, 0.01
-        edges = np.arange(-12 * sigma, 1 + 12 * sigma + width, width)
-        cp = special.ndtr(edges / sigma)
-        cq = special.ndtr((edges - 1.0) / sigma)
-        p = np.diff(cp); p[0] += cp[0]; p[-1] += 1 - cp[-1]
-        q = np.diff(cq); q[0] += cq[0]; q[-1] += 1 - cq[-1]
-        profile = compose_profile(DiscreteDistribution.normalized(p),
-                                  DiscreteDistribution.normalized(q), 4,
-                                  np.linspace(0, 2, 5))
+        sigma = 2.0
+        profile = compose_profile(*gaussian_pair(sigma, 0.01), 4, np.linspace(0, 2, 5))
         for eps, value in zip(profile.epsilons, profile.deltas):
             assert value == pytest.approx(gaussian_delta(eps, sigma, 2.0), abs=5e-4)
 

@@ -2,13 +2,14 @@
 
 The hockey-stick kernel is checked against the brute-force sum it replaces,
 on pairs with empty bins on either side and eps far past the exp overflow.
-The PLD engine is checked the same way: its suffix-sum delta against the
+The PLD engine is checked the same way: its segment-sum delta against the
 per-node sum, its rfft power against repeated direct convolution.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -119,12 +120,13 @@ def test_estimate_profile_memory_is_linear():
 
 
 @st.composite
-def plds(draw, max_nodes=60, reach=1000.0):
+def plds(draw, max_nodes=60, reach=1000.0,
+         mass_inf=st.one_of(st.just(0.0), st.floats(0.0, 0.5))):
     """A PLD with empty nodes and an optional +inf atom, inside [-reach, reach]."""
     n = draw(st.integers(1, max_nodes))
     masses = np.array(draw(st.lists(weights, min_size=n, max_size=n)))
     assume(masses.sum() > 0)
-    mass_inf = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+    mass_inf = draw(mass_inf)
     step = draw(st.floats(1e-3, 2.0 * reach / max(n - 1, 1)))
     start = draw(st.floats(-reach, max(-reach, reach - (n - 1) * step)))
     return PLDGrid(start, step, (1.0 - mass_inf) * masses / masses.sum(), mass_inf)
@@ -137,16 +139,27 @@ def brute_force_pld_delta(pld, eps):
 
 
 @PROPERTY_SETTINGS
-@given(plds(), st.data())
+@given(st.one_of(plds(), plds(max_nodes=1),  # one node, or almost all mass at +inf
+                 plds(mass_inf=st.floats(0.999, 1.0, exclude_max=True))),
+       st.data())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_delta_from_pld_matches_brute_force(pld, data):
-    # eps anywhere in +-800, and exactly on nodes, where a term changes sides
-    nodes = st.sampled_from(list(pld.node_values()))
-    eps = np.sort(data.draw(st.lists(st.one_of(st.floats(-800.0, 800.0), nodes),
-                                     min_size=1, max_size=20)))
+    nodes = pld.node_values()
+    values = data.draw(st.lists(st.one_of(
+        st.floats(-800.0, 800.0),
+        st.sampled_from(list(nodes)),  # on a node, where a term changes sides
+        st.just(float(nodes[-1])),
+        # below the first node and beyond the last, out to +-inf
+        st.floats(max_value=float(nodes[0]), exclude_max=True, allow_nan=False),
+        st.floats(min_value=float(nodes[-1]), exclude_min=True, allow_nan=False),
+    ), min_size=1, max_size=20))
+    eps = np.array(data.draw(st.permutations(values + values[::2])))  # unsorted, with repeats
     deltas = delta_from_pld(pld, eps)
     expected = np.array([brute_force_pld_delta(pld, e) for e in eps])
     assert np.all(np.abs(deltas - expected) <= 1e-12)
-    assert np.all(np.diff(deltas) <= 1e-15)
+    order = np.argsort(eps, kind="stable")
+    assert np.array_equal(delta_from_pld(pld, eps[order]), deltas[order])
+    assert np.all(np.diff(deltas[order]) <= 1e-15)
     assert isinstance(delta_from_pld(pld, float(eps[0])), float)
 
 
