@@ -9,23 +9,21 @@ privacy-loss distributions for iterative mechanisms.
 
 from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_scores_gram,
                      whitebox_stream)
-from .confidence import (canonne_radius, clopper_pearson, hs_interval,
-                         sigma_interval_from_tv)
+from .confidence import canonne_radius, clopper_pearson, hs_interval
 from .discrete import (DiscreteDistribution, coarsen, hs_divergence,
                        symmetric_delta, tv_distance)
 from .errors import (AuditError, DegenerateSamplesError, FitError, GridOverflowError,
                      ProfileOrderError, ScoreFileError)
 from .estimators import (AuditConfig, AuditReport, EpsilonEstimate,
-                         SigmaEstimate, ThresholdEstimate, exposure,
+                         SigmaEstimate, ThresholdEstimate,
                          f_alpha_sensitivity, fit_mu_gdp, histogram_audit,
-                         invert_monotone, threshold_epsilon, two_bin_histogram)
+                         threshold_epsilon, two_bin_histogram)
 from .histogram import (BinningSpec, HistogramEstimate, auto_spec,
                         build_histograms, estimate_delta_symmetric,
                         estimate_profile, scott_width_gaussian)
 from .mechanisms import (GaussianMechanism, LaplaceMechanism,
                          SubsampledGaussianMechanism, gaussian_delta,
-                         gaussian_density, gdp_tradeoff, laplace_density,
-                         laplace_tradeoff)
+                         gdp_tradeoff, laplace_tradeoff, sigma_from_tv)
 from .pld import (PLDGrid, compose_profile, delta_from_pld, pld_from_discrete,
                   self_convolve)
 from .profiles import PrivacyProfile

@@ -73,19 +73,20 @@ def _mechanism_from_args(args) -> object:
     raise UsageError(f"unknown mechanism {name!r}")
 
 
-def _sigma_forward_map(spec_text: str):
-    """Parse --fit-sigma (gaussian | mixture:q=<val>) into a sigma -> TV map."""
+def _fit_sigma_q(spec_text: str) -> float:
+    """Parse --fit-sigma (gaussian | mixture:q=<val>) into the mixture's sampling rate q."""
     if spec_text == "gaussian":
-        q = 1.0  # the Gaussian pair is the mixture at q = 1
-    elif spec_text.startswith("mixture:q="):
-        try:
-            q = float(spec_text.split("=", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad --fit-sigma value {spec_text!r}") from None
-    else:
+        return 1.0  # the Gaussian pair is the mixture at q = 1
+    if not spec_text.startswith("mixture:q="):
         raise UsageError(
             f"--fit-sigma expects 'gaussian' or 'mixture:q=<val>', got {spec_text!r}")
-    return lambda s: SubsampledGaussianMechanism(q, s).tv()
+    try:
+        q = float(spec_text.split("=", 1)[1])
+    except ValueError:
+        raise UsageError(f"bad --fit-sigma value {spec_text!r}") from None
+    if not 0 < q <= 1:  # written so that NaN fails the check
+        raise UsageError(f"--fit-sigma needs q in (0, 1], got {spec_text!r}")
+    return q
 
 
 def _refuse_unread(args, dests, reason: str) -> None:
@@ -184,10 +185,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_audit(args) -> int:
     config = _audit_config(args)
-    forward = _sigma_forward_map(args.fit_sigma) if args.fit_sigma else None
+    fit_sigma_q = _fit_sigma_q(args.fit_sigma) if args.fit_sigma else None
     scores_p, scores_q = _load_equal_pair(args.in_p, args.in_q)
     with _spread_checked(args):
-        report = histogram_audit(scores_p, scores_q, config, sigma_forward_map=forward)
+        report = histogram_audit(scores_p, scores_q, config, fit_sigma_q=fit_sigma_q)
     _print_report_lines(report)
     _write_report(report, args)
     return EXIT_OK

@@ -9,7 +9,6 @@ Clopper-Pearson intervals back the threshold-attack baseline.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -58,42 +57,3 @@ def clopper_pearson(successes: int, trials: int, confidence: float) -> tuple[flo
     hi = 1.0 if successes == trials else float(
         special.betaincinv(successes + 1, trials - successes, 1.0 - half))
     return (lo, hi)
-
-
-def invert_monotone(forward: Callable[[float], float], target: float,
-                    bracket: tuple[float, float]) -> float:
-    """Bisection inverse of a strictly monotone scalar function.
-
-    Halves the bracket until it is narrower than 1e-12 * max(1, |hi|).
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError("bracket must be ordered (lo, hi)")
-    f_lo, f_hi = forward(lo), forward(hi)
-    increasing = f_hi >= f_lo
-    if not (min(f_lo, f_hi) <= target <= max(f_lo, f_hi)):
-        raise ValueError(f"target {target!r} outside the range "
-                         f"[{min(f_lo, f_hi)!r}, {max(f_lo, f_hi)!r}] of the forward "
-                         f"map over bracket {bracket}")
-    while hi - lo > 1e-12 * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if (forward(mid) < target) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def sigma_interval_from_tv(tv_interval: tuple[float, float],
-                           forward_map: Callable[[float], float],
-                           bracket: tuple[float, float] = (1e-3, 1e3)) -> tuple[float, float]:
-    """Invert a strictly decreasing TV(sigma) map at both interval endpoints.
-
-    Larger TV maps to smaller sigma, so the returned (sigma_lo, sigma_hi)
-    comes from the upper and lower TV endpoints respectively.
-    """
-    tv_lo, tv_hi = tv_interval
-    if tv_lo > tv_hi:
-        raise ValueError("tv_interval must be ordered (lo, hi)")
-    return (invert_monotone(forward_map, tv_hi, bracket),
-            invert_monotone(forward_map, tv_lo, bracket))

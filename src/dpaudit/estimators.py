@@ -4,8 +4,8 @@
 tabulate the symmetric divergence over an eps grid, attach multinomial
 confidence bounds, convert per-delta targets to epsilon estimates, and emit
 trade-off curves. The remaining functions are the baselines and diagnostics:
-the threshold attack, the exposure metric, TV-based single-parameter
-inversion, and the Gaussian-profile (GDP) fit.
+the threshold attack, TV-based single-parameter recovery, and the
+Gaussian-profile (GDP) fit.
 """
 
 from __future__ import annotations
@@ -13,16 +13,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
-from .confidence import canonne_radius, hs_interval, invert_monotone, sigma_interval_from_tv
+from .confidence import canonne_radius, hs_interval
 from .discrete import tv_distance
 from .errors import FitError
 from .histogram import (BinningSpec, HistogramEstimate, auto_spec,
                         build_histograms, estimate_profile)
-from .mechanisms import _require_positive_finite, _std_normal_pdf, gaussian_delta
+from .mechanisms import _require_positive_finite, _std_normal_pdf, gaussian_delta, sigma_from_tv
 from .profiles import PrivacyProfile, csv_text
 from .tradeoff import CURVE_DELTA_TARGET, CURVE_POINTS, TradeoffCurve, profile_to_tradeoff
 
@@ -148,7 +147,7 @@ def spec_from_config(samples_p, samples_q, config: AuditConfig) -> BinningSpec:
 
 def histogram_audit(samples_p, samples_q, config: AuditConfig | None = None, *,
                     method: str = "histogram",
-                    sigma_forward_map: Callable[[float], float] | None = None) -> AuditReport:
+                    fit_sigma_q: float | None = None) -> AuditReport:
     """Run the full histogram audit on two equal-length score samples.
 
     Args:
@@ -156,9 +155,9 @@ def histogram_audit(samples_p, samples_q, config: AuditConfig | None = None, *,
         samples_q: scores drawn under the "out" world.
         config: audit knobs; defaults are reasonable for 1e4..1e6 samples.
         method: tag recorded in the report.
-        sigma_forward_map: optional strictly decreasing sigma -> TV map; when
-            given, a single-parameter sigma estimate with its confidence
-            interval is attached to the report.
+        fit_sigma_q: optional sampling rate q of the subsampled Gaussian
+            (1 for the plain Gaussian); when given, a single-parameter sigma
+            estimate with its confidence interval is attached to the report.
 
     Returns:
         An AuditReport with the point profile, the confidence-lower-bounded
@@ -189,8 +188,8 @@ def histogram_audit(samples_p, samples_q, config: AuditConfig | None = None, *,
         # conversion is not itself a certified upper bound
         curve_bound = profile_to_tradeoff(lower, CURVE_DELTA_TARGET, CURVE_POINTS)
 
-    sigma_block = (None if sigma_forward_map is None
-                   else estimate_sigma(hist, config.confidence, sigma_forward_map))
+    sigma_block = (None if fit_sigma_q is None
+                   else estimate_sigma(hist, config.confidence, fit_sigma_q))
 
     return AuditReport(method=method, n=hist.n, confidence=config.confidence,
                        binning=spec, epsilons=estimates,
@@ -199,23 +198,25 @@ def histogram_audit(samples_p, samples_q, config: AuditConfig | None = None, *,
                        sigma=sigma_block)
 
 
-def estimate_sigma(hist: HistogramEstimate, confidence: float,
-                   forward_map: Callable[[float], float],
-                   bracket: tuple[float, float] = (1e-3, 1e3)) -> SigmaEstimate:
+def estimate_sigma(hist: HistogramEstimate, confidence: float, q: float) -> SigmaEstimate:
     """Single-parameter recovery: TV estimate +/- the multinomial radius,
-    mapped through a strictly decreasing sigma -> TV curve."""
+    mapped to the noise scale of the subsampled Gaussian at rate q.
+
+    TV falls as sigma grows, so the upper TV end gives the lower sigma end.
+    Raises FitError when a TV end lies outside the map's range over
+    ``mechanisms.SIGMA_RANGE``.
+    """
     tv_hat = tv_distance(hist.p_hat, hist.q_hat)
     tau = canonne_radius(hist.n, hist.spec.k, 1.0 - confidence)
     tv_lo = max(0.0, tv_hat - tau)
     tv_hi = min(1.0, tv_hat + tau)
     try:
-        sigma_hat = invert_monotone(forward_map, tv_hat, bracket)
-        sigma_interval = sigma_interval_from_tv((tv_lo, tv_hi), forward_map, bracket)
-    except ValueError as exc:  # the data put a TV end outside the map's range
+        sigma_hat, sigma_lo, sigma_hi = (sigma_from_tv(q, tv) for tv in (tv_hat, tv_hi, tv_lo))
+    except FitError as exc:
         raise FitError(f"cannot map the TV interval [{tv_lo:.6g}, {tv_hi:.6g}] "
                        f"to sigma: {exc}") from exc
     return SigmaEstimate(tv=tv_hat, tv_interval=(tv_lo, tv_hi), sigma=sigma_hat,
-                         sigma_interval=sigma_interval, confidence=confidence)
+                         sigma_interval=(sigma_lo, sigma_hi), confidence=confidence)
 
 
 @dataclass(frozen=True)
@@ -268,22 +269,6 @@ def two_bin_histogram(samples_p, samples_q, threshold: float) -> HistogramEstima
     """The two-bin histogram whose divergence the threshold attack measures."""
     spec = BinningSpec(threshold - 1.0, threshold + 1.0, 2)
     return build_histograms(samples_p, samples_q, spec)
-
-
-def exposure(canary_losses, reference_losses) -> np.ndarray:
-    """Rank-based exposure log2(n) - log2(rank) of each canary loss.
-
-    rank = 1 + #{references strictly smaller}, capped at n so the score is
-    finite and non-negative.
-    """
-    canaries = np.asarray(canary_losses, dtype=float)
-    refs = np.sort(np.asarray(reference_losses, dtype=float))
-    if refs.size == 0:
-        raise ValueError("reference losses must be non-empty")
-    n = refs.size
-    smaller = np.searchsorted(refs, canaries, side="left")
-    ranks = np.minimum(smaller + 1, n)
-    return np.log2(n) - np.log2(ranks)
 
 
 def fit_mu_gdp(profile: PrivacyProfile, eps_range: tuple[float, float]) -> float:

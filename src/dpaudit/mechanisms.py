@@ -1,4 +1,4 @@
-"""Analytic mechanisms: ground-truth profiles, densities, trade-offs, samplers.
+"""Analytic mechanisms: ground-truth profiles, trade-offs, samplers.
 
 These are the oracles the estimators get tested against. Both Gaussian
 mechanisms have closed-form profiles. The subsampled Gaussian's dominating
@@ -7,10 +7,13 @@ ratio that increases in x, so each directed divergence is read off at the
 single threshold where the ratio crosses e^eps, as for the plain Gaussian
 (Balle & Wang, ICML 2018). Its ``bin_masses`` give the same pair as exact
 masses on a fine binning: the discretised reference that the composition
-tests feed through the PLD engine.
+tests feed through the PLD engine. Its TV, q (2 Phi(1/(2 sigma)) - 1), has
+a closed-form inverse in sigma (``sigma_from_tv``): the audit's
+single-parameter recovery.
 
-scipy.special is imported inside the functions that need it, so importing
-this module (and the CLI) does not load scipy.
+scipy.special is imported inside the functions that need it, and
+``statistics`` inside ``sigma_from_tv``, so importing this module (and the
+CLI) loads neither.
 """
 
 from __future__ import annotations
@@ -21,9 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import DiscreteDistribution, alpha_from_eps
+from .errors import FitError
 from .profiles import PrivacyProfile
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# the noise scales sigma_from_tv maps a TV onto
+SIGMA_RANGE = (1e-3, 1e3)
 
 
 def _std_normal_pdf(x):
@@ -36,16 +42,6 @@ def _require_positive_finite(**fields) -> None:
     for name, value in fields.items():
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
-def gaussian_density(mu: float, sigma: float, x):
-    _require_positive_finite(sigma=sigma)
-    return _std_normal_pdf((np.asarray(x, dtype=float) - mu) / sigma) / sigma
-
-
-def laplace_density(b: float, mu: float, x):
-    _require_positive_finite(scale=b)
-    return np.exp(-np.abs(np.asarray(x, dtype=float) - mu) / b) / (2.0 * b)
 
 
 def gaussian_delta(eps, sigma: float, sensitivity: float = 1.0):
@@ -154,10 +150,6 @@ class SubsampledGaussianMechanism:
             raise ValueError("q must lie in (0, 1]")
         _require_positive_finite(sigma=self.sigma)
 
-    def density_p(self, x):
-        return (self.q * gaussian_density(1.0, self.sigma, x)
-                + (1.0 - self.q) * gaussian_density(0.0, self.sigma, x))
-
     def cdf_p(self, x):
         from scipy import special
 
@@ -218,6 +210,30 @@ class SubsampledGaussianMechanism:
         p_samples = rng.normal(np.where(component, 1.0, 0.0), self.sigma)
         q_samples = rng.normal(0.0, self.sigma, n)
         return p_samples, q_samples
+
+
+def sigma_from_tv(q: float, tv: float) -> float:
+    """The sigma in SIGMA_RANGE whose ``SubsampledGaussianMechanism(q, sigma).tv()`` is tv.
+
+    sigma = -1 / (2 Phi^{-1}((q - tv) / (2q))), written through the upper
+    tail q - tv so that a TV near q keeps its precision. Below sigma ~ 0.2
+    the TV lies within 1e-16 q of q and does not determine sigma; tv = q,
+    the TV of the smallest sigma in float64, maps to that sigma.
+
+    Raises ValueError for q outside (0, 1] and FitError for a TV outside
+    [tv(SIGMA_RANGE[1]), tv(SIGMA_RANGE[0])].
+    """
+    from statistics import NormalDist
+
+    lo, hi = SIGMA_RANGE
+    tv_min = SubsampledGaussianMechanism(q, hi).tv()
+    tv_max = SubsampledGaussianMechanism(q, lo).tv()
+    if not tv_min <= tv <= tv_max:
+        raise FitError(f"TV {tv!r} outside the range [{tv_min!r}, {tv_max!r}] "
+                       f"of sigma in [{lo:g}, {hi:g}] at q = {q!r}")
+    if tv == tv_max:
+        return lo
+    return min(hi, -0.5 / NormalDist().inv_cdf((q - tv) / (2.0 * q)))
 
 
 @dataclass(frozen=True)

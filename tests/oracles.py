@@ -3,7 +3,7 @@
 These deliberately avoid the library's own code paths: divergences are
 integrated by trapezoid quadrature over dense grids, binomial tails are
 summed with exact integer coefficients, closed forms come straight from
-scipy's special functions, and score files are parsed one line at a time
+scipy's special functions, inverses come from plain bisection, and score files are parsed one line at a time
 with Python's ``float``.
 """
 
@@ -45,6 +45,17 @@ def mixture_tv_closed_form(q, sigma):
 
 def gaussian_tv_closed_form(sigma):
     return 2.0 * special.ndtr(1.0 / (2.0 * sigma)) - 1.0
+
+
+def bisect_decreasing(f, target, lo, hi, halvings=200):
+    """Plain bisection for f(x) = target with f decreasing on [lo, hi]."""
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def binom_tail_geq(k, n, p):

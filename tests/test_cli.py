@@ -1,6 +1,5 @@
 import argparse
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -132,6 +131,14 @@ class TestAudit:
         assert out == ""
         assert err.startswith("error: cannot map the TV interval [")
         assert "outside the range" in err
+
+    @pytest.mark.parametrize("value", ["0", "1.5", "-1", "nan", "inf"])
+    def test_fit_sigma_q_outside_the_unit_interval_exit_2(self, tmp_path, capsys, value):
+        # checked when the flag is parsed: the missing score file is never opened
+        missing = tmp_path / "missing.txt"
+        assert run("audit", missing, missing, "--fit-sigma", f"mixture:q={value}") == 2
+        assert capsys.readouterr().err == (
+            f"error: --fit-sigma needs q in (0, 1], got 'mixture:q={value}'\n")
 
     def test_fixed_bins_and_sigma_block(self, tmp_path, capsys):
         p, q = tmp_path / "p.txt", tmp_path / "q.txt"

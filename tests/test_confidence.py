@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dpaudit.confidence import (canonne_radius, clopper_pearson, hs_interval,
-                                sigma_interval_from_tv)
-from dpaudit.mechanisms import SubsampledGaussianMechanism, gaussian_delta
+from dpaudit.confidence import canonne_radius, clopper_pearson, hs_interval
+from dpaudit.errors import FitError
+from dpaudit.mechanisms import gaussian_delta, sigma_from_tv
 
-from oracles import binom_tail_geq, binom_tail_leq, mixture_tv_closed_form
+from oracles import binom_tail_geq, binom_tail_leq
 
 
 class TestCanonneRadius:
@@ -113,32 +113,33 @@ class TestClopperPearson:
             clopper_pearson(-1, 4, 0.95)
 
 
+def sigma_interval(q, tv_interval):
+    """Both ends of a TV interval through the sigma inverse, as estimate_sigma maps them."""
+    tv_lo, tv_hi = tv_interval
+    return sigma_from_tv(q, tv_hi), sigma_from_tv(q, tv_lo)
+
+
 class TestSigmaIntervalFromTv:
     def test_degenerate_interval(self):
-        forward = lambda s: gaussian_delta(0.0, s)
-        lo, hi = sigma_interval_from_tv((0.3829249225480263, 0.3829249225480263), forward)
+        lo, hi = sigma_interval(1.0, (0.3829249225480263, 0.3829249225480263))
         assert lo == pytest.approx(1.0, abs=1e-6)
         assert hi == pytest.approx(1.0, abs=1e-6)
 
     def test_larger_tv_maps_to_smaller_sigma(self):
-        forward = lambda s: gaussian_delta(0.0, s)
-        lo, hi = sigma_interval_from_tv((0.3, 0.5), forward)
+        lo, hi = sigma_interval(1.0, (0.3, 0.5))
         assert lo < hi
-        assert forward(lo) == pytest.approx(0.5, abs=1e-6)
-        assert forward(hi) == pytest.approx(0.3, abs=1e-6)
+        assert gaussian_delta(0.0, lo) == pytest.approx(0.5, abs=1e-6)
+        assert gaussian_delta(0.0, hi) == pytest.approx(0.3, abs=1e-6)
 
     def test_mixture_paper_interval(self):
         # TV 0.2256 +/- 0.005 translates to a sigma interval near [0.285, 0.32]
-        mech_tv = lambda s: SubsampledGaussianMechanism(0.25, s).tv()
-        lo, hi = sigma_interval_from_tv((0.2256 - 0.005, 0.2256 + 0.005), mech_tv,
-                                        bracket=(0.05, 10.0))
+        lo, hi = sigma_interval(0.25, (0.2256 - 0.005, 0.2256 + 0.005))
         assert lo == pytest.approx(0.285, abs=0.005)
         assert hi == pytest.approx(0.32, abs=0.005)
 
     def test_out_of_range_target(self):
-        forward = lambda s: gaussian_delta(0.0, s)
-        with pytest.raises(ValueError, match="outside the range"):
-            sigma_interval_from_tv((0.0, 2.0), forward, bracket=(0.5, 2.0))
+        with pytest.raises(FitError, match="outside the range"):
+            sigma_interval(1.0, (0.0, 2.0))
 
 
 class TestCoverage:

@@ -6,13 +6,14 @@ import pytest
 
 from dpaudit.discrete import symmetric_delta
 from dpaudit.errors import FitError
-from dpaudit.estimators import (AuditConfig, exposure, f_alpha_sensitivity,
-                                fit_mu_gdp, histogram_audit, invert_monotone,
-                                threshold_epsilon, two_bin_histogram)
-from dpaudit.mechanisms import (GaussianMechanism, SubsampledGaussianMechanism,
-                                gaussian_delta)
+from dpaudit.estimators import (AuditConfig, f_alpha_sensitivity, fit_mu_gdp,
+                                histogram_audit, threshold_epsilon, two_bin_histogram)
+from dpaudit.mechanisms import (SIGMA_RANGE, GaussianMechanism, SubsampledGaussianMechanism,
+                                gaussian_delta, sigma_from_tv)
 from dpaudit.profiles import PrivacyProfile
 from dpaudit.tradeoff import validate
+
+from oracles import bisect_decreasing, mixture_tv_closed_form
 
 
 class TestThresholdEpsilon:
@@ -80,41 +81,53 @@ class TestThresholdEpsilon:
             checked += 1
 
 
-class TestExposure:
-    def test_all_references_smaller(self):
-        values = exposure([100.0], np.arange(16.0))
-        assert values == pytest.approx([0.0])
-
-    def test_rank_one(self):
-        values = exposure([-5.0], np.arange(8.0))
-        assert values == pytest.approx([3.0])
-
-    def test_ties_get_equal_exposure(self):
-        values = exposure([1.0, 1.0], np.arange(8.0))
-        assert values[0] == values[1]
-
-    def test_empty_reference_rejected(self):
-        with pytest.raises(ValueError):
-            exposure([1.0], [])
-
-
 class TestInvertMonotone:
+    """``sigma_from_tv`` inverts the decreasing sigma -> TV map in closed form."""
+
+    @pytest.mark.parametrize("q", [1.0, 0.25, 0.01])
+    def test_matches_the_reference_bisection(self, q):
+        for sigma in np.geomspace(0.2, SIGMA_RANGE[1], 101):
+            tv = SubsampledGaussianMechanism(q, sigma).tv()
+            reference = bisect_decreasing(lambda s: mixture_tv_closed_form(q, s), tv,
+                                          *SIGMA_RANGE)
+            assert sigma_from_tv(q, tv) == pytest.approx(reference, rel=1e-9)
+
     def test_identity(self):
-        assert invert_monotone(lambda x: x, 0.5, (0.0, 1.0)) == pytest.approx(0.5, abs=1e-10)
+        # tv(sigma_from_tv(tv)) = tv over the whole range, also below sigma ~ 0.2
+        # where the TV does not determine sigma
+        for q in (1.0, 0.25, 0.01):
+            for sigma in np.geomspace(*SIGMA_RANGE, 241):
+                tv = SubsampledGaussianMechanism(q, sigma).tv()
+                fitted = SubsampledGaussianMechanism(q, sigma_from_tv(q, tv)).tv()
+                assert fitted == pytest.approx(tv, rel=1e-11)
+
+    def test_range_ends_map_to_the_sigma_range_ends(self):
+        lo, hi = SIGMA_RANGE
+        for q in (1.0, 0.25, 0.01):
+            # the top end: the TV of the smallest sigma is q in float64
+            assert SubsampledGaussianMechanism(q, lo).tv() == q
+            assert sigma_from_tv(q, q) == lo
+            tv_min = SubsampledGaussianMechanism(q, hi).tv()
+            assert sigma_from_tv(q, tv_min) == pytest.approx(hi, rel=1e-9)
+            assert sigma_from_tv(q, tv_min) <= hi
 
     def test_gaussian_tv_inversion(self):
-        forward = lambda s: gaussian_delta(0.0, s, 1.0)
-        sigma = invert_monotone(forward, 0.3829249225480263, (0.1, 10.0))
+        sigma = sigma_from_tv(1.0, 0.3829249225480263)
         assert sigma == pytest.approx(1.0, abs=1e-6)
 
     def test_mixture_tv_paper_value(self):
-        forward = lambda s: SubsampledGaussianMechanism(0.25, s).tv()
-        sigma = invert_monotone(forward, 0.2256, (0.05, 10.0))
+        sigma = sigma_from_tv(0.25, 0.2256)
         assert sigma == pytest.approx(0.302, abs=0.001)
 
     def test_out_of_range_target(self):
-        with pytest.raises(ValueError, match="outside"):
-            invert_monotone(lambda x: x, 2.0, (0.0, 1.0))
+        for tv in (0.0, 0.25 + 1e-12, 2.0, math.nan):
+            with pytest.raises(FitError, match="outside the range"):
+                sigma_from_tv(0.25, tv)
+
+    @pytest.mark.parametrize("q", [0.0, 1.5, -1.0, math.nan, math.inf])
+    def test_rejects_q_outside_the_unit_interval(self, q):
+        with pytest.raises(ValueError, match="q must lie in"):
+            sigma_from_tv(q, 0.1)
 
 
 class TestFitMuGdp:
@@ -199,7 +212,7 @@ class TestHistogramAudit:
         n = 10 ** 5
         sp, sq = rng.normal(0, 1, n), rng.normal(1, 1, n)
         report = histogram_audit(sp, sq, AuditConfig(delta_targets=(0.05,)))
-        analytic = invert_monotone(lambda e: gaussian_delta(e, 1.0), 0.05, (0.0, 10.0))
+        analytic = bisect_decreasing(lambda e: gaussian_delta(e, 1.0), 0.05, 0.0, 10.0)
         assert report.epsilons[0].point == pytest.approx(analytic, abs=0.15)
         assert report.epsilons[0].lower <= report.epsilons[0].point
 
@@ -242,12 +255,17 @@ class TestHistogramAudit:
         sp, sq = mech.sample_pair(10 ** 5, seed=91)
         report = histogram_audit(
             sp, sq,
-            AuditConfig(bins=20, confidence=0.9999),
-            sigma_forward_map=lambda s: SubsampledGaussianMechanism(0.25, s).tv())
+            AuditConfig(bins=20, confidence=0.9999), fit_sigma_q=0.25)
         assert report.sigma is not None
         assert report.sigma.sigma == pytest.approx(0.302, abs=0.01)
         lo, hi = report.sigma.sigma_interval
         assert lo < report.sigma.sigma < hi
+
+    @pytest.mark.parametrize("q", [0.0, 1.5, math.nan])
+    def test_bad_fit_sigma_q_is_a_value_error(self, q):
+        sp, sq = SubsampledGaussianMechanism(0.25, 0.3).sample_pair(10 ** 4, seed=92)
+        with pytest.raises(ValueError, match="q must lie in"):
+            histogram_audit(sp, sq, AuditConfig(bins=20), fit_sigma_q=q)
 
     def test_json_roundtrip(self):
         rng = np.random.default_rng(9)

@@ -8,8 +8,6 @@ from dpaudit.histogram import (BinningSpec, auto_spec, build_histograms,
                                estimate_delta_symmetric, estimate_profile,
                                scott_width_gaussian)
 
-from oracles import gaussian_tv_closed_form, mixture_tv_closed_form
-
 
 class TestScottWidths:
     def test_gaussian_rule_value(self):

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every private
-module-level helper is read somewhere in the package.
+"""Every module of the package and every test file uses each name it
+imports, and every private module-level helper is read somewhere in the
+package.
 
 ``__init__.py`` is left out of the import scan: it imports names to
 re-export them. A deletion that leaves an import or a ``_helper`` behind
@@ -13,6 +14,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dpaudit"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+TEST_FILES = sorted(path.name for path in TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,11 +41,17 @@ def test_scan_finds_an_unused_import():
 
 def test_modules_found():
     assert "canary.py" in MODULES and "cli.py" in MODULES
+    assert "oracles.py" in TEST_FILES and "test_imports.py" in TEST_FILES
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("test_file", TEST_FILES)
+def test_no_unused_imports_in_tests(test_file):
+    assert unused_imports((TESTS / test_file).read_text(encoding="utf-8")) == []
 
 
 def orphaned_private_names(sources: dict[str, str]) -> list[str]:

@@ -5,8 +5,7 @@ import pytest
 
 from dpaudit.mechanisms import (GaussianMechanism, LaplaceMechanism,
                                 SubsampledGaussianMechanism, gaussian_delta,
-                                gaussian_density, gdp_tradeoff,
-                                laplace_density, laplace_tradeoff)
+                                gdp_tradeoff, laplace_tradeoff)
 
 from oracles import hs_quadrature_mixture, hs_quadrature_normal, mixture_tv_closed_form
 
@@ -43,25 +42,6 @@ class TestGaussianDelta:
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
             gaussian_delta(0.0, -1.0)
-
-
-class TestDensities:
-    def test_gaussian_mode(self):
-        assert gaussian_density(0.0, 1.0, 0.0) == pytest.approx(0.3989422804014327, abs=1e-15)
-
-    def test_laplace_mode(self):
-        assert laplace_density(1.0, 0.0, 0.0) == pytest.approx(0.5)
-
-    def test_mixture_density_value(self):
-        mech = SubsampledGaussianMechanism(0.5, 1.0)
-        # 0.5 phi(1/2) + 0.5 phi(-1/2) = phi(1/2)
-        assert mech.density_p(0.5) == pytest.approx(0.3520653267642995, abs=1e-14)
-
-    def test_rejects_nonpositive_scales(self):
-        with pytest.raises(ValueError):
-            gaussian_density(0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            laplace_density(0.0, 0.0, 1.0)
 
 
 class TestTradeoffFormulas:

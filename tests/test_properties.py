@@ -3,7 +3,8 @@
 The hockey-stick kernel is checked against the brute-force sum it replaces,
 on pairs with empty bins on either side and eps far past the exp overflow.
 The PLD engine is checked the same way: its segment-sum delta against the
-per-node sum, its rfft power against repeated direct convolution.
+per-node sum, its rfft power against repeated direct convolution. The
+closed-form sigma inverse is checked by mapping its sigma back to a TV.
 """
 
 import tracemalloc
@@ -17,6 +18,7 @@ from dpaudit.discrete import (DiscreteDistribution, alpha_from_eps, hockey_stick
                               symmetric_delta)
 from dpaudit.estimators import threshold_epsilon, two_bin_histogram
 from dpaudit.histogram import BinningSpec, HistogramEstimate, estimate_profile
+from dpaudit.mechanisms import SIGMA_RANGE, SubsampledGaussianMechanism, sigma_from_tv
 from dpaudit.pld import PLDGrid, delta_from_pld, self_convolve
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
@@ -174,3 +176,16 @@ def test_self_convolve_matches_direct_convolution(pld, c):
     assert np.all(np.abs(composed.masses - direct) <= 1e-14)
     assert composed.grid_start == c * pld.grid_start
     assert abs(composed.mass_inf - (1.0 - (1.0 - pld.mass_inf) ** c)) <= 1e-15
+
+
+# every decade of the range as often as its top one
+sigmas = st.one_of(st.floats(*SIGMA_RANGE), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(0.01, 1.0), sigmas)
+def test_sigma_from_tv_reproduces_the_tv(q, sigma):
+    tv = SubsampledGaussianMechanism(q, sigma).tv()
+    fitted = sigma_from_tv(q, tv)
+    assert SIGMA_RANGE[0] <= fitted <= SIGMA_RANGE[1]
+    assert abs(SubsampledGaussianMechanism(q, fitted).tv() / tv - 1.0) <= 1e-11
