@@ -4,15 +4,26 @@ These deliberately avoid the library's own code paths: divergences are
 integrated by trapezoid quadrature over dense grids, binomial tails are
 summed with exact integer coefficients, closed forms come straight from
 scipy's special functions, inverses come from plain bisection, and score files are parsed one line at a time
-with Python's ``float``.
+with Python's ``float``. Memory is read with tracemalloc.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from scipy import special
 
 from dpaudit.errors import ScoreFileError
+
+
+def traced_peak(fn):
+    """Peak bytes that ``fn()`` holds at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def normal_pdf(x, mu=0.0, sigma=1.0):

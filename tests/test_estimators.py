@@ -13,7 +13,7 @@ from dpaudit.mechanisms import (SIGMA_RANGE, GaussianMechanism, SubsampledGaussi
 from dpaudit.profiles import PrivacyProfile
 from dpaudit.tradeoff import validate
 
-from oracles import bisect_decreasing, mixture_tv_closed_form
+from oracles import bisect_decreasing, mixture_tv_closed_form, traced_peak
 
 
 class TestThresholdEpsilon:
@@ -260,6 +260,14 @@ class TestHistogramAudit:
         assert report.sigma.sigma == pytest.approx(0.302, abs=0.01)
         lo, hi = report.sigma.sigma_interval
         assert lo < report.sigma.sigma < hi
+
+    @pytest.mark.parametrize("config", [AuditConfig(bins=20), AuditConfig()],
+                             ids=["bins", "scott"])
+    def test_peak_memory_stays_below_one_side(self, config):
+        # binning reads the samples in blocks: no pooled copy, no n-length index array
+        n = 2 ** 18
+        sp, sq = SubsampledGaussianMechanism(0.25, 0.3).sample_pair(n, seed=93)
+        assert traced_peak(lambda: histogram_audit(sp, sq, config)) < 8 * n
 
     @pytest.mark.parametrize("q", [0.0, 1.5, math.nan])
     def test_bad_fit_sigma_q_is_a_value_error(self, q):

@@ -168,8 +168,7 @@ class TestAutoSpec:
         spec = auto_spec(sp, sq)
         pooled = np.concatenate([sp, sq])
         h = scott_width_gaussian(pooled.std(ddof=1), 10 ** 5)
-        expected = (spec.b - spec.a) / h
-        assert spec.k == pytest.approx(expected, rel=0.2)
+        assert spec.k == math.ceil((spec.b - spec.a) / h)
 
     def test_fixed_k(self):
         rng = np.random.default_rng(11)
@@ -185,6 +184,19 @@ class TestAutoSpec:
     def test_k_and_width_exclude_each_other(self):
         with pytest.raises(ValueError, match="not both"):
             auto_spec([1.0, 2.0], [1.0, 2.0], k=10, width=0.5)
+
+    @pytest.mark.parametrize("side", ["p", "q"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_non_finite(self, bad, side):
+        x = np.random.default_rng(14).normal(0, 1, 1200)
+        y = x.copy()
+        y[700] = bad
+        sp, sq = (y, x) if side == "p" else (x, y)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            auto_spec(sp, sq)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            build_histograms(sp, sq, BinningSpec(-1.0, 1.0, 4))
 
     def test_quantile_edges_are_robust_to_outliers(self):
         rng = np.random.default_rng(13)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,8 @@ from dpaudit.mechanisms import gaussian_delta
 from dpaudit.mechanisms import SubsampledGaussianMechanism
 from dpaudit.pld import (MAX_NODES, PLDGrid, _next_fast_len, compose_profile, delta_from_pld,
                          pld_from_discrete, self_convolve)
+
+from oracles import traced_peak
 
 
 def dist(*masses):
@@ -154,16 +155,6 @@ class TestDeltaFromPld:
             assert coarse >= fine - 1e-15 >= finest - 2e-15
             exact = symmetric_delta(p, q, eps)
             assert finest >= exact - 1e-12
-
-
-def traced_peak(fn):
-    """Peak bytes that ``fn()`` holds at once, by tracemalloc."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def gaussian_pair(sigma, width):

@@ -5,21 +5,28 @@ on pairs with empty bins on either side and eps far past the exp overflow.
 The PLD engine is checked the same way: its segment-sum delta against the
 per-node sum, its rfft power against repeated direct convolution. The
 closed-form sigma inverse is checked by mapping its sigma back to a TV.
+The blocked binning is checked against the pooled copy it replaces, with
+blocks small enough that their boundaries fall inside the samples.
 """
 
-import tracemalloc
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dpaudit import histogram
 from dpaudit.discrete import (DiscreteDistribution, alpha_from_eps, hockey_stick,
                               symmetric_delta)
+from dpaudit.errors import DegenerateSamplesError
 from dpaudit.estimators import threshold_epsilon, two_bin_histogram
-from dpaudit.histogram import BinningSpec, HistogramEstimate, estimate_profile
+from dpaudit.histogram import (QUANTILE_MARGIN, BinningSpec, HistogramEstimate, auto_spec,
+                               build_histograms, estimate_profile, scott_width_gaussian)
 from dpaudit.mechanisms import SIGMA_RANGE, SubsampledGaussianMechanism, sigma_from_tv
 from dpaudit.pld import PLDGrid, delta_from_pld, self_convolve
+
+from oracles import traced_peak
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -112,13 +119,69 @@ def test_estimate_profile_memory_is_linear():
                              DiscreteDistribution.normalized(rng.random(k)),
                              DiscreteDistribution.normalized(rng.random(k)), 10 ** 6)
     eps = np.linspace(-10.0, 10.0, 2001)
-    tracemalloc.start()
-    try:
-        estimate_profile(hist, eps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    assert traced_peak(lambda: estimate_profile(hist, eps)) < 32 * 2 ** 20
+
+
+SMALL_BLOCK = 7
+
+
+@st.composite
+def sample_pairs(draw):
+    """Two samples of unequal sizes (either may hold one value) on a drawn
+    scale, optionally rounded so that many values tie."""
+    sizes = st.one_of(st.just(1), st.integers(1, 3 * SMALL_BLOCK), st.integers(1, 3000))
+    n_p, n_q = draw(sizes), draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 5.0))
+    sp = scale * (rng.standard_normal(n_p) + draw(st.floats(-3.0, 3.0)))
+    sq = scale * rng.standard_t(3, n_q)
+    if draw(st.booleans()):
+        sp, sq = (scale * np.round(x / scale, 1) for x in (sp, sq))
+    return sp, sq
+
+
+@PROPERTY_SETTINGS
+@given(sample_pairs())
+def test_auto_spec_matches_the_pooled_copy(pair):
+    sp, sq = pair
+    pooled = np.concatenate([sp, sq])
+    a, b = np.quantile(pooled, [QUANTILE_MARGIN, 1.0 - QUANTILE_MARGIN])
+    sigmas = []
+
+    def spy(sigma_hat, n):
+        sigmas.append(sigma_hat)
+        return scott_width_gaussian(sigma_hat, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(histogram, "BIN_BLOCK", SMALL_BLOCK)
+        mp.setattr(histogram, "scott_width_gaussian", spy)
+        if not a < b:
+            with pytest.raises(DegenerateSamplesError):
+                auto_spec(sp, sq)
+            return
+        spec = auto_spec(sp, sq)
+    assert (spec.a, spec.b) == (a, b)
+    sigma = pooled.std(ddof=1)
+    assert abs(sigmas[0] - sigma) <= 4 * np.spacing(sigma)
+    bins = (b - a) / scott_width_gaussian(sigma, sp.size)
+    if abs(bins - round(bins)) > 1e-9 * bins:
+        assert spec.k == max(2, math.ceil(bins))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 40), st.integers(2, 50), st.integers(0, 2 ** 32 - 1), st.data())
+def test_blocked_counts_match_one_bincount(block, k, seed, data):
+    n = data.draw(st.sampled_from([1, block - 1, block, block + 1, 2 * block + 1]))
+    # about a third of the values sit on a bin boundary
+    spec = BinningSpec(-2.0, 2.0, k)
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([spec.breakpoints(), rng.uniform(-3.0, 3.0, 2 * k)])
+    sp, sq = rng.choice(pool, n), rng.choice(pool, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(histogram, "BIN_BLOCK", block)
+        hist = build_histograms(sp, sq, spec)
+    for x, est in ((sp, hist.p_hat), (sq, hist.q_hat)):
+        assert np.array_equal(est.probs, np.bincount(spec.bin_indices(x), minlength=k) / n)
 
 
 @st.composite
