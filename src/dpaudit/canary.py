@@ -119,14 +119,6 @@ def _split(blocks: list, d: int) -> tuple[list, list]:
     return blocks[:m], blocks[m:]
 
 
-def _on_both_halves(fn, first: tuple, second: tuple) -> tuple:
-    """``(fn(*first), fn(*second))``, the second call in a forked child (see
-    :func:`scores.both`) unless its blocks, ``second[0]``, are none."""
-    if not second[0]:
-        return fn(*first), fn(*second)
-    return both(fn, first, second, child="one-shot sampler: the forked process")
-
-
 def _block_buffer(blocks: list, d: int) -> np.ndarray:
     """One buffer for the largest of ``blocks``' factor blocks. Only the
     process that draws these blocks touches its pages, so a buffer made
@@ -203,12 +195,14 @@ def one_shot_scores_gram(cfg: OneShotConfig) -> tuple[np.ndarray, np.ndarray]:
 
     width = min(t, cfg.d)
     release = cfg.sigma * rng.standard_normal(width)
-    _, sums = _on_both_halves(_release_sums, (*mine, cfg.d, cfg.x_norm, release),
-                              (*theirs, cfg.d, cfg.x_norm))
+    # a child takes the second side's blocks, unless _split left it none
+    child, fork = "one-shot sampler: the forked process", bool(theirs[0])
+    _, sums = both(_release_sums, (*mine, cfg.d, cfg.x_norm, release),
+                   (*theirs, cfg.d, cfg.x_norm), child=child, fork=fork)
     for block_sum in sums:
         release[:block_sum.size] += block_sum
-    held_in = np.concatenate(_on_both_halves(_held_in_scores, (*mine, cfg.d, release),
-                                             (*theirs, cfg.d, release)))
+    held_in = np.concatenate(both(_held_in_scores, (*mine, cfg.d, release),
+                                  (*theirs, cfg.d, release), child=child, fork=fork))
 
     norm2 = release @ release
     if cfg.d > width:

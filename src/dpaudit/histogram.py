@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import DiscreteDistribution, alpha_from_eps, hockey_stick, symmetric_delta
+from .discrete import (DiscreteDistribution, _count_at_or_below, alpha_from_eps,
+                       hockey_stick, symmetric_delta)
 from .errors import DegenerateSamplesError
 from .mechanisms import _require_positive_finite
 from .profiles import PrivacyProfile
@@ -56,9 +57,13 @@ class BinningSpec:
         return self.a + self.h * np.arange(1, self.k)
 
     def bin_indices(self, samples) -> np.ndarray:
-        """0-based bin index per sample; interior bins are [edge, next_edge)."""
-        return np.searchsorted(self.breakpoints(), np.asarray(samples, dtype=float),
-                               side="right")
+        """0-based bin index per sample; interior bins are [edge, next_edge).
+
+        Equal to ``searchsorted(breakpoints(), samples, "right")``, found by
+        arithmetic and checked against the breakpoints' own float expression.
+        """
+        x = np.asarray(samples, dtype=float)
+        return _count_at_or_below(x.ravel(), self.a, self.h, 1, self.k - 1).reshape(x.shape)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ the nearest node, which biases every downstream delta estimate high
 one rfft power (Koskela, Jalko & Honkela, AISTATS 2020); the infinity atom
 composes as 1 - (1 - w)**c. delta is read for a whole eps grid from one
 blocked pass that sums the nodes between consecutive eps, in
-O(block + len(eps)) memory beside the PLD itself.
+O(block + len(eps)) memory beside the PLD itself. A composed profile takes
+both directions, p against q and q against p; from ``_FORK_MIN_NODES``
+composed nodes on, a forked child takes the second (:func:`scores.both`),
+so each process holds one composed PLD.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discrete import DiscreteDistribution, _as_readonly
+from .discrete import DiscreteDistribution, _as_readonly, _count_at_or_below
 from .errors import GridOverflowError
 from .mechanisms import _require_positive_finite
 from .profiles import PrivacyProfile
+from .scores import both
 
 DEFAULT_GRID = (40.0, 2 ** 20)
 PLD_MASS_TOLERANCE = 1e-6
@@ -28,6 +32,11 @@ PLD_MASS_TOLERANCE = 1e-6
 MAX_NODES = 2 ** 26
 # nodes per block when delta is read off a PLD; temporaries stay O(block)
 DELTA_BLOCK = 2 ** 16
+# composed nodes per direction below which a forked child costs more than it
+# saves: forked and in-turn compose_profile tie between 1.0e5 and 1.5e5
+# composed nodes (Gaussian score histograms, c = 3-5) on a 2-vCPU host; at
+# 5e4 nodes the fork alone takes about as long as both directions in turn
+_FORK_MIN_NODES = 150_000
 
 
 @dataclass(frozen=True)
@@ -143,24 +152,15 @@ def self_convolve(pld: PLDGrid, c: int) -> PLDGrid:
 
 
 def _node_values(pld: PLDGrid, index) -> np.ndarray:
-    """The nodes at ``index``: one float expression for every node value."""
+    """The nodes at ``index``: one float expression for every node value,
+    which :func:`discrete._count_at_or_below` computes too."""
     return pld.grid_start + pld.step * index
 
 
 def _first_above(pld: PLDGrid, eps: np.ndarray) -> np.ndarray:
     """Index of the first node above each eps: ``searchsorted(node_values(),
     eps, "right")``, found without the node array (NaN sorts past the end)."""
-    n = pld.masses.size
-    with np.errstate(over="ignore"):
-        guess = np.floor((eps - pld.grid_start) / pld.step) + 1
-    first = np.clip(np.nan_to_num(guess, nan=n), 0, n).astype(np.int64)
-    # the quotient's rounding can leave the guess a node off either way
-    while True:
-        down = (first > 0) & (_node_values(pld, first - 1) > eps)
-        up = (first < n) & (_node_values(pld, first) <= eps)
-        if not (down.any() or up.any()):
-            return first
-        first += up.astype(np.int64) - down
+    return _count_at_or_below(eps, pld.grid_start, pld.step, 0, pld.masses.size)
 
 
 def delta_from_pld(pld: PLDGrid, eps):
@@ -208,9 +208,23 @@ def delta_from_pld(pld: PLDGrid, eps):
     return float(delta[0]) if eps.ndim == 0 else delta.reshape(eps.shape)
 
 
+def _composed_delta(p: DiscreteDistribution, q: DiscreteDistribution, c: int, eps_grid,
+                    grid: tuple[float, int]) -> np.ndarray:
+    """delta(eps) of the c-fold composition of the PLD of p against q. It calls
+    pocketfft and elementwise numpy only, never BLAS, so it may run in a forked
+    child (see :func:`scores.both`)."""
+    return delta_from_pld(self_convolve(pld_from_discrete(p, q, grid), c), eps_grid)
+
+
 def compose_profile(p: DiscreteDistribution, q: DiscreteDistribution, c: int,
                     eps_grid, grid: tuple[float, int] = DEFAULT_GRID) -> PrivacyProfile:
     """Profile of the c-fold composition, symmetrized over both directions.
+
+    From ``_FORK_MIN_NODES`` composed nodes on, a forked child composes and
+    reads the backward direction (q against p) while this process does the
+    forward one; below that the two run in turn. Either way each direction
+    does the same computation, so the profile is the same bit for bit, and
+    the forward direction's error wins. Each process holds one composed PLD.
 
     Composed estimates carry no confidence statement and are flagged as
     heuristic.
@@ -218,9 +232,12 @@ def compose_profile(p: DiscreteDistribution, q: DiscreteDistribution, c: int,
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size < 2:
         raise ValueError("eps_grid needs at least 2 points")
-    # one direction at a time, so only one composed PLD is alive at once
-    forward = delta_from_pld(self_convolve(pld_from_discrete(p, q, grid), c), eps_grid)
-    backward = delta_from_pld(self_convolve(pld_from_discrete(q, p, grid), c), eps_grid)
+    # the forward PLD's composed length decides the fork; the PLD is dropped and
+    # built again in its direction, so in turn one direction's PLDs live at a time
+    nodes = (pld_from_discrete(p, q, grid).masses.size - 1) * c + 1
+    forward, backward = both(_composed_delta, (p, q, c, eps_grid, grid),
+                             (q, p, c, eps_grid, grid), child="compose: the forked process",
+                             fork=nodes >= _FORK_MIN_NODES)
     deltas = np.maximum(forward, backward)
     # up-rounding keeps each direction non-increasing; the envelope guards fp wiggle
     return replace(PrivacyProfile.envelope(eps_grid, deltas), heuristic=True)

@@ -18,7 +18,9 @@ A run's two score files (one per side) are read or written at once by
 :func:`both`: a forked child takes the second file while this process takes
 the first, because text parsing and formatting hold one core each. The
 one-shot canary sampler splits its row blocks between two processes the
-same way.
+same way, and ``compose`` composes its two PLD directions so. Those two ask
+``both`` for a fork only from the input size on where it pays; below it
+the calls run in turn.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def write_scores(path, values) -> None:
             fh.write("\n")
 
 
-def both(fn, first, second, child=None) -> tuple:
+def both(fn, first, second, child=None, fork=True) -> tuple:
     """Return ``(fn(*first), fn(*second))``, making the second call in a forked child.
 
     The child sends its result or its exception back pickled over a pipe and
@@ -106,11 +108,13 @@ def both(fn, first, second, child=None) -> tuple:
     wins, and otherwise the child's is raised here with its type and message.
     A child that ends without a result raises ``OSError`` that starts with
     ``child``, by default ``"<second[0]>: the process handling this file"``
-    for a call on the file ``second[0]``. Without ``os.fork`` the calls run
-    in turn. ``fn`` should not call BLAS: only the forking thread lives on
-    in the child, and not every BLAS build restarts its thread pool there.
+    for a call on the file ``second[0]``. With ``fork`` false, as callers pass
+    when a fork would cost more than it saves, or without ``os.fork``, the
+    calls run in turn. ``fn`` should not call BLAS: only the forking thread
+    lives on in the child, and not every BLAS build restarts its thread pool
+    there.
     """
-    if not hasattr(os, "fork"):
+    if not (fork and hasattr(os, "fork")):
         return fn(*first), fn(*second)
     read_end, write_end = os.pipe()
     try:

@@ -4,10 +4,12 @@ These deliberately avoid the library's own code paths: divergences are
 integrated by trapezoid quadrature over dense grids, binomial tails are
 summed with exact integer coefficients, closed forms come straight from
 scipy's special functions, inverses come from plain bisection, and score files are parsed one line at a time
-with Python's ``float``. Memory is read with tracemalloc.
+with Python's ``float``. Memory is read with tracemalloc; a forked child
+left behind is found with ``waitpid``.
 """
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -24,6 +26,15 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def no_child_left() -> bool:
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def normal_pdf(x, mu=0.0, sigma=1.0):

@@ -12,7 +12,7 @@ from dpaudit.canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit,
 from dpaudit.cli import main
 from dpaudit.estimators import AuditConfig, histogram_audit
 
-from oracles import one_shot_direct, sample_sphere, whitebox_stream_direct
+from oracles import no_child_left, one_shot_direct, sample_sphere, whitebox_stream_direct
 
 
 class TestSampleSphere:
@@ -283,14 +283,6 @@ class TestGramSampler:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
-
-
-def no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 def _blocks(t):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -7,10 +8,13 @@ import pytest
 
 from dpaudit import pld
 from dpaudit.cli import _audit_config, build_parser, main
+from dpaudit.errors import GridOverflowError
 from dpaudit.estimators import AuditConfig, fit_mu_gdp, histogram_audit
 from dpaudit.mechanisms import GaussianMechanism
 from dpaudit.profiles import PrivacyProfile
 from dpaudit.tradeoff import TradeoffCurve, validate
+
+from oracles import no_child_left
 
 
 def run(*argv):
@@ -258,6 +262,45 @@ class TestCompose:
             tracemalloc.stop()
         assert code == 4
         assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the directions run in turn without os.fork")
+class TestComposeTwoProcesses:
+    """A forked child composes the backward direction; its failures keep today's exit codes."""
+
+    @pytest.fixture(autouse=True)
+    def always_fork(self, monkeypatch):
+        monkeypatch.setattr(pld, "_FORK_MIN_NODES", 0)
+
+    @staticmethod
+    def in_child(monkeypatch, action):
+        """Patch ``pld.self_convolve`` to run ``action`` in the forked child only."""
+        parent, convolve = os.getpid(), pld.self_convolve
+
+        def patched(grid, c):
+            if os.getpid() != parent:
+                action()
+            return convolve(grid, c)
+
+        monkeypatch.setattr(pld, "self_convolve", patched)
+
+    def test_backward_grid_overflow_exit_4(self, gaussian_files, capsys, monkeypatch):
+        def overflow():
+            raise GridOverflowError("2-fold convolution would need more than 67108864 "
+                                    "grid nodes")
+
+        self.in_child(monkeypatch, overflow)
+        assert run("compose", *gaussian_files, "--compositions", 2) == 4
+        assert capsys.readouterr() == (
+            "", "error: 2-fold convolution would need more than 67108864 grid nodes\n")
+        assert no_child_left()
+
+    def test_child_without_a_result_exits_3(self, gaussian_files, capsys, monkeypatch):
+        self.in_child(monkeypatch, lambda: os._exit(7))
+        assert run("compose", *gaussian_files, "--compositions", 2) == 3
+        assert capsys.readouterr() == (
+            "", "error: compose: the forked process ended without a result (exit status 7)\n")
+        assert no_child_left()
 
 
 class TestFitGdp:

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from dpaudit import pld as pld_module
 from dpaudit.discrete import DiscreteDistribution, symmetric_delta
 from dpaudit.errors import GridOverflowError
 from dpaudit.mechanisms import gaussian_delta
@@ -10,7 +12,7 @@ from dpaudit.mechanisms import SubsampledGaussianMechanism
 from dpaudit.pld import (MAX_NODES, PLDGrid, _next_fast_len, compose_profile, delta_from_pld,
                          pld_from_discrete, self_convolve)
 
-from oracles import traced_peak
+from oracles import no_child_left, traced_peak
 
 
 def dist(*masses):
@@ -176,9 +178,11 @@ class TestEvaluationMemory:
         eps = np.linspace(-3.0, 3.0, 401)
         assert traced_peak(lambda: delta_from_pld(pld, eps)) < 4 * 2 ** 20  # masses: 32 MB
 
-    def test_compose_peaks_no_higher_than_one_convolution(self):
-        # each direction is composed, read and dropped before the other is built;
+    def test_compose_peaks_no_higher_than_one_convolution(self, monkeypatch):
+        # in turn, each direction is composed, read and dropped before the other
+        # is built (a forked child would hide its direction from tracemalloc);
         # the allowance covers the eps-length arrays
+        monkeypatch.setattr(pld_module, "_FORK_MIN_NODES", 10 ** 12)
         p, q = gaussian_pair(sigma=2.0, width=0.01)
         eps = np.linspace(0.0, 10.0, 401)
         convolve = max(traced_peak(lambda: self_convolve(pld_from_discrete(a, b, TEST_GRID), 4))
@@ -210,6 +214,56 @@ class TestComposeProfile:
         profile = compose_profile(*gaussian_pair(sigma, 0.01), 4, np.linspace(0, 2, 5))
         for eps, value in zip(profile.epsilons, profile.deltas):
             assert value == pytest.approx(gaussian_delta(eps, sigma, 2.0), abs=5e-4)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the directions run in turn without os.fork")
+class TestTwoProcesses:
+    """From ``_FORK_MIN_NODES`` composed nodes on, a forked child takes the backward direction."""
+
+    EPS = np.linspace(-1.0, 10.0, 45)
+
+    @pytest.mark.parametrize("c", [1, 4])
+    def test_forked_equals_in_turn(self, c, monkeypatch):
+        p, q = gaussian_pair(sigma=2.0, width=0.01)
+        forks, fork, runs = [], os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        for floor in (0, 10 ** 12):
+            monkeypatch.setattr(pld_module, "_FORK_MIN_NODES", floor)
+            runs.append(compose_profile(p, q, c, self.EPS, grid=TEST_GRID))
+            assert no_child_left()
+        assert len(forks) == 1  # the forked run's only
+        monkeypatch.setattr(pld_module, "_FORK_MIN_NODES", 0)
+        monkeypatch.delattr(os, "fork")
+        runs.append(compose_profile(p, q, c, self.EPS, grid=TEST_GRID))
+        for profile in runs[1:]:
+            assert profile.deltas.tobytes() == runs[0].deltas.tobytes()
+            assert profile.heuristic
+
+    def test_forward_error_wins_when_both_fail(self, monkeypatch):
+        parent = os.getpid()
+
+        def failing(pld, c):
+            side = "forward" if os.getpid() == parent else "backward"
+            raise GridOverflowError(f"{side} direction does not fit")
+
+        monkeypatch.setattr(pld_module, "_FORK_MIN_NODES", 0)
+        monkeypatch.setattr(pld_module, "self_convolve", failing)
+        with pytest.raises(GridOverflowError, match="^forward direction does not fit$"):
+            compose_profile(dist(0.6, 0.4), dist(0.4, 0.6), 3, self.EPS, grid=TEST_GRID)
+        assert no_child_left()
+
+    def test_small_composition_makes_no_child(self, monkeypatch):
+        def no_fork():
+            raise OSError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        # the largest c whose composed PLD stays below the floor, then one more
+        p, q = gaussian_pair(sigma=2.0, width=0.01)
+        size = pld_from_discrete(p, q, TEST_GRID).masses.size
+        c = (pld_module._FORK_MIN_NODES - 2) // (size - 1)
+        assert compose_profile(p, q, c, self.EPS, grid=TEST_GRID).heuristic
+        with pytest.raises(OSError, match="os.fork called"):
+            compose_profile(p, q, c + 1, self.EPS, grid=TEST_GRID)
 
 
 class TestPldGridValidation:

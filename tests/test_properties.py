@@ -6,7 +6,9 @@ The PLD engine is checked the same way: its segment-sum delta against the
 per-node sum, its rfft power against repeated direct convolution. The
 closed-form sigma inverse is checked by mapping its sigma back to a TV.
 The blocked binning is checked against the pooled copy it replaces, with
-blocks small enough that their boundaries fall inside the samples.
+blocks small enough that their boundaries fall inside the samples. Bin
+indices and the PLD's first node above each eps, both counted by arithmetic,
+are checked against ``searchsorted`` on the nodes themselves.
 """
 
 import math
@@ -24,7 +26,7 @@ from dpaudit.estimators import threshold_epsilon, two_bin_histogram
 from dpaudit.histogram import (QUANTILE_MARGIN, BinningSpec, HistogramEstimate, auto_spec,
                                build_histograms, estimate_profile, scott_width_gaussian)
 from dpaudit.mechanisms import SIGMA_RANGE, SubsampledGaussianMechanism, sigma_from_tv
-from dpaudit.pld import PLDGrid, delta_from_pld, self_convolve
+from dpaudit.pld import PLDGrid, _first_above, delta_from_pld, self_convolve
 
 from oracles import traced_peak
 
@@ -184,6 +186,33 @@ def test_blocked_counts_match_one_bincount(block, k, seed, data):
         assert np.array_equal(est.probs, np.bincount(spec.bin_indices(x), minlength=k) / n)
 
 
+# values where a count by arithmetic can go wrong: signed zero, the smallest
+# subnormal, and ends where x - a overflows
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]
+
+
+def sorted_count_sample(rng, nodes, ends, size):
+    """``size`` values drawn from the nodes, their float neighbours, ``ends``,
+    ``EXTREMES`` and uniform draws around the nodes."""
+    span = max(float(nodes[-1] - nodes[0]), 1.0)
+    pool = np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+                           ends, EXTREMES,
+                           rng.uniform(nodes[0] - span, nodes[-1] + span, nodes.size)])
+    return rng.choice(pool, size)
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(-1e6, 1e6), st.floats(1e-9, 1e6), st.integers(2, 400),
+       st.sampled_from([histogram.BIN_BLOCK - 1, histogram.BIN_BLOCK, histogram.BIN_BLOCK + 1]),
+       st.integers(0, 2 ** 32 - 1))
+def test_bin_indices_match_searchsorted(a, width, k, size, seed):
+    b = a + width
+    assume(a < b)
+    spec = BinningSpec(a, b, k)
+    x = sorted_count_sample(np.random.default_rng(seed), spec.breakpoints(), [a, b], size)
+    assert np.array_equal(spec.bin_indices(x), np.searchsorted(spec.breakpoints(), x, "right"))
+
+
 @st.composite
 def plds(draw, max_nodes=60, reach=1000.0,
          mass_inf=st.one_of(st.just(0.0), st.floats(0.0, 0.5))):
@@ -226,6 +255,15 @@ def test_delta_from_pld_matches_brute_force(pld, data):
     assert np.array_equal(delta_from_pld(pld, eps[order]), deltas[order])
     assert np.all(np.diff(deltas[order]) <= 1e-15)
     assert isinstance(delta_from_pld(pld, float(eps[0])), float)
+
+
+@PROPERTY_SETTINGS
+@given(plds(max_nodes=400), st.integers(1, 200), st.integers(0, 2 ** 32 - 1))
+def test_first_above_matches_searchsorted(pld, size, seed):
+    nodes = pld.node_values()
+    eps = sorted_count_sample(np.random.default_rng(seed), nodes, [-np.inf, np.inf, np.nan],
+                              size)
+    assert np.array_equal(_first_above(pld, eps), np.searchsorted(nodes, eps, "right"))
 
 
 @PROPERTY_SETTINGS

@@ -12,7 +12,7 @@ from dpaudit.cli import main
 from dpaudit.errors import ScoreFileError
 from dpaudit.profiles import read_csv
 from dpaudit.scores import WRITE_BLOCK, both, read_scores, write_scores
-from oracles import read_scores_by_line
+from oracles import no_child_left, read_scores_by_line
 
 MB = 2 ** 20
 
@@ -201,14 +201,6 @@ def test_both_readers_name_the_non_utf8_line(tmp_path_factory, data):
             read(path)
         assert exc_info.value.line_number == k
         assert str(exc_info.value) == f"{path}: line {k}: not UTF-8 text"
-
-
-def no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 class TestBoth:
