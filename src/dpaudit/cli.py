@@ -61,16 +61,14 @@ def _parse_fields(text: str, flag: str, types: dict) -> tuple:
 
 
 def _mechanism_from_args(args) -> object:
-    name = args.mechanism
+    name = args.mechanism  # one of the --mechanism choices
     if name == "gaussian":
         return GaussianMechanism(args.sigma, args.sensitivity)
     if name == "subsampled-gaussian":
         if args.q is None:
             raise UsageError("subsampled-gaussian requires --q")
         return SubsampledGaussianMechanism(args.q, args.sigma)
-    if name == "laplace":
-        return LaplaceMechanism(args.scale, args.sensitivity)
-    raise UsageError(f"unknown mechanism {name!r}")
+    return LaplaceMechanism(args.scale, args.sensitivity)
 
 
 def _fit_sigma_q(spec_text: str) -> float:
@@ -175,8 +173,6 @@ def _write_report(report, args) -> None:
 
 
 def cmd_simulate(args) -> int:
-    if args.n < 1:
-        raise UsageError("n must be >= 1")
     mech = _mechanism_from_args(args)
     scores_p, scores_q = mech.sample_pair(args.n, args.seed)
     _write_pair(args.out_p, scores_p, args.out_q, scores_q)
@@ -220,8 +216,8 @@ def cmd_compose(args) -> int:
             {"method": "composed-heuristic", "compositions": args.compositions, "n": hist.n,
              "heuristic": True, "binning": binning_json(hist.spec),
              "profile": profile_json(profile)}, indent=2))
-    for e, d in zip(profile.epsilons[:: max(1, (len(profile.epsilons) - 1) // 8)],
-                    profile.deltas[:: max(1, (len(profile.epsilons) - 1) // 8)]):
+    stride = max(1, (len(profile.epsilons) - 1) // 8)
+    for e, d in zip(profile.epsilons[::stride], profile.deltas[::stride]):
         print(f"epsilon={e:.6g} delta={d:.6g}")
     return EXIT_OK
 

@@ -101,13 +101,9 @@ class DiscreteDistribution:
     def normalized(cls, values) -> "DiscreteDistribution":
         """Build a distribution from non-negative weights, renormalizing."""
         arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("values must be a non-empty 1-D sequence")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise ValueError("values must be finite and non-negative")
         total = arr.sum()
-        if total <= 0:
-            raise ValueError("values must have positive total mass")
+        if not 0 < total < math.inf:
+            raise ValueError(f"values must have a positive finite total, got {float(total)!r}")
         return cls(arr / total)
 
     def __len__(self) -> int:

@@ -18,7 +18,7 @@ class FitError(AuditError):
 
 
 class DegenerateSamplesError(AuditError, ValueError):
-    """Two score samples have no spread to bin: their pooled quantiles coincide."""
+    """Two score samples cannot be binned: their quantiles coincide or lie too far apart."""
 
 
 class ProfileOrderError(AuditError, ValueError):

@@ -47,10 +47,13 @@ class BinningSpec:
             raise ValueError(f"need finite a < b, got a={self.a!r} b={self.b!r}")
         if self.k < 2:
             raise ValueError("k must be >= 2")
+        if not math.isfinite(self.h):
+            raise ValueError(f"need a finite bin width (b - a) / k, got {self.h!r}")
 
     @property
     def h(self) -> float:
-        return (self.b - self.a) / self.k
+        # in Python floats a span past the float64 range is inf, without a warning
+        return (float(self.b) - float(self.a)) / self.k
 
     def breakpoints(self) -> np.ndarray:
         """The k-1 finite boundaries a+h, ..., b-h."""
@@ -140,7 +143,9 @@ def _tails(x: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray, float]:
     low = high = x[:0]
     total = 0.0
     for block in _finite_blocks(x, max(BIN_BLOCK, keep)):
-        total += float(np.sum(block))
+        # an inf or NaN total leaves auto_spec's Scott width non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += float(np.sum(block))
         # partition each fresh concatenation in place, then copy the kept
         # values out so that no block-sized buffer outlives its step
         low = np.concatenate([low, block])
@@ -162,7 +167,8 @@ def auto_spec(samples_p, samples_q, *, k: int | None = None,
     outliers; the open-ended extreme bins absorb the tails). ``k`` fixes the
     bin count, ``width`` the bin width; with neither, the Scott rule sets the
     width from the pooled sample standard deviation. Giving both raises, and
-    so does a NaN or inf in either sample.
+    so does a NaN or inf in either sample. Quantiles that coincide, or give
+    no finite span or width, raise :class:`DegenerateSamplesError`.
 
     The samples are never concatenated. ``np.quantile``'s linear rule
     interpolates between the pooled order statistics j and j + 1,
@@ -194,15 +200,25 @@ def auto_spec(samples_p, samples_q, *, k: int | None = None,
         pair = [low[r] if r < keep else high[r - n_pooled] for r in (j, j + 1)]
         return np.quantile(np.array(pair), v - j)  # numpy's own lerp, with the same weight
 
-    a, b = pooled_quantile(low_v), pooled_quantile(high_v)
+    a, b = float(pooled_quantile(low_v)), float(pooled_quantile(high_v))
     if not a < b:
         raise DegenerateSamplesError(
             "degenerate samples: zero spread between the chosen quantiles")
+    if not math.isfinite(b - a):
+        raise DegenerateSamplesError(
+            f"the chosen quantiles {a!r} and {b!r} lie too far apart to bin")
     if k is not None:
-        return BinningSpec(float(a), float(b), int(k))
+        return BinningSpec(a, b, int(k))
     if width is None:
         mean = (totals[0] + totals[1]) / n_pooled
-        squares = math.fsum(float(np.sum(np.square(block - mean)))
-                            for x in (sp, sq) for block in _finite_blocks(x, BIN_BLOCK))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+                squares = math.fsum(float(np.sum(np.square(block - mean)))
+                                    for x in (sp, sq) for block in _finite_blocks(x, BIN_BLOCK))
+        except OverflowError:  # finite block sums whose total passes the float64 range
+            squares = math.inf
         width = scott_width_gaussian(math.sqrt(squares / (n_pooled - 1)), sp.size)
-    return BinningSpec(float(a), float(b), max(2, int(math.ceil((b - a) / width))))
+        if not math.isfinite(width):
+            raise DegenerateSamplesError(
+                "the Scott bin width overflows: the samples' sum or spread exceeds float64")
+    return BinningSpec(a, b, max(2, int(math.ceil((b - a) / width))))

@@ -30,6 +30,8 @@ from .profiles import PrivacyProfile
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # the noise scales sigma_from_tv maps a TV onto
 SIGMA_RANGE = (1e-3, 1e3)
+# bin_masses covers [-BIN_TAIL_SIGMAS sigma, 1 + BIN_TAIL_SIGMAS sigma]
+BIN_TAIL_SIGMAS = 12.0
 
 
 def _std_normal_pdf(x):
@@ -42,6 +44,14 @@ def _require_positive_finite(**fields) -> None:
     for name, value in fields.items():
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _unit_alphas(alpha) -> np.ndarray:
+    """``alpha`` as a float array, checked to lie in [0, 1] (NaN fails)."""
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all((alpha >= 0) & (alpha <= 1)):
+        raise ValueError("alpha must lie in [0, 1]")
+    return alpha
 
 
 def gaussian_delta(eps, sigma: float, sensitivity: float = 1.0):
@@ -66,11 +76,9 @@ def gdp_tradeoff(mu: float, alpha):
     """Gaussian trade-off curve Phi(Phi^{-1}(1 - alpha) - mu)."""
     from scipy import special
 
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError("mu must be >= 0")
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any((alpha < 0) | (alpha > 1)):
-        raise ValueError("alpha must lie in [0, 1]")
+    alpha = _unit_alphas(alpha)
     out = special.ndtr(special.ndtri(1.0 - alpha) - mu)
     return float(out) if out.ndim == 0 else out
 
@@ -81,11 +89,9 @@ def laplace_tradeoff(mu: float, alpha):
     Piecewise: 1 - e^mu * a below e^{-mu}/2, then e^{-mu}/(4a) up to 1/2,
     then e^{-mu} * (1 - a).
     """
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError("mu must be >= 0")
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any((alpha < 0) | (alpha > 1)):
-        raise ValueError("alpha must lie in [0, 1]")
+    alpha = _unit_alphas(alpha)
     grow, shrink = alpha_from_eps(mu), alpha_from_eps(-mu)
     lo = shrink / 2.0
     # the pieces meet at lo; the first takes alpha = 0, where the middle is x/0
@@ -128,7 +134,7 @@ class GaussianMechanism:
         return float(self.delta(0.0))
 
     def profile(self, eps_grid) -> PrivacyProfile:
-        return PrivacyProfile.from_function(self.delta, eps_grid)
+        return PrivacyProfile(eps_grid, self.delta(eps_grid))
 
     def sample_pair(self, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
         if n < 1:
@@ -188,19 +194,19 @@ class SubsampledGaussianMechanism:
         """TV distance q * (2 Phi(1/(2 sigma)) - 1) = q * erf(1/(2 sqrt(2) sigma))."""
         return self.q * math.erf(0.5 / (math.sqrt(2.0) * self.sigma))
 
-    def bin_masses(self, *, width: float = 1e-3,
-                   tail_sigmas: float = 12.0) -> tuple[DiscreteDistribution, DiscreteDistribution]:
+    def bin_masses(self, *,
+                   width: float = 1e-3) -> tuple[DiscreteDistribution, DiscreteDistribution]:
         """Exact masses of the dominating pair on a shared fine binning."""
         from scipy import special
 
-        lo = -tail_sigmas * self.sigma
-        hi = 1.0 + tail_sigmas * self.sigma
+        lo = -BIN_TAIL_SIGMAS * self.sigma
+        hi = 1.0 + BIN_TAIL_SIGMAS * self.sigma
         p = _cdf_bin_masses(self.cdf_p, lo, hi, width)
         q = _cdf_bin_masses(lambda x: special.ndtr(np.asarray(x) / self.sigma), lo, hi, width)
         return p, q
 
     def profile(self, eps_grid) -> PrivacyProfile:
-        return PrivacyProfile.from_function(self.delta, eps_grid)
+        return PrivacyProfile(eps_grid, self.delta(eps_grid))
 
     def sample_pair(self, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
         if n < 1:

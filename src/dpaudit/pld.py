@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discrete import DiscreteDistribution, _as_readonly, _count_at_or_below
+from .discrete import DiscreteDistribution, _as_readonly, _check_pair, _count_at_or_below
 from .errors import GridOverflowError
 from .mechanisms import _require_positive_finite
 from .profiles import PrivacyProfile
@@ -80,15 +80,13 @@ def pld_from_discrete(p: DiscreteDistribution, q: DiscreteDistribution,
     :class:`GridOverflowError`, as does an occupied span of more than
     ``MAX_NODES`` nodes.
     """
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
+    pv, qv = _check_pair(p, q)
     half_width, m = float(grid[0]), int(grid[1])
     _require_positive_finite(L=half_width)
     if m < 2:
         raise ValueError("grid must be (L > 0, m >= 2)")
     step = 2.0 * half_width / m
 
-    pv, qv = p.probs, q.probs
     pos = pv > 0
     finite = pos & (qv > 0)
     mass_inf = float(pv[pos & (qv == 0)].sum())

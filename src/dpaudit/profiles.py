@@ -1,15 +1,14 @@
 """Privacy profiles: the curve eps -> delta(eps) for a mechanism or estimate.
 
-A profile is tabulated on an ascending eps grid with non-increasing delta
-values. Profiles built from closed-form mechanisms may also carry the exact
-callable, which is used in preference to interpolation where available.
+A profile is its table: non-increasing delta values on an ascending eps
+grid, read between the nodes by linear interpolation. Closed-form
+mechanisms tabulate their exact delta on the grid they are given.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,22 +74,16 @@ def check_columns(obj, x_name: str, y_name: str, noun: str) -> None:
 
 @dataclass(frozen=True)
 class PrivacyProfile:
-    """Tabulated eps -> delta curve, optionally backed by an exact function."""
+    """Tabulated eps -> delta curve."""
 
     epsilons: np.ndarray
     deltas: np.ndarray
-    fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
     heuristic: bool = False
 
     def __post_init__(self):
         check_columns(self, "epsilons", "deltas", "profile")
         if np.any(np.diff(self.deltas) > _MONOTONE_SLACK):
             raise ProfileOrderError("deltas must be non-increasing in eps")
-
-    @classmethod
-    def from_function(cls, fn: Callable, eps_grid) -> "PrivacyProfile":
-        eps = np.asarray(eps_grid, dtype=float)
-        return cls(eps, np.asarray(fn(eps), dtype=float), fn=fn)
 
     @classmethod
     def envelope(cls, eps_grid, deltas) -> "PrivacyProfile":
@@ -103,9 +96,7 @@ class PrivacyProfile:
         return cls(eps_grid, np.clip(deltas, 0.0, 1.0))
 
     def delta_at(self, eps):
-        """delta(eps); exact when a callable backs the profile, else interpolated."""
-        if self.fn is not None:
-            return self.fn(np.asarray(eps, dtype=float))
+        """delta(eps), interpolated linearly and clamped to the end nodes."""
         return np.interp(eps, self.epsilons, self.deltas)
 
     def epsilon_at(self, delta_target: float) -> float | None:

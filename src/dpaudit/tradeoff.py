@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import alpha_from_eps
+from .mechanisms import _unit_alphas
 from .profiles import PrivacyProfile, check_columns, csv_text, read_csv
 
 _VALIDATE_SLACK = 1e-9
@@ -67,15 +68,17 @@ def validate(curve: TradeoffCurve) -> list[str]:
     return violations
 
 
+def _eps_floor(delta: float) -> float:
+    """log(1 - delta), the least eps: no pair has delta(eps) < 1 - e^eps."""
+    return math.log1p(-delta) if delta < 1 else -math.inf
+
+
 def f_eps_delta(eps: float, delta: float, alpha):
     """The (eps, delta)-DP trade-off curve max{0, 1-d-e^eps a, e^-eps (1-d-a)}."""
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any((alpha < 0) | (alpha > 1)):
-        raise ValueError("alpha must lie in [0, 1]")
+    alpha = _unit_alphas(alpha)
     if not 0 <= delta <= 1:
         raise ValueError("delta must lie in [0, 1]")
-    # no pair has delta(eps) < 1 - e^eps; below it the curve leaves [0, 1]
-    floor = math.log1p(-delta) if delta < 1 else -math.inf
+    floor = _eps_floor(delta)
     if eps < floor:
         raise ValueError(f"eps must be >= log(1 - delta) = {floor:.6g}")
     out = np.maximum(0.0, np.maximum(1.0 - delta - alpha_from_eps(eps) * alpha,
@@ -97,7 +100,7 @@ def profile_to_tradeoff(profile: PrivacyProfile, delta_target: float = CURVE_DEL
     raises ValueError. Inversion ties resolve to the smallest eps.
 
     Args:
-        profile: tabulated (or function-backed) privacy profile.
+        profile: tabulated privacy profile.
         delta_target: half-margin of the delta' sweep; must lie in (0, 0.5).
         n_points: number of delta' values.
 
@@ -108,23 +111,16 @@ def profile_to_tradeoff(profile: PrivacyProfile, delta_target: float = CURVE_DEL
         raise ValueError("delta_target must lie in (0, 0.5)")
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    delta_grid = np.linspace(delta_target, 1.0 - delta_target, n_points)
-    pairs = []
-    for dp in delta_grid:
+    alphas = np.linspace(0.0, 1.0, max(n_points, MIN_ALPHA_NODES))
+    best = None
+    for dp in np.linspace(delta_target, 1.0 - delta_target, n_points):
         eps_hat = profile.epsilon_at(dp)
         if eps_hat is None:
             continue
-        # any pair is also certified at a larger eps, and no distribution
-        # pair realizes delta < 1 - e^eps; flooring keeps every line below
-        # 1 - alpha, so the envelope stays a valid trade-off curve
-        pairs.append((max(eps_hat, math.log1p(-dp)), dp))
-    if not pairs:
+        # any pair is also certified at a larger eps, so eps' may rise to
+        # the floor below which f_eps_delta refuses the pair
+        line = f_eps_delta(max(eps_hat, _eps_floor(dp)), dp, alphas)
+        best = line if best is None else np.maximum(best, line, out=best)
+    if best is None:
         raise ValueError("no delta' value was invertible on this profile")
-    alphas = np.linspace(0.0, 1.0, max(n_points, MIN_ALPHA_NODES))
-    best = np.zeros_like(alphas)
-    eps_hats, dps = np.array(pairs).T
-    for grow, shrink, dp in zip(alpha_from_eps(eps_hats), alpha_from_eps(-eps_hats), dps):
-        # the two lines of f_{eps', delta'}, as in f_eps_delta
-        np.maximum(best, np.maximum(1.0 - dp - grow * alphas, shrink * (1.0 - dp - alphas)),
-                   out=best)
     return TradeoffCurve(alphas, best)

@@ -636,3 +636,18 @@ class TestDegenerateSamples:
         assert run(*command(p, q)) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p} and {q}: degenerate samples")
+
+    @pytest.mark.parametrize("binning", [[], ["--bins", 20], ["--bin-width", 0.5]])
+    @pytest.mark.filterwarnings("error")
+    def test_span_past_float64_exit_3_naming_both_files(self, tmp_path, capsys, binning):
+        # 50 of 1000 lines at each of -1e308 and 1e308: the quantiles lie 2e308 apart
+        rng = np.random.default_rng(9)
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        for path, mean in ((p, 0.0), (q, 1.0)):
+            x = np.concatenate([np.full(50, -1e308), np.full(50, 1e308),
+                                rng.normal(mean, 1.0, 900)])
+            path.write_text("".join(f"{v!r}\n" for v in x.tolist()), encoding="utf-8")
+        assert run("audit", p, q, *binning) == 3
+        assert capsys.readouterr() == (
+            "", f"error: {p} and {q}: the chosen quantiles -1e+308 and 1e+308 "
+                "lie too far apart to bin\n")

@@ -156,7 +156,6 @@ class TestFitMuGdp:
         profile = PrivacyProfile.__new__(PrivacyProfile)
         object.__setattr__(profile, "epsilons", eps)
         object.__setattr__(profile, "deltas", deltas)
-        object.__setattr__(profile, "fn", None)
         with pytest.raises(FitError, match="non-increasing"):
             fit_mu_gdp(profile, (0.0, 1.0))
 

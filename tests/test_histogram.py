@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dpaudit import histogram
 from dpaudit.discrete import coarsen, hs_divergence
+from dpaudit.errors import DegenerateSamplesError
 from dpaudit.histogram import (BinningSpec, auto_spec, build_histograms,
                                estimate_delta_symmetric, estimate_profile,
                                scott_width_gaussian)
@@ -46,6 +48,12 @@ class TestBinningSpec:
             BinningSpec(1.0, 1.0, 4)
         with pytest.raises(ValueError):
             BinningSpec(0.0, 1.0, 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_width_past_float64(self):
+        for a, b in ((-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))):
+            with pytest.raises(ValueError, match="finite bin width"):
+                BinningSpec(a, b, 20)
 
     def test_extreme_bins_are_open_ended(self):
         spec = BinningSpec(0.0, 1.0, 2)
@@ -180,6 +188,27 @@ class TestAutoSpec:
         sp, sq = rng.normal(0, 1, 1000), rng.normal(0, 1, 1000)
         spec = auto_spec(sp, sq, width=0.5)
         assert spec.h <= 0.5 + 1e-12
+
+    @pytest.mark.parametrize("binning", [{}, {"k": 20}, {"width": 0.5}])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_span_past_float64_is_degenerate(self, binning):
+        # the 0.1% and 99.9% quantiles land on -1e308 and 1e308
+        x = np.random.default_rng(15).normal(0, 1, 1000)
+        x[:50], x[50:100] = -1e308, 1e308
+        with pytest.raises(DegenerateSamplesError, match="too far apart"):
+            auto_spec(x, x + 1.0, **binning)
+
+    # outliers beyond the quantiles, one per block, overflow the sum of the
+    # values or of their squared deviations behind the Scott width
+    @pytest.mark.parametrize("outlier", [1e308, 1.2e154])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scott_width_past_float64_is_degenerate(self, monkeypatch, outlier):
+        monkeypatch.setattr(histogram, "BIN_BLOCK", 1000)
+        x = np.random.default_rng(16).normal(0, 1, 4000)
+        x[[0, 1000, 2000]] = outlier
+        with pytest.raises(DegenerateSamplesError, match="Scott bin width"):
+            auto_spec(x, x + 1.0)
+        assert auto_spec(x, x + 1.0, k=20).k == 20
 
     def test_k_and_width_exclude_each_other(self):
         with pytest.raises(ValueError, match="not both"):

@@ -89,10 +89,16 @@ class TestTradeoffFormulas:
         assert np.all(np.diff(slopes) >= -1e-9)
 
     def test_alpha_range_errors(self):
-        with pytest.raises(ValueError):
-            laplace_tradeoff(1.0, 1.5)
-        with pytest.raises(ValueError):
-            gdp_tradeoff(1.0, -0.1)
+        for curve in (laplace_tradeoff, gdp_tradeoff):
+            for alpha in (1.5, -0.1, math.nan, [0.5, math.nan]):
+                with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+                    curve(1.0, alpha)
+
+    def test_mu_range_errors(self):
+        for curve in (laplace_tradeoff, gdp_tradeoff):
+            for mu in (-0.5, math.nan):
+                with pytest.raises(ValueError, match="mu must be >= 0"):
+                    curve(mu, 0.3)
 
 
 class TestSubsampledGaussianProfile:

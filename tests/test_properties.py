@@ -5,6 +5,7 @@ on pairs with empty bins on either side and eps far past the exp overflow.
 The PLD engine is checked the same way: its segment-sum delta against the
 per-node sum, its rfft power against repeated direct convolution. The
 closed-form sigma inverse is checked by mapping its sigma back to a TV.
+Trade-off curves converted from random non-increasing profiles are valid.
 The blocked binning is checked against the pooled copy it replaces, with
 blocks small enough that their boundaries fall inside the samples. Bin
 indices and the PLD's first node above each eps, both counted by arithmetic,
@@ -27,6 +28,8 @@ from dpaudit.histogram import (QUANTILE_MARGIN, BinningSpec, HistogramEstimate, 
                                build_histograms, estimate_profile, scott_width_gaussian)
 from dpaudit.mechanisms import SIGMA_RANGE, SubsampledGaussianMechanism, sigma_from_tv
 from dpaudit.pld import PLDGrid, _first_above, delta_from_pld, self_convolve
+from dpaudit.profiles import PrivacyProfile
+from dpaudit.tradeoff import profile_to_tradeoff, validate
 
 from oracles import traced_peak
 
@@ -290,3 +293,26 @@ def test_sigma_from_tv_reproduces_the_tv(q, sigma):
     fitted = sigma_from_tv(q, tv)
     assert SIGMA_RANGE[0] <= fitted <= SIGMA_RANGE[1]
     assert abs(SubsampledGaussianMechanism(q, fitted).tv() / tv - 1.0) <= 1e-11
+
+
+@st.composite
+def profiles(draw):
+    """The envelope of random deltas (exact 0s and 1s included) on a random grid."""
+    eps = np.sort(draw(st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=50, unique=True)))
+    deltas = draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+                           min_size=eps.size, max_size=eps.size))
+    return PrivacyProfile.envelope(eps, deltas)
+
+
+@PROPERTY_SETTINGS
+@given(profiles(), st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+       st.integers(2, 300))
+def test_tradeoff_curves_are_valid(profile, delta_target, n_points):
+    try:
+        curve = profile_to_tradeoff(profile, delta_target, n_points)
+    except ValueError as exc:
+        assert "no delta' value was invertible" in str(exc)
+        return
+    assert validate(curve) == []
+    # exp(log1p(-delta')) rounds, so a line may pass 1 - alpha by a few ulp
+    assert np.all(curve.betas <= 1.0 - curve.alphas + 1e-15)

@@ -2,8 +2,11 @@
 
 Only the module that defines ``numbered_lines`` (the one text-line reader)
 opens files for reading, and only ``discrete._as_readonly`` freezes arrays
-with ``setflags(write=False)``. A second reader or a second freeze fails
-here instead of drifting away from the first.
+with ``setflags(write=False)``. The check that alphas lie in [0, 1] lives in
+``mechanisms._unit_alphas`` and the check that two distributions have equal
+lengths in ``discrete._check_pair``, so each message has one module. A
+second reader, freeze or check fails here instead of drifting away from the
+first.
 """
 
 import ast
@@ -95,3 +98,12 @@ def test_only_the_line_reader_module_reads_files():
 
 def test_only_as_readonly_freezes_arrays():
     assert freezes(SOURCES) == ["discrete.py:_as_readonly"]
+
+
+def modules_containing(text: str) -> list[str]:
+    return [name for name, source in SOURCES.items() if text in source]
+
+
+def test_each_check_message_has_one_module():
+    assert modules_containing("alpha must lie in [0, 1]") == ["mechanisms.py"]
+    assert modules_containing("length mismatch") == ["discrete.py"]

@@ -26,8 +26,9 @@ class TestFEpsDelta:
         assert f_eps_delta(800.0, 0.2, 0.0) == pytest.approx(0.8)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            f_eps_delta(1.0, 0.1, 1.2)
+        for alpha in (1.2, -0.1, math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+                f_eps_delta(1.0, 0.1, alpha)
         with pytest.raises(ValueError):
             f_eps_delta(1.0, -0.1, 0.2)
         with pytest.raises(ValueError):
@@ -106,6 +107,13 @@ class TestProfileToTradeoff:
         profile = GaussianMechanism(1.0).profile(eps)
         # delta' above delta(0) ~ 0.383 is certified at the grid's left end
         assert profile.epsilon_at(0.9) == pytest.approx(0.0)
+
+    def test_sweep_end_rounding_to_one(self):
+        # 1 - delta_target rounds to 1: that delta' draws the zero line
+        eps = np.linspace(0.0, 1.0, 11)
+        curve = profile_to_tradeoff(PrivacyProfile(eps, np.zeros_like(eps)), 1e-20, 10)
+        assert validate(curve) == []
+        assert curve.betas[0] == 1.0
 
     def test_rejects_bad_delta_target(self):
         profile = GaussianMechanism(1.0).profile(np.linspace(-5, 5, 101))
