@@ -21,7 +21,8 @@ from .discrete import tv_distance
 from .errors import FitError
 from .histogram import (BinningSpec, HistogramEstimate, auto_spec,
                         build_histograms, estimate_profile)
-from .mechanisms import _require_positive_finite, _std_normal_pdf, gaussian_delta, sigma_from_tv
+from .mechanisms import (_require_positive_finite, _std_normal_pdf, gaussian_delta, sigma_from_tv,
+                         tv_range)
 from .profiles import PrivacyProfile, csv_text
 from .tradeoff import CURVE_DELTA_TARGET, CURVE_POINTS, TradeoffCurve, profile_to_tradeoff
 
@@ -203,18 +204,21 @@ def estimate_sigma(hist: HistogramEstimate, confidence: float, q: float) -> Sigm
     mapped to the noise scale of the subsampled Gaussian at rate q.
 
     TV falls as sigma grows, so the upper TV end gives the lower sigma end.
-    Raises FitError when a TV end lies outside the map's range over
-    ``mechanisms.SIGMA_RANGE``.
+    A TV end outside the map's range over ``mechanisms.SIGMA_RANGE`` is
+    clamped to it, so the sigma interval is one-sided there, ending at
+    SIGMA_RANGE's end; it holds every sigma in SIGMA_RANGE whose TV the TV
+    interval holds. Raises FitError when TV-hat itself lies outside the range.
     """
     tv_hat = tv_distance(hist.p_hat, hist.q_hat)
     tau = canonne_radius(hist.n, hist.spec.k, 1.0 - confidence)
     tv_lo = max(0.0, tv_hat - tau)
     tv_hi = min(1.0, tv_hat + tau)
     try:
-        sigma_hat, sigma_lo, sigma_hi = (sigma_from_tv(q, tv) for tv in (tv_hat, tv_hi, tv_lo))
+        sigma_hat = sigma_from_tv(q, tv_hat)
     except FitError as exc:
-        raise FitError(f"cannot map the TV interval [{tv_lo:.6g}, {tv_hi:.6g}] "
-                       f"to sigma: {exc}") from exc
+        raise FitError(f"cannot map the TV estimate {tv_hat:.6g} to sigma: {exc}") from exc
+    tv_min, tv_max = tv_range(q)
+    sigma_lo, sigma_hi = (sigma_from_tv(q, min(max(tv, tv_min), tv_max)) for tv in (tv_hi, tv_lo))
     return SigmaEstimate(tv=tv_hat, tv_interval=(tv_lo, tv_hi), sigma=sigma_hat,
                          sigma_interval=(sigma_lo, sigma_hi), confidence=confidence)
 

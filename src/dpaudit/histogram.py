@@ -167,8 +167,9 @@ def auto_spec(samples_p, samples_q, *, k: int | None = None,
     outliers; the open-ended extreme bins absorb the tails). ``k`` fixes the
     bin count, ``width`` the bin width; with neither, the Scott rule sets the
     width from the pooled sample standard deviation. Giving both raises, and
-    so does a NaN or inf in either sample. Quantiles that coincide, or give
-    no finite span or width, raise :class:`DegenerateSamplesError`.
+    so do a NaN or inf in either sample and a width that gives more bins
+    than pooled samples. Quantiles that coincide, or give no finite span or
+    width, raise :class:`DegenerateSamplesError`.
 
     The samples are never concatenated. ``np.quantile``'s linear rule
     interpolates between the pooled order statistics j and j + 1,
@@ -221,4 +222,7 @@ def auto_spec(samples_p, samples_q, *, k: int | None = None,
         if not math.isfinite(width):
             raise DegenerateSamplesError(
                 "the Scott bin width overflows: the samples' sum or spread exceeds float64")
+    elif not (b - a) / float(width) <= n_pooled:  # so memory is bounded by the input
+        raise ValueError(f"bin width {float(width)!r} is too small for the span [{a!r}, {b!r}]: "
+                         f"it gives more bins than the {n_pooled} pooled samples")
     return BinningSpec(a, b, max(2, int(math.ceil((b - a) / width))))

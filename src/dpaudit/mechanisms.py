@@ -218,6 +218,12 @@ class SubsampledGaussianMechanism:
         return p_samples, q_samples
 
 
+def tv_range(q: float) -> tuple[float, float]:
+    """The subsampled Gaussian's TVs at rate q at the ends of SIGMA_RANGE, lowest first."""
+    lo, hi = SIGMA_RANGE
+    return SubsampledGaussianMechanism(q, hi).tv(), SubsampledGaussianMechanism(q, lo).tv()
+
+
 def sigma_from_tv(q: float, tv: float) -> float:
     """The sigma in SIGMA_RANGE whose ``SubsampledGaussianMechanism(q, sigma).tv()`` is tv.
 
@@ -232,8 +238,7 @@ def sigma_from_tv(q: float, tv: float) -> float:
     from statistics import NormalDist
 
     lo, hi = SIGMA_RANGE
-    tv_min = SubsampledGaussianMechanism(q, hi).tv()
-    tv_max = SubsampledGaussianMechanism(q, lo).tv()
+    tv_min, tv_max = tv_range(q)
     if not tv_min <= tv <= tv_max:
         raise FitError(f"TV {tv!r} outside the range [{tv_min!r}, {tv_max!r}] "
                        f"of sigma in [{lo:g}, {hi:g}] at q = {q!r}")

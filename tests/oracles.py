@@ -4,8 +4,8 @@ These deliberately avoid the library's own code paths: divergences are
 integrated by trapezoid quadrature over dense grids, binomial tails are
 summed with exact integer coefficients, closed forms come straight from
 scipy's special functions, inverses come from plain bisection, and score files are parsed one line at a time
-with Python's ``float``. Memory is read with tracemalloc; a forked child
-left behind is found with ``waitpid``.
+with Python's ``float`` and spelled one ``repr`` at a time. Memory is read
+with tracemalloc; a forked child left behind is found with ``waitpid``.
 """
 
 import math
@@ -167,3 +167,8 @@ def read_scores_by_line(path):
     if not values:
         raise ScoreFileError("no scores", None)
     return np.asarray(values, dtype=float)
+
+
+def score_file_bytes(values):
+    """The bytes of a score file holding ``values``: each one's ``repr`` and a newline."""
+    return "".join(f"{float(v)!r}\n" for v in values).encode("ascii")

@@ -10,7 +10,7 @@ from dpaudit import pld
 from dpaudit.cli import _audit_config, build_parser, main
 from dpaudit.errors import GridOverflowError
 from dpaudit.estimators import AuditConfig, fit_mu_gdp, histogram_audit
-from dpaudit.mechanisms import GaussianMechanism
+from dpaudit.mechanisms import SIGMA_RANGE, GaussianMechanism
 from dpaudit.profiles import PrivacyProfile
 from dpaudit.tradeoff import TradeoffCurve, validate
 
@@ -124,16 +124,28 @@ class TestAudit:
         assert run("audit", p, q) == 3
         assert capsys.readouterr().err == f"error: {p}: line 2: not UTF-8 text\n"
 
-    def test_fit_sigma_outside_the_map_exit_5(self, tmp_path, capsys):
+    def test_fit_sigma_interval_past_the_map_is_one_sided(self, tmp_path, capsys):
         # at 5000 scores per side the TV interval reaches above q = 0.25, the
-        # largest TV the mixture map gives
-        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        # largest TV the mixture map gives: sigma's interval starts at SIGMA_RANGE's end
+        p, q, report = tmp_path / "p.txt", tmp_path / "q.txt", tmp_path / "r.json"
         assert run("simulate", "--mechanism", "subsampled-gaussian", "--q", 0.25,
                    "--sigma", 0.5, "-n", 5000, "--seed", 1, p, q) == 0
-        assert run("audit", p, q, "--fit-sigma", "mixture:q=0.25") == 5
+        assert run("audit", p, q, "--fit-sigma", "mixture:q=0.25", "--json", report) == 0
+        assert capsys.readouterr().err == ""
+        block = json.loads(report.read_text())["sigma_estimation"]
+        assert block["tv_interval"][1] > 0.25
+        assert block["sigma_interval"][0] == SIGMA_RANGE[0]
+        assert block["sigma"] < block["sigma_interval"][1] < SIGMA_RANGE[1]
+
+    def test_fit_sigma_outside_the_map_exit_5(self, tmp_path, capsys):
+        # N(0, 1) against N(3, 1): TV-hat itself lies far above q = 0.01
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        assert run("simulate", "--mechanism", "gaussian", "--sigma", 1, "--sensitivity", 3,
+                   "-n", 5000, "--seed", 1, p, q) == 0
+        assert run("audit", p, q, "--fit-sigma", "mixture:q=0.01") == 5
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: cannot map the TV interval [")
+        assert err.startswith("error: cannot map the TV estimate ")
         assert "outside the range" in err
 
     @pytest.mark.parametrize("value", ["0", "1.5", "-1", "nan", "inf"])
@@ -530,6 +542,19 @@ class TestFlags:
         argv = [command[0], *gaussian_files, *command[1:]]
         assert exit_code(*argv, "--bins", 20, "--bin-width", 0.01) == 2
         assert "not allowed with argument --bins" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", ["1e-320", "1e-300"])
+    def test_bin_width_too_small_for_the_span_exit_2(self, tmp_path, capsys, width):
+        rng = np.random.default_rng(18)
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        for path, mean in ((p, 0.0), (q, 1.0)):
+            path.write_text("".join(f"{v!r}\n" for v in rng.normal(mean, 1, 4002).tolist()))
+        assert run("audit", p, q, "--bin-width", width) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: bin width {float(width)!r} is too small for the span [")
+        assert err.endswith("more bins than the 8004 pooled samples\n")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", sorted(REPORT_FLAGS))
     def test_compose_and_fit_gdp_refuse_report_flags(self, gaussian_files, tmp_path, flag):

@@ -260,6 +260,22 @@ class TestHistogramAudit:
         lo, hi = report.sigma.sigma_interval
         assert lo < report.sigma.sigma < hi
 
+    def test_sigma_interval_is_one_sided_past_the_map(self):
+        # at 5000 scores per side TV-hat + tau passes q = 0.25, the largest TV the map gives
+        sp, sq = SubsampledGaussianMechanism(0.25, 0.5).sample_pair(5000, seed=1)
+        block = histogram_audit(sp, sq, fit_sigma_q=0.25).sigma
+        assert block.tv_interval[1] > 0.25
+        assert block.sigma_interval[0] == SIGMA_RANGE[0]
+        assert SIGMA_RANGE[0] < block.sigma < block.sigma_interval[1] < SIGMA_RANGE[1]
+        assert block.sigma_interval[1] == sigma_from_tv(0.25, block.tv_interval[0])
+
+    def test_tv_estimate_past_the_map_is_a_fit_error(self):
+        # N(0, 1) against N(3, 1): TV-hat near 0.87, far above q = 0.01
+        rng = np.random.default_rng(94)
+        sp, sq = rng.normal(0, 1, 5000), rng.normal(3, 1, 5000)
+        with pytest.raises(FitError, match="cannot map the TV estimate .* outside the range"):
+            histogram_audit(sp, sq, fit_sigma_q=0.01)
+
     @pytest.mark.parametrize("config", [AuditConfig(bins=20), AuditConfig()],
                              ids=["bins", "scott"])
     def test_peak_memory_stays_below_one_side(self, config):

@@ -189,6 +189,22 @@ class TestAutoSpec:
         spec = auto_spec(sp, sq, width=0.5)
         assert spec.h <= 0.5 + 1e-12
 
+    # 1e-320 gives an infinite bin count, 1e-300 a finite one far past the samples
+    @pytest.mark.parametrize("width", [1e-320, 1e-300, np.float64(1e-320)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_width_too_small_for_the_span(self, width):
+        rng = np.random.default_rng(17)
+        sp, sq = rng.normal(0, 1, 4002), rng.normal(1, 1, 4002)
+        with pytest.raises(ValueError, match=f"bin width {float(width)!r} is too small .* 8004 pooled"):
+            auto_spec(sp, sq, width=width)
+
+    def test_width_may_give_as_many_bins_as_samples(self):
+        sp, sq = np.arange(5.0), np.arange(5.0)  # the span runs from 0.009 to 3.991
+        span = float(np.quantile(np.r_[sp, sq], 0.999) - np.quantile(np.r_[sp, sq], 0.001))
+        assert auto_spec(sp, sq, width=span / 10).k == 10
+        with pytest.raises(ValueError, match="too small"):
+            auto_spec(sp, sq, width=span / 10.5)
+
     @pytest.mark.parametrize("binning", [{}, {"k": 20}, {"width": 0.5}])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_span_past_float64_is_degenerate(self, binning):

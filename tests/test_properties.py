@@ -9,7 +9,9 @@ Trade-off curves converted from random non-increasing profiles are valid.
 The blocked binning is checked against the pooled copy it replaces, with
 blocks small enough that their boundaries fall inside the samples. Bin
 indices and the PLD's first node above each eps, both counted by arithmetic,
-are checked against ``searchsorted`` on the nodes themselves.
+are checked against ``searchsorted`` on the nodes themselves. Score files
+written by the vectorised formatter are checked against ``repr`` byte for
+byte, on values drawn around the edges of its exact domain.
 """
 
 import math
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dpaudit import histogram
+from dpaudit import histogram, scores
 from dpaudit.discrete import (DiscreteDistribution, alpha_from_eps, hockey_stick,
                               symmetric_delta)
 from dpaudit.errors import DegenerateSamplesError
@@ -31,7 +33,7 @@ from dpaudit.pld import PLDGrid, _first_above, delta_from_pld, self_convolve
 from dpaudit.profiles import PrivacyProfile
 from dpaudit.tradeoff import profile_to_tradeoff, validate
 
-from oracles import traced_peak
+from oracles import score_file_bytes, traced_peak
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -316,3 +318,45 @@ def test_tradeoff_curves_are_valid(profile, delta_target, n_points):
     assert validate(curve) == []
     # exp(log1p(-delta')) rounds, so a line may pass 1 - alpha by a few ulp
     assert np.all(curve.betas <= 1.0 - curve.alphas + 1e-15)
+
+
+def _from_bits(bits: int) -> float:
+    """The float64 of a 64-bit pattern; a non-finite one has an exponent bit cleared."""
+    value = np.array([bits], dtype=np.uint64).view(np.float64)[0]
+    if not np.isfinite(value):
+        value = np.array([bits ^ (1 << 62)], dtype=np.uint64).view(np.float64)[0]
+    return float(value)
+
+
+def _neighbour(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+# values where the formatter's cases meet: any float, any bit pattern, short
+# decimals, powers of two and ten with their neighbours (the spacing changes
+# at a power of two, the digit count at a power of ten), and the domain edges
+score_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2 ** 64 - 1).map(_from_bits),
+    st.builds(lambda m, k: float(f"{m}e-{k}"), st.integers(-10 ** 7, 10 ** 7),
+              st.integers(0, 12)),
+    st.builds(_neighbour, st.one_of(st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)),
+                                    st.integers(-323, 308).map(lambda k: float(f"1e{k}")),
+                                    st.sampled_from([1e-4, 1e15])),
+              st.integers(-3, 3)),
+).map(lambda x: x if math.isfinite(x) else 1.0)  # a neighbour of 2^1023 can pass the range
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(score_values, st.booleans()), min_size=1, max_size=40),
+       st.sampled_from([None, 7]))
+def test_written_score_files_are_repr_lines(tmp_path_factory, drawn, block):
+    values = np.array([-x if negate else x for x, negate in drawn])
+    path = tmp_path_factory.mktemp("scores") / "scores.txt"
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(scores, "WRITE_BLOCK", block)
+        scores.write_scores(path, values)
+    assert path.read_bytes() == score_file_bytes(values)

@@ -12,7 +12,7 @@ from dpaudit.cli import main
 from dpaudit.errors import ScoreFileError
 from dpaudit.profiles import read_csv
 from dpaudit.scores import WRITE_BLOCK, both, read_scores, write_scores
-from oracles import no_child_left, read_scores_by_line
+from oracles import no_child_left, read_scores_by_line, score_file_bytes
 
 MB = 2 ** 20
 
@@ -91,11 +91,15 @@ class TestScoreFiles:
             write_scores(tmp_path / "x.txt", [1.0, float("inf")])
 
     def test_write_matches_one_repr_per_line_across_blocks(self, tmp_path):
-        values = np.random.default_rng(1).normal(0, 1, 2 * WRITE_BLOCK + 3)
+        # values in the exact domain, powers of two among them, mixed with ones
+        # repr spells: zeros, subnormals, exponent notation and 1e15
+        rng = np.random.default_rng(1)
+        values = rng.normal(0, 1, 2 * WRITE_BLOCK + 3)
+        outside = [0.0, -0.0, 0.5, -1024.0, 5e-324, 1e-300, 9.9e-5, 1e15, -3e22, 1.5e308]
+        values[rng.choice(values.size, 200, replace=False)] = rng.choice(outside, 200)
         path = tmp_path / "scores.txt"
         write_scores(path, values)
-        expected = "".join(repr(float(v)) + "\n" for v in values)
-        assert path.read_bytes() == expected.encode("utf-8")
+        assert path.read_bytes() == score_file_bytes(values)
 
     def test_two_numbers_on_one_line_rejected(self, tmp_path):
         # numpy reads this file as a 1 x 2 table; it must not pass as two scores
@@ -163,7 +167,7 @@ class TestScoreFileMemory:
         _, write_peak = self._peak(write_scores, path, values)
         read, read_peak = self._peak(read_scores, path)
         assert np.array_equal(read, values)
-        assert write_peak < 16 * MB
+        assert write_peak < 5 * MB
         assert read_peak < 32 * MB
 
 
