@@ -5,14 +5,30 @@ written file is the value's ``repr`` byte for byte, ending in a line feed on
 every OS, so files round-trip exactly and identical inputs produce byte-identical
 files.
 
-Reading tries numpy's C parser first (``np.loadtxt``). Its result is kept
-only when it is one column of finite floats, which is the common case of a
-file this module wrote. Anything else (comment lines, a value numpy cannot
-parse, a non-finite value, two numbers on a line, bytes that are not UTF-8,
-an empty file) goes through the Python line loop, which accepts exactly what
-``float()`` accepts and is the one source of ``path: line N`` errors. Both
-parsers round with the same correctly rounded ``strtod``, so a file either
-path accepts gives the same array.
+Reading parses ``READ_BLOCK`` bytes at a time with array arithmetic, so it
+holds the result and O(block) working arrays, never the whole file; a
+partial last line carries over to the next block. A line
+``-?[0-9]+[.][0-9]+`` of at most 23 bytes, as ``repr`` writes every value in
+1e-4 <= |x| < 1e16, ending in a line feed or a CR LF, is read in three steps,
+each exact:
+
+- bytes: the 24 bytes before its end, one strided view, as three
+  uint64 words; one table look-up on (digits, fraction digits) keeps only
+  the digits, SWAR masks check that each is 0-9, and three multiply, shift
+  and mask steps read eight per word (Lemire), giving the digits D and the
+  fraction digits f;
+- D <= 2^53: D / 10^f is correctly rounded, both being exact (Clinger,
+  *How to read floating point numbers accurately*, PLDI 1990);
+- D > 2^53: a corrected quotient is kept when D lies strictly inside its
+  rounding interval scaled by 10^f, the writer's interval test, or else one
+  ``nextafter`` step toward D is.
+
+Every other line (exponent notation, spaces, ``.5``, ``1_0``, a line past
+23 bytes), a value still outside, and a possible tie get ``float()``
+of the line's bytes in their slot. A line ``float()`` rejects or reads as
+non-finite (a blank or '#' line, a non-ASCII byte among them) sends the whole
+file to the Python line loop, which accepts exactly what ``float()`` accepts
+and is the one source of ``path: line N`` errors.
 
 Writing spells ``WRITE_BLOCK`` values at a time with array arithmetic, so
 memory stays O(block) at any file size. In the exact domain, 1e-4 <= |x| <
@@ -50,7 +66,6 @@ import functools
 import math
 import os
 import pickle
-import warnings
 
 import numpy as np
 
@@ -58,20 +73,13 @@ from .errors import ScoreFileError
 
 # values spelled per block; bounds the arrays held in memory at once
 WRITE_BLOCK = 2 ** 14
+# bytes read per block; bounds the working arrays of a read
+READ_BLOCK = 2 ** 16
 
 
 def read_scores(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # an empty file warns, then falls back
-                values = np.loadtxt(fh, dtype=float, ndmin=2, comments=None)
-        except ValueError:  # a field numpy cannot parse, or bytes that are not UTF-8
-            pass
-        else:
-            if values.shape[1] == 1 and values.size and np.isfinite(values).all():
-                return values.ravel()
-    return _read_lines(path)
+    values = _read_blocks(path)
+    return _read_lines(path) if values is None else values
 
 
 def numbered_lines(path):
@@ -115,10 +123,23 @@ _ROW = 48
 _INT, _FRAC = slice(1, 5), slice(6, 11)
 _BLANK_ROW = np.frombuffer(bytes(3) + b"-" + bytes(19) + b"." + bytes(20) + b"\n" + bytes(3),
                            dtype=np.uint8)
+# the bytes before a line's end that the reader takes of each line, as three uint64 words
+_LINE = 24
+# from 2^(53 - f) up, half a spacing times 10^f is an integer
+_TIE_FROM = np.array([2.0 ** (53 - f) for f in range(23)])
 
 
-# the tables below are built at the first write, so commands that only read
-# carry neither them nor the numpy state their construction leaves behind
+# the tables below are built at first use, so a command that only reads or only
+# writes carries neither the other's tables nor the numpy state they leave behind
+
+@functools.cache
+def _digit_masks():
+    """For a line of ``digits`` digits, ``f`` after the '.', at digits * 24 + f: the
+    bytes of its digits among the 24 before its end, as three uint64 words."""
+    rows = [bytes(_LINE - 1 - digits) + b"\xff" * (digits - f) + bytes(1) + b"\xff" * f
+            if f < digits else bytes(_LINE) for digits in range(_LINE) for f in range(_LINE)]
+    return np.frombuffer(b"".join(rows), dtype=np.uint64).reshape(-1, 3)
+
 
 @functools.cache
 def _chunks():
@@ -158,28 +179,181 @@ def _floor_sum(a, b):
     t = s - a
     e = (a - (s - t)) + (b - t)
     fs = np.floor(s)
-    return fs.astype(np.int64) - ((fs == s) & (e < 0))
+    fs[(fs == s) & (e < 0)] -= 1
+    return fs.astype(np.int64)
 
 
-def _scaled_interval(ax):
-    """s, and X = ax 10^s = h + lo with the integers [low, high] that read back as ax.
+def _scaled_interval(ax, s):
+    """X = ax 10^s = h + lo, and the integers [low, high] within half a spacing of it.
 
-    X lies in about [1e16, 1e18], so ``hi`` is an integer. The decimals that
-    read back as ax lie within half a spacing w of it. Scaled, X +- w is an
-    odd multiple of 2^(E - 53 + s) 5^s for ax in [2^E, 2^(E + 1)), and
-    E - 53 + s <= -1 in the exact domain, so no end is an integer and the
-    round-half-even rule that decides whether an end reads back never
-    applies. At a power of two the gap below is half the gap above; the
-    wider interval gives the same digits, because in the domain such an x
-    is an integer, or a decimal ending in 5 within 13 places, and no
-    shorter decimal lies within a spacing of it.
+    X lies in [2^52, 2^63), so ``hi`` is an integer and fits in int64.
+    The decimals that round to ax lie within half a spacing w of it. Scaled,
+    X +- w is an odd multiple of 2^(E - 53 + s) 5^s for ax in [2^E, 2^(E + 1)),
+    so no end is an integer while E - 53 + s <= -1, and the round-half-even
+    rule that decides whether an end reads back never applies. At a power of
+    two the gap below is half the gap above; the interval is the wider one.
     """
-    s = 17 - np.floor(np.log10(ax)).astype(np.int64)
     p = _POW10_FLOAT[s]
     hi, lo = _two_product(ax, p)
     h = hi.astype(np.int64)
     w = np.spacing(ax) * 0.5 * p
-    return s, h, lo, h + _floor_sum(lo, -w) + 1, h + _floor_sum(lo, w)
+    return h, lo, h + _floor_sum(lo, -w) + 1, h + _floor_sum(lo, w)
+
+
+def _parse_block(buf, lf, dest):
+    """Write the values of the lines ending at the line feeds ``lf`` of ``buf``
+    to ``dest``; False when the file needs the line loop."""
+    start = np.empty_like(lf)
+    start[0] = _LINE
+    np.add(lf[:-1], 1, out=start[1:])
+    neg = (buf[_LINE:lf[-1] + 1] == 45)[start - _LINE]  # '-'
+    # a line ends at its line feed, or at a carriage return just before it
+    end = lf.copy()
+    end[(buf[_LINE - 1:lf[-1]] == 13)[lf - _LINE]] -= 1
+    # f, the digits after the one '.' of each line
+    f = np.flatnonzero(buf[_LINE:lf[-1]] == 46)
+    f += _LINE
+    if f.size == lf.size and (f < lf).all() and (f[1:] >= start[1:]).all():
+        np.subtract(end, f, out=f)
+    else:  # a line without a '.', or with two, fails the grammar
+        dot, line = f, np.searchsorted(lf, f)
+        f = np.zeros_like(lf)
+        f[line] = end[line] - dot
+        f[np.bincount(line, minlength=lf.size) != 1] = 0
+    f -= 1
+    digits = end - start
+    special = digits >= _LINE
+    digits -= 1
+    digits[neg] -= 1
+    special |= f < 1
+    special |= f >= digits
+    f[special] = 1
+    digits[special] = 2
+    # the 24 bytes before each line's end, through one strided view of 24-byte
+    # items, with all but the digits set to 0
+    windows = np.ndarray((buf.size - _LINE + 1,), dtype=np.dtype((np.void, _LINE)),
+                         buffer=buf, strides=(1,))
+    words = windows[end - _LINE].view(np.uint64).reshape(-1, 3)
+    masks = _digit_masks().take(digits * _LINE + f, axis=0)
+    words &= masks
+    # each digit byte less '0', and a test that all are 0..9: a byte below '0'
+    # borrows, and one above '9' overflows 0x76, both setting its top bit
+    masks &= 0x3030303030303030
+    words -= masks
+    np.add(words, 0x7676767676767676, out=masks)
+    masks |= words
+    masks &= 0x8080808080808080
+    special |= (masks[:, 0] | masks[:, 1] | masks[:, 2]).view(np.int64) != 0
+    del masks
+    # eight digits per word to their value (Lemire's SWAR parse): pairs, fours, eights
+    words *= 2561
+    words >>= 8
+    words &= 0x00FF00FF00FF00FF
+    words *= 6553601
+    words >>= 16
+    words &= 0x0000FFFF0000FFFF
+    words *= 42949672960001
+    words >>= 32
+    # N, the 24 digits as one integer, with the '.' read as a 0
+    special |= words[:, 0].view(np.int64) >= 100  # N < 10^18 fits in int64
+    n = words[:, 0] * 10 ** 16
+    n += words[:, 1] * 10 ** 8
+    n += words[:, 2]
+    del words
+    n = n.view(np.int64)
+    # N = I 10^(f + 1) + F, and the decimal's digits D = I 10^f + F
+    frac = n % _POW10.take(f, mode="clip")
+    n -= frac
+    n //= 10
+    n += frac
+    np.divide(n, _POW10_FLOAT[f], out=dest)
+    hard = np.flatnonzero(n > 2 ** 53)
+    hard = hard[~special[hard]]
+    if hard.size:
+        dest[hard], ok = _nearest_double(n[hard], f[hard])
+        special[hard[~ok]] = True
+    np.negative(dest, out=dest, where=neg)
+    for i in np.flatnonzero(special):
+        try:
+            value = float(buf[start[i]:lf[i]].tobytes())
+        except ValueError:
+            return False
+        if not math.isfinite(value):
+            return False
+        dest[i] = value
+    return True
+
+
+def _nearest_double(d, f):
+    """Per row, the double nearest d 10^-f, and whether that is certain.
+
+    D > 2^53 is dh + dl, dh = fl(D), so dh / 10^f and one correction step
+    from Dekker's product leave c within an ulp of the value, nearly always
+    the nearest double. Scaled by 10^f, the decimals that round to c are the
+    integers strictly inside its interval; a miss moves c one step toward the
+    value. When the half-spacing scaled is an integer (c >= 2^(53 - f)) an
+    end may be one, a tie for round-half-even, and at a power of two the
+    interval below is half as wide: those rows stay uncertain.
+    """
+    p = _POW10_FLOAT[f]
+    dh = d.astype(float)
+    c = dh / p
+    hi, lo = _two_product(c, p)
+    c += ((dh - hi) - lo + (d - dh.astype(np.int64))) / p
+    _, _, low, high = _scaled_interval(c, f)
+    below = d < low
+    ok = ~below & (d <= high)
+    miss = np.flatnonzero(~ok)
+    if miss.size:
+        c[miss] = np.nextafter(c[miss], np.where(below[miss], 0.0, np.inf))
+        _, _, low, high = _scaled_interval(c[miss], f[miss])
+        ok[miss] = (low <= d[miss]) & (d[miss] <= high)
+    ok &= (c < _TIE_FROM[f]) & (np.frexp(c)[0] != 0.5)
+    return c, ok
+
+
+def _read_blocks(path):
+    """The file's values, read ``READ_BLOCK`` bytes at a time; None when the
+    file needs the line loop."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        # the bytes before each line start at _LINE; one spare byte at the end
+        # takes the line feed a last line lacks
+        buf = np.zeros(_LINE + READ_BLOCK + 1, dtype=np.uint8)
+        out = np.empty(0)
+        n = carry = done = 0
+        while True:
+            begin = _LINE + carry
+            if begin == buf.size - 1:  # a line longer than the buffer
+                buf = np.concatenate([buf, np.zeros_like(buf)])
+            end = begin + fh.readinto(memoryview(buf)[begin:-1])
+            if end == begin:
+                if not carry:
+                    break
+                buf[end] = 10
+                end += 1
+            lf = np.flatnonzero(buf[_LINE:end] == 10)
+            if lf.size:
+                lf += _LINE
+                done += lf[-1] + 1 - _LINE
+                if n + lf.size > out.size:  # room for the lines left at this rate
+                    room = n + lf.size + (n + lf.size) * max(size - done, 0) // done + 64
+                    if n:
+                        out.resize(room, refcheck=False)
+                    else:  # numpy backs a large new array with huge pages, not a resized one
+                        out = np.empty(room)
+                if not _parse_block(buf, lf, out[n:n + lf.size]):
+                    return None
+                n += lf.size
+                begin = lf[-1] + 1
+            else:
+                begin = _LINE
+            carry = end - begin
+            buf[_LINE:_LINE + carry] = buf[begin:end]
+    if not n:
+        return None
+    out.resize(n, refcheck=False)
+    return out
 
 
 def _trailing_zeros(low, high):
@@ -210,7 +384,13 @@ def _shortest_digits(x):
     """
     ax = np.abs(x)
     spelled = (ax >= 1e-4) & (ax < 1e15)
-    s, h, lo, low, high = _scaled_interval(np.where(spelled, ax, 1.5))
+    ax = np.where(spelled, ax, 1.5)
+    # X = ax 10^s lies near 10^17; in the exact domain E - 53 + s <= -1, and at a
+    # power of two the wider interval gives the same digits, because such an x
+    # is an integer, or a decimal ending in 5 within 13 places, and no shorter
+    # decimal lies within a spacing of it
+    s = 17 - np.floor(np.log10(ax)).astype(np.int64)
+    h, lo, low, high = _scaled_interval(ax, s)
     j = _trailing_zeros(low, high)
     # the multiple of 10^j nearest X: X / 10^j = q + (r + frac) / 10^j
     floor_lo = np.floor(lo)
