@@ -21,9 +21,11 @@ from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_sco
                      whitebox_stream)
 from .errors import (DegenerateSamplesError, FitError, GridOverflowError, ProfileOrderError,
                      ScoreFileError)
-from .estimators import (AuditConfig, binning_json, fit_mu_gdp, histogram_audit, profile_json,
-                         spec_from_config)
-from .histogram import build_histograms, estimate_profile
+from .estimators import AuditConfig, binning_json, fit_mu_gdp, profile_json, spec_from_config
+# the audit of a binned pair; the traced benchmark run wraps the audit under this name
+from .estimators import audit_estimate as histogram_audit
+from .histogram import (HistogramEstimate, bin_counts, binning_side, build_histograms,
+                        estimate_profile)
 from .mechanisms import GaussianMechanism, LaplaceMechanism, SubsampledGaussianMechanism
 from .profiles import PrivacyProfile
 from .scores import both, read_scores, write_scores
@@ -108,15 +110,6 @@ def _audit_config(args) -> AuditConfig:
     return AuditConfig(**{field: value for field, value in given.items() if value is not None})
 
 
-def _load_equal_pair(path_p, path_q):
-    scores_p, scores_q = both(read_scores, (path_p,), (path_q,))
-    if scores_p.size != scores_q.size:
-        raise ScoreFileError(
-            f"unequal sample counts: {path_p} has {scores_p.size}, "
-            f"{path_q} has {scores_q.size}", None)
-    return scores_p, scores_q
-
-
 @contextmanager
 def _spread_checked(args):
     """Report score files with no spread to bin as an input-data error naming both."""
@@ -126,12 +119,26 @@ def _spread_checked(args):
         raise ScoreFileError(f"{args.in_p} and {args.in_q}: {exc}") from exc
 
 
-def _load_histogram(args, config: AuditConfig):
-    """Read the --in-p/--in-q score files and bin them as the config says."""
-    scores_p, scores_q = _load_equal_pair(args.in_p, args.in_q)
+def _binned_file(path, args, config: AuditConfig):
+    """One score file's side of ``_load_histogram``: read the file and bin it,
+    sending the other side its size and what the binning needs from it."""
+    scores = read_scores(path)
+    sizes = yield scores.size
+    if sizes[0] != sizes[1]:
+        raise ScoreFileError(
+            f"unequal sample counts: {args.in_p} has {sizes[0]}, "
+            f"{args.in_q} has {sizes[1]}", None)
     with _spread_checked(args):
-        spec = spec_from_config(scores_p, scores_q, config)
-    return build_histograms(scores_p, scores_q, spec)
+        spec = yield from binning_side(scores, sizes, config.bins, config.bin_width)
+    return spec, bin_counts(scores, spec)
+
+
+def _load_histogram(args, config: AuditConfig) -> HistogramEstimate:
+    """Bin the --in-p/--in-q score files as the config says; a forked child reads
+    and bins the second file, so no process holds both samples."""
+    (spec, counts_p), (_, counts_q) = both(_binned_file, (args.in_p, args, config),
+                                           (args.in_q, args, config))
+    return HistogramEstimate.from_counts(spec, counts_p, counts_q)
 
 
 def _write_pair(path_p, scores_p, path_q, scores_q) -> None:
@@ -182,9 +189,7 @@ def cmd_simulate(args) -> int:
 def cmd_audit(args) -> int:
     config = _audit_config(args)
     fit_sigma_q = _fit_sigma_q(args.fit_sigma) if args.fit_sigma else None
-    scores_p, scores_q = _load_equal_pair(args.in_p, args.in_q)
-    with _spread_checked(args):
-        report = histogram_audit(scores_p, scores_q, config, fit_sigma_q=fit_sigma_q)
+    report = histogram_audit(_load_histogram(args, config), config, fit_sigma_q=fit_sigma_q)
     _print_report_lines(report)
     _write_report(report, args)
     return EXIT_OK
@@ -266,7 +271,9 @@ def cmd_canary(args) -> int:
         out, out_primed = whitebox_stream(cfg)
         scores = (out_primed, out)
         if args.audit:
-            report = histogram_audit(out_primed, out, _audit_config(args))
+            config = _audit_config(args)
+            spec = spec_from_config(out_primed, out, config)
+            report = histogram_audit(build_histograms(out_primed, out, spec), config)
     if scores:
         _write_pair(args.out_p, scores[0], args.out_q, scores[1])
     if report is not None:

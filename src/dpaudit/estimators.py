@@ -161,6 +161,21 @@ def histogram_audit(samples_p, samples_q, config: AuditConfig | None = None, *,
             estimate with its confidence interval is attached to the report.
 
     Returns:
+        The :func:`audit_estimate` report of the samples binned as the
+        config says.
+    """
+    config = config or AuditConfig()
+    spec = spec_from_config(samples_p, samples_q, config)
+    return audit_estimate(build_histograms(samples_p, samples_q, spec), config,
+                          method=method, fit_sigma_q=fit_sigma_q)
+
+
+def audit_estimate(hist: HistogramEstimate, config: AuditConfig | None = None, *,
+                   method: str = "histogram",
+                   fit_sigma_q: float | None = None) -> AuditReport:
+    """The audit of a binned sample pair; arguments as in :func:`histogram_audit`.
+
+    Returns:
         An AuditReport with the point profile, the confidence-lower-bounded
         profile, per-delta-target epsilon estimates, and trade-off curves.
         The curves are None when the point profile stays above
@@ -168,8 +183,7 @@ def histogram_audit(samples_p, samples_q, config: AuditConfig | None = None, *,
         samples do not overlap: then no delta' of the sweep can be inverted.
     """
     config = config or AuditConfig()
-    spec = spec_from_config(samples_p, samples_q, config)
-    hist = build_histograms(samples_p, samples_q, spec)
+    spec = hist.spec
     eps_values = config.eps_values()
     profile = estimate_profile(hist, eps_values)
 

@@ -5,11 +5,18 @@ The binning follows the auditing convention: k bins of equal width h over
 +infinity, so every sample lands somewhere. Interior boundaries are
 left-closed/right-open.
 
-Choosing the bins (``auto_spec``) and counting into them
-(``build_histograms``) read the two samples block by block and never pool
-them, so extra memory stays O(block). The edges a and b are the pooled
-0.1% / 99.9% quantiles, equal bit for bit to ``np.quantile`` of the
-concatenated samples: numpy's linear rule reads two adjacent order
+Choosing the bins and counting into them read each sample on its own,
+block by block, and never pool them, so extra memory stays O(block). A
+sample's part of the choice is ``binning_side``, run in lock-step with the
+other sample's: the sides swap their few smallest and largest values and
+their sums, and for the Scott rule their blocked squared-deviation sums
+about the pooled mean, and then each makes the same choice. Its part of
+the count is ``bin_counts``, and ``HistogramEstimate.from_counts`` merges
+the two. ``auto_spec`` and ``build_histograms`` run these in turn in one
+process; the CLI runs each side in the process that reads its score file
+(``scores.both``), so no process holds both samples. The edges a and b are
+the pooled 0.1% / 99.9% quantiles, equal bit for bit to ``np.quantile`` of
+the concatenated samples: numpy's linear rule reads two adjacent order
 statistics of the union, and those lie among the few smallest (or largest)
 values of each side.
 """
@@ -26,6 +33,7 @@ from .discrete import (DiscreteDistribution, _count_at_or_below, alpha_from_eps,
 from .errors import DegenerateSamplesError
 from .mechanisms import _require_positive_finite
 from .profiles import PrivacyProfile
+from .scores import both
 
 SCOTT_GAUSSIAN_CONSTANT = 2.0 * 3.0 ** (1.0 / 3.0) * math.pi ** (1.0 / 6.0)
 # auto_spec's [a, b] runs between these pooled quantiles
@@ -84,6 +92,12 @@ class HistogramEstimate:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
+    @classmethod
+    def from_counts(cls, spec: BinningSpec, counts_p, counts_q) -> "HistogramEstimate":
+        """The estimate of two equal-size samples from their counts per bin."""
+        n = int(np.sum(counts_p))
+        return cls(spec, DiscreteDistribution(counts_p / n), DiscreteDistribution(counts_q / n), n)
+
 
 def scott_width_gaussian(sigma_hat: float, n: int) -> float:
     """MSE-optimal width for normal data: 2 * 3^(1/3) * pi^(1/6) * sigma * n^(-1/3)."""
@@ -101,6 +115,14 @@ def _finite_blocks(x: np.ndarray, size: int):
         yield block
 
 
+def bin_counts(samples, spec: BinningSpec) -> np.ndarray:
+    """One sample's count per bin of ``spec``, counted block by block."""
+    count = np.zeros(spec.k, dtype=np.int64)
+    for block in _finite_blocks(np.asarray(samples, dtype=float), BIN_BLOCK):
+        count += np.bincount(spec.bin_indices(block), minlength=spec.k)
+    return count
+
+
 def build_histograms(samples_p, samples_q, spec: BinningSpec) -> HistogramEstimate:
     sp = np.asarray(samples_p, dtype=float)
     sq = np.asarray(samples_q, dtype=float)
@@ -109,16 +131,7 @@ def build_histograms(samples_p, samples_q, spec: BinningSpec) -> HistogramEstima
     if sp.size != sq.size:
         raise ValueError(f"sample counts differ: {sp.size} vs {sq.size} "
                          "(equal counts per side are required)")
-    n = sp.size
-    counts = []
-    for x in (sp, sq):
-        count = np.zeros(spec.k, dtype=np.int64)
-        for block in _finite_blocks(x, BIN_BLOCK):
-            count += np.bincount(spec.bin_indices(block), minlength=spec.k)
-        counts.append(count)
-    return HistogramEstimate(spec,
-                             DiscreteDistribution(counts[0] / n),
-                             DiscreteDistribution(counts[1] / n), n)
+    return HistogramEstimate.from_counts(spec, bin_counts(sp, spec), bin_counts(sq, spec))
 
 
 def estimate_delta_symmetric(hist: HistogramEstimate, eps: float) -> float:
@@ -159,41 +172,40 @@ def _tails(x: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray, float]:
     return low, high, total
 
 
-def auto_spec(samples_p, samples_q, *, k: int | None = None,
-              width: float | None = None) -> BinningSpec:
-    """Choose [a, b] from pooled sample quantiles and the bin count from k or width.
+def _square_sums(x: np.ndarray, mean: float) -> list[float]:
+    """Per block of ``x``, the sum of squared deviations about ``mean``."""
+    # an inf or NaN sum leaves the Scott width non-finite, which binning_side reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [float(np.sum(np.square(block - mean))) for block in _finite_blocks(x, BIN_BLOCK)]
 
-    ``a`` and ``b`` are the pooled 0.1% / 99.9% quantiles (robust to
-    outliers; the open-ended extreme bins absorb the tails). ``k`` fixes the
-    bin count, ``width`` the bin width; with neither, the Scott rule sets the
-    width from the pooled sample standard deviation. Giving both raises, and
-    so do a NaN or inf in either sample and a width that gives more bins
-    than pooled samples. Quantiles that coincide, or give no finite span or
-    width, raise :class:`DegenerateSamplesError`.
 
-    The samples are never concatenated. ``np.quantile``'s linear rule
-    interpolates between the pooled order statistics j and j + 1,
-    j = floor((N - 1) p). One blocked pass per side keeps the few smallest
-    and largest values, where both lie, and numpy interpolates between them
-    with the same weight, so ``a`` and ``b`` equal the quantiles of the
-    concatenated samples exactly. The Scott deviation is summed block by
-    block about the pooled mean, within a few ulp of the pooled ``std(ddof=1)``.
+def binning_side(samples, sizes: tuple[int, int], k: int | None = None,
+                 width: float | None = None):
+    """One sample's part in choosing the bins it shares with another sample.
+
+    A generator for :func:`scores.both`, run in lock-step with the other
+    sample's side; ``sizes`` holds both sample sizes, p's first. Each
+    ``yield`` hands over what the choice needs from this sample and gets
+    back both samples' parts: first its ``keep`` smallest and largest
+    values and its sum (``_tails``), then, for the Scott rule, its blocked
+    squared-deviation sums about the pooled mean. Both sides then make the
+    same choice, :func:`auto_spec`'s, and return the same
+    :class:`BinningSpec`.
     """
     if k is not None and width is not None:
         raise ValueError("give k or width, not both")
     if width is not None:
         _require_positive_finite(width=width)
-    sp = np.asarray(samples_p, dtype=float).ravel()
-    sq = np.asarray(samples_q, dtype=float).ravel()
-    if sp.size == 0 or sq.size == 0:
+    if 0 in sizes:
         raise ValueError("samples must be non-empty")
-    n_pooled = sp.size + sq.size
+    x = np.asarray(samples, dtype=float).ravel()
+    n_pooled = sum(sizes)
     # np.quantile's linear rule: v = (N - 1) p, read the pooled ranks floor(v) and one above
     low_v, high_v = ((n_pooled - 1) * p for p in (QUANTILE_MARGIN, 1.0 - QUANTILE_MARGIN))
     # every pooled rank below `keep` is among the kept lows, every rank of N - keep and up
     # among the kept highs
     keep = max(math.floor(low_v) + 2, n_pooled - math.floor(high_v))
-    lows, highs, totals = zip(*(_tails(x, keep) for x in (sp, sq)))
+    lows, highs, totals = zip(*(yield _tails(x, keep)))
     low, high = np.sort(np.concatenate(lows)), np.sort(np.concatenate(highs))
 
     def pooled_quantile(v):
@@ -211,14 +223,13 @@ def auto_spec(samples_p, samples_q, *, k: int | None = None,
     if k is not None:
         return BinningSpec(a, b, int(k))
     if width is None:
-        mean = (totals[0] + totals[1]) / n_pooled
+        squares = yield _square_sums(x, (totals[0] + totals[1]) / n_pooled)
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-                squares = math.fsum(float(np.sum(np.square(block - mean)))
-                                    for x in (sp, sq) for block in _finite_blocks(x, BIN_BLOCK))
+            # fsum is exact, so the order of the blocks and of the sides does not matter
+            total = math.fsum(squares[0] + squares[1])
         except OverflowError:  # finite block sums whose total passes the float64 range
-            squares = math.inf
-        width = scott_width_gaussian(math.sqrt(squares / (n_pooled - 1)), sp.size)
+            total = math.inf
+        width = scott_width_gaussian(math.sqrt(total / (n_pooled - 1)), sizes[0])
         if not math.isfinite(width):
             raise DegenerateSamplesError(
                 "the Scott bin width overflows: the samples' sum or spread exceeds float64")
@@ -226,3 +237,31 @@ def auto_spec(samples_p, samples_q, *, k: int | None = None,
         raise ValueError(f"bin width {float(width)!r} is too small for the span [{a!r}, {b!r}]: "
                          f"it gives more bins than the {n_pooled} pooled samples")
     return BinningSpec(a, b, max(2, int(math.ceil((b - a) / width))))
+
+
+def auto_spec(samples_p, samples_q, *, k: int | None = None,
+              width: float | None = None) -> BinningSpec:
+    """Choose [a, b] from pooled sample quantiles and the bin count from k or width.
+
+    ``a`` and ``b`` are the pooled 0.1% / 99.9% quantiles (robust to
+    outliers; the open-ended extreme bins absorb the tails). ``k`` fixes the
+    bin count, ``width`` the bin width; with neither, the Scott rule sets the
+    width from the pooled sample standard deviation and p's sample size.
+    Giving both raises, and so do a NaN or inf in either sample and a width
+    that gives more bins than pooled samples. Quantiles that coincide, or
+    give no finite span or width, raise :class:`DegenerateSamplesError`.
+
+    The samples are never concatenated: the two :func:`binning_side` calls
+    run in turn in this process. ``np.quantile``'s linear rule interpolates
+    between the pooled order statistics j and j + 1, j = floor((N - 1) p).
+    One blocked pass per side keeps the few smallest and largest values,
+    where both lie, and numpy interpolates between them with the same
+    weight, so ``a`` and ``b`` equal the quantiles of the concatenated
+    samples exactly. The Scott deviation is summed block by block about the
+    pooled mean, within a few ulp of the pooled ``std(ddof=1)``.
+    """
+    sp = np.asarray(samples_p, dtype=float).ravel()
+    sq = np.asarray(samples_q, dtype=float).ravel()
+    sizes = (sp.size, sq.size)
+    spec, _ = both(binning_side, (sp, sizes, k, width), (sq, sizes, k, width), fork=False)
+    return spec

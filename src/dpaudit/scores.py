@@ -25,10 +25,11 @@ each exact:
 
 Every other line (exponent notation, spaces, ``.5``, ``1_0``, a line past
 23 bytes), a value still outside, and a possible tie get ``float()``
-of the line's bytes in their slot. A line ``float()`` rejects or reads as
-non-finite (a blank or '#' line, a non-ASCII byte among them) sends the whole
-file to the Python line loop, which accepts exactly what ``float()`` accepts
-and is the one source of ``path: line N`` errors.
+of the line's bytes in their slot. A line ``float()`` rejects is dropped
+when the line loop would skip it too (blank or '#' once stripped, UTF-8,
+no carriage return inside). Any other such line, and a non-finite value,
+send the whole file to the Python line loop, which accepts exactly what
+``float()`` accepts and is the one source of ``path: line N`` errors.
 
 Writing spells ``WRITE_BLOCK`` values at a time with array arithmetic, so
 memory stays O(block) at any file size. In the exact domain, 1e-4 <= |x| <
@@ -51,13 +52,17 @@ prints in exponent notation or past 1e15), or one that lies exactly
 halfway between the two nearest shortest candidates, is spelled by
 ``repr`` into its row of the same block.
 
-A run's two score files (one per side) are read or written at once by
+A run's two score files (one per side) are handled at once by
 :func:`both`: a forked child takes the second file while this process takes
-the first, because text parsing and formatting hold one core each. The
-one-shot canary sampler splits its row blocks between two processes the
-same way, and ``compose`` composes its two PLD directions so. Those two ask
-``both`` for a fork only from the input size on where it pays; below it
-the calls run in turn.
+the first, because text parsing and formatting hold one core each. To bin
+two score files, each process reads its own and bins it, and the two
+exchange only what binning needs, in lock-step over a pair of pipes: the
+sizes, each side's few smallest and largest values and block sums, for the
+Scott rule its squared-deviation sums, and last the child's bin counts. So
+no process holds both samples. The one-shot canary sampler splits its row blocks
+between two processes the same way, and ``compose`` composes its two PLD
+directions so. Those two ask ``both`` for a fork only from the input size
+on where it pays; below it the calls run in turn.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ import functools
 import math
 import os
 import pickle
+import types
 
 import numpy as np
 
@@ -202,7 +208,8 @@ def _scaled_interval(ax, s):
 
 def _parse_block(buf, lf, dest):
     """Write the values of the lines ending at the line feeds ``lf`` of ``buf``
-    to ``dest``; False when the file needs the line loop."""
+    to the head of ``dest`` and return how many there are, or None when the
+    file needs the line loop."""
     start = np.empty_like(lf)
     start[0] = _LINE
     np.add(lf[:-1], 1, out=start[1:])
@@ -273,15 +280,38 @@ def _parse_block(buf, lf, dest):
         dest[hard], ok = _nearest_double(n[hard], f[hard])
         special[hard[~ok]] = True
     np.negative(dest, out=dest, where=neg)
+    skipped = []
     for i in np.flatnonzero(special):
+        line = buf[start[i]:lf[i]].tobytes()
         try:
-            value = float(buf[start[i]:lf[i]].tobytes())
+            value = float(line)
         except ValueError:
-            return False
+            if not _skipped_line(line):
+                return None
+            skipped.append(i)
+            continue
         if not math.isfinite(value):
-            return False
+            return None
         dest[i] = value
-    return True
+    if skipped:
+        kept = np.delete(dest, skipped)
+        dest[:kept.size] = kept
+    return lf.size - len(skipped)
+
+
+def _skipped_line(line: bytes) -> bool:
+    """Whether the line loop passes over ``line`` (its bytes before the line
+    feed): blank or '#' once stripped, UTF-8, and no carriage return inside,
+    which the line loop would read as a line break."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    text = text.removesuffix("\r")
+    if "\r" in text:
+        return False
+    text = text.strip()
+    return not text or text.startswith("#")
 
 
 def _nearest_double(d, f):
@@ -342,9 +372,10 @@ def _read_blocks(path):
                         out.resize(room, refcheck=False)
                     else:  # numpy backs a large new array with huge pages, not a resized one
                         out = np.empty(room)
-                if not _parse_block(buf, lf, out[n:n + lf.size]):
+                values = _parse_block(buf, lf, out[n:n + lf.size])
+                if values is None:
                     return None
-                n += lf.size
+                n += values
                 begin = lf[-1] + 1
             else:
                 begin = _LINE
@@ -447,58 +478,120 @@ def write_scores(path, values) -> None:
 def both(fn, first, second, child=None, fork=True) -> tuple:
     """Return ``(fn(*first), fn(*second))``, making the second call in a forked child.
 
-    The child sends its result or its exception back pickled over a pipe and
-    always ends in ``os._exit``, so it never returns into the caller and never
-    flushes the caller's stdio buffers; this process reaps it before returning
-    or raising. Errors come as in the sequential order: the first call's error
-    wins, and otherwise the child's is raised here with its type and message.
-    A child that ends without a result raises ``OSError`` that starts with
-    ``child``, by default ``"<second[0]>: the process handling this file"``
-    for a call on the file ``second[0]``. With ``fork`` false, as callers pass
-    when a fork would cost more than it saves, or without ``os.fork``, the
-    calls run in turn. ``fn`` should not call BLAS: only the forking thread
-    lives on in the child, and not every BLAS build restarts its thread pool
-    there.
+    When ``fn`` is a generator function, the two calls run in lock-step: at
+    each ``yield`` a call hands over its message and gets back the pair of
+    both calls' messages, the first call's first, and the value it returns
+    is its result. Both calls must yield equally often. So each process can
+    reduce its own input and send only what the other needs. The child
+    sends each message, its result or its exception pickled over a pipe and
+    always ends in ``os._exit``, so it never returns into the caller and
+    never flushes the caller's stdio buffers; this process reaps it before
+    returning or raising. Errors come as in the sequential order, step by
+    step: the first call's error wins, and otherwise the child's is raised
+    here with its type and message. A child that ends without a result
+    raises ``OSError`` that starts with ``child``, by default
+    ``"<second[0]>: the process handling this file"`` for a call on the
+    file ``second[0]``. With ``fork`` false, as callers pass when a fork
+    would cost more than it saves, or without ``os.fork``, the calls run in
+    turn. ``fn`` should not call BLAS: only the forking thread lives on in
+    the child, and not every BLAS build restarts its thread pool there.
     """
     if not (fork and hasattr(os, "fork")):
-        return fn(*first), fn(*second)
-    read_end, write_end = os.pipe()
+        calls = _steps(fn, first), _steps(fn, second)
+        pair = None
+        while True:
+            (going, mine), (_, theirs) = _step(calls[0], pair), _step(calls[1], pair)
+            if not going:
+                return mine, theirs
+            pair = mine, theirs
+    # one pipe each way: the child's messages come up, this process's go down
+    up_read, up_write = os.pipe()
+    down_read, down_write = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_end)
-        os.close(write_end)
+        for fd in (up_read, up_write, down_read, down_write):
+            os.close(fd)
         raise
     if pid == 0:
         status = 1
         try:
-            os.close(read_end)
-            try:
-                outcome = (True, fn(*second))
-            except BaseException as exc:
-                outcome = (False, exc)
-            with open(write_end, "wb") as pipe:
-                pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            os.close(up_read)
+            os.close(down_write)
+            with open(up_write, "wb") as up, open(down_read, "rb") as down:
+                calls, pair = _steps(fn, second), None
+                while True:
+                    try:
+                        going, value = _step(calls, pair)
+                        message = ("yield" if going else "return", value)
+                    except BaseException as exc:
+                        going, message = False, ("raise", exc)
+                    pickle.dump(message, up, protocol=pickle.HIGHEST_PROTOCOL)
+                    up.flush()
+                    if not going:
+                        break
+                    pair = pickle.load(down), value
             status = 0
         finally:
             os._exit(status)
-    os.close(write_end)
-    outcome = None
+    os.close(up_write)
+    os.close(down_read)
+    message = None
     try:
-        with open(read_end, "rb") as pipe:
-            result = fn(*first)
+        with open(up_read, "rb") as up:
             try:
-                outcome = pickle.load(pipe)
-            except Exception:  # the child died, or sent what cannot be rebuilt here
-                pass
+                calls, pair = _steps(fn, first), None
+                while True:
+                    going, mine = _step(calls, pair)
+                    try:
+                        message = pickle.load(up)
+                    except Exception:  # the child died, or sent what cannot be rebuilt here
+                        message = None
+                    if not (going and message and message[0] == "yield"):
+                        break
+                    # the child reads this message only after sending its own, so
+                    # neither process blocks on a full pipe while the other writes
+                    if not _send(down_write, mine):
+                        message = None
+                        break
+                    pair = mine, message[1]
+            finally:
+                os.close(down_write)  # a child still waiting for a message reads EOF and ends
     finally:
         _, status = os.waitpid(pid, 0)
-    if outcome is None:
+    if message is None:
         if child is None:
             child = f"{second[0]}: the process handling this file"
         raise OSError(f"{child} ended without a result "
                       f"(exit status {os.waitstatus_to_exitcode(status)})")
-    ok, value = outcome
-    if not ok:
-        raise value
-    return result, value
+    kind, theirs = message
+    if kind == "raise":
+        raise theirs
+    return mine, theirs
+
+
+def _steps(fn, args):
+    """``fn(*args)`` as a generator; a plain call returns at its first step."""
+    result = fn(*args)
+    if isinstance(result, types.GeneratorType):
+        result = yield from result
+    return result
+
+
+def _step(calls, pair):
+    """``(True, message)`` at the call's next ``yield``, ``(False, result)`` when it returns."""
+    try:
+        return True, calls.send(pair)
+    except StopIteration as stop:
+        return False, stop.value
+
+
+def _send(fd, value) -> bool:
+    """Write ``value`` pickled to the pipe ``fd``; False when its reader is gone."""
+    view = memoryview(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    except BrokenPipeError:
+        return False
+    return True

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from dpaudit import pld
-from dpaudit.cli import _audit_config, build_parser, main
+from dpaudit.cli import _audit_config, _load_histogram, build_parser, main
 from dpaudit.errors import GridOverflowError
 from dpaudit.estimators import AuditConfig, fit_mu_gdp, histogram_audit
+from dpaudit.histogram import BIN_BLOCK
 from dpaudit.mechanisms import SIGMA_RANGE, GaussianMechanism
 from dpaudit.profiles import PrivacyProfile
+from dpaudit.scores import write_scores
 from dpaudit.tradeoff import TradeoffCurve, validate
 
-from oracles import no_child_left
+from oracles import no_child_left, traced_peak
 
 
 def run(*argv):
@@ -181,6 +183,32 @@ MALFORMED_PROFILES = [
 
 # a profile CSV with a Latin-1 byte on line 3
 LATIN1_PROFILE = "epsilon,delta\n0,0.5\n1,0.1 caf\xe9\n2,0.01\n".encode("latin-1")
+
+
+class TestLoadHistogramMemory:
+    """The score files are binned each in the process that reads it."""
+
+    N = 2 * 10 ** 5
+
+    @pytest.mark.parametrize("binning", [[], ["--bins", "20"], ["--bin-width", "0.1"]])
+    def test_this_process_holds_one_side(self, tmp_path, binning):
+        rng = np.random.default_rng(21)
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        write_scores(p, rng.normal(0, 1, self.N))
+        write_scores(q, rng.normal(1, 1, self.N))
+        args = build_parser().parse_args(["audit", str(p), str(q), *binning])
+        config = _audit_config(args)
+        hist = None
+
+        def load():
+            nonlocal hist
+            hist = _load_histogram(args, config)
+
+        # one side's values plus a few blocks of binning temporaries; holding the
+        # other side too would add another 8 * N bytes
+        assert traced_peak(load) < 8 * self.N + 3 * 8 * BIN_BLOCK
+        assert hist.n == self.N
+        assert no_child_left()
 
 
 class TestTradeoffCommand:

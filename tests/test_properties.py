@@ -27,10 +27,12 @@ from dpaudit.discrete import (DiscreteDistribution, alpha_from_eps, hockey_stick
 from dpaudit.errors import DegenerateSamplesError
 from dpaudit.estimators import threshold_epsilon, two_bin_histogram
 from dpaudit.histogram import (QUANTILE_MARGIN, BinningSpec, HistogramEstimate, auto_spec,
-                               build_histograms, estimate_profile, scott_width_gaussian)
+                               bin_counts, binning_side, build_histograms, estimate_profile,
+                               scott_width_gaussian)
 from dpaudit.mechanisms import SIGMA_RANGE, SubsampledGaussianMechanism, sigma_from_tv
 from dpaudit.pld import PLDGrid, _first_above, delta_from_pld, self_convolve
 from dpaudit.profiles import PrivacyProfile
+from dpaudit.scores import both
 from dpaudit.tradeoff import profile_to_tradeoff, validate
 
 from oracles import score_file_bytes, traced_peak
@@ -173,6 +175,64 @@ def test_auto_spec_matches_the_pooled_copy(pair):
     bins = (b - a) / scott_width_gaussian(sigma, sp.size)
     if abs(bins - round(bins)) > 1e-9 * bins:
         assert spec.k == max(2, math.ceil(bins))
+
+
+@st.composite
+def tied_pairs(draw):
+    """Two samples, of equal sizes half of the time, from one value up; the
+    values come from a pool of a few, so the pooled quantile ranks often tie,
+    or from a normal law."""
+    sizes = st.one_of(st.integers(1, 3), st.integers(1, 3 * SMALL_BLOCK), st.integers(1, 2000))
+    n_p = draw(sizes)
+    n_q = n_p if draw(st.booleans()) else draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        pool = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=5)))
+        return rng.choice(pool, n_p), rng.choice(pool, n_q)
+    return rng.normal(0.0, 1.0, n_p), rng.normal(draw(st.floats(-2.0, 2.0)), 1.0, n_q)
+
+
+def binned_side(x, sizes, binning):
+    """One sample's side of binning a pair in two processes, as the CLI does."""
+    spec = yield from binning_side(x, sizes, **binning)
+    return spec, bin_counts(x, spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_pairs(), st.sampled_from([{}, {"k": 7}, {"width": 0.5}]))
+def test_side_summaries_merge_to_the_in_memory_binning(pair, binning):
+    sp, sq = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(histogram, "BIN_BLOCK", SMALL_BLOCK)
+        try:
+            spec = auto_spec(sp, sq, **binning)
+        except ValueError as exc:  # degenerate samples among them
+            spec, expected_error = None, (type(exc), str(exc))
+        # p and q as given, then swapped, each side in its own process
+        for first, second in ((sp, sq), (sq, sp)):
+            sizes = (first.size, second.size)
+            try:
+                (got, counts_first), (other, counts_second) = both(
+                    binned_side, (first, sizes, binning), (second, sizes, binning))
+            except ValueError as exc:
+                assert spec is None and (type(exc), str(exc)) == expected_error
+                continue
+            assert got == other
+            # the Scott width reads the first side's size
+            assert got == spec or (not binning and sp.size != sq.size
+                                   and (got.a, got.b) == (spec.a, spec.b))
+            for x, counts in ((first, counts_first), (second, counts_second)):
+                assert np.array_equal(counts, np.bincount(got.bin_indices(x), minlength=got.k))
+            if first is sp and sp.size == sq.size:
+                merged = HistogramEstimate.from_counts(got, counts_first, counts_second)
+                hist = build_histograms(sp, sq, spec)
+                assert merged.n == hist.n
+                for ours, theirs in ((merged.p_hat, hist.p_hat), (merged.q_hat, hist.q_hat)):
+                    assert ours.probs.tobytes() == theirs.probs.tobytes()
+    if spec is not None:
+        pooled = np.concatenate([sp, sq])
+        assert (spec.a, spec.b) == tuple(np.quantile(pooled, [QUANTILE_MARGIN,
+                                                                1.0 - QUANTILE_MARGIN]))
 
 
 @PROPERTY_SETTINGS

@@ -208,6 +208,33 @@ def test_read_is_float_of_each_line_bit_for_bit(tmp_path_factory, lines, newline
             assert read_scores(path).tobytes() == expected
 
 
+@pytest.mark.parametrize("block", BLOCKS)
+def test_comment_and_blank_lines_keep_the_block_reader(tmp_path, monkeypatch, block):
+    values = np.random.default_rng(8).normal(0, 1, 3000)
+    lines = [repr(v) for v in values.tolist()]
+    lines[:0] = ["# scores", ""]
+    lines[1500:1500] = ["  ", "# a note, caf\u00e9\r", "\t# indented", "\r"]
+    path = tmp_path / "scores.txt"
+    path.write_bytes(("\n".join(lines) + "\n# last").encode("utf-8"))
+    expected = scores._read_lines(path)
+
+    def line_loop(path):
+        raise AssertionError("the block reader left the file to the line loop")
+
+    monkeypatch.setattr(scores, "_read_lines", line_loop)
+    monkeypatch.setattr(scores, "READ_BLOCK", block)
+    assert read_scores(path).tobytes() == expected.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("text", ["# a\rb\n1.0\n", "1.0\n# caf\xe9\n"])
+def test_lines_the_line_loop_reads_otherwise_leave_the_block_reader(tmp_path, text):
+    # a carriage return inside a line breaks it in two for the line loop, and
+    # a '#' line that is not UTF-8 is an error it names
+    path = tmp_path / "scores.txt"
+    path.write_bytes(text.encode("latin-1"))
+    assert scores._read_blocks(path) is None
+
+
 class TestScoreFileMemory:
     """Text I/O at 10^6 values stays within a few copies of the array."""
 
