@@ -13,7 +13,10 @@ n x n matrix is built (see :func:`one_shot_scores_gram`).
 The white-box stream follows the per-iteration noisy-gradient protocol with
 a fresh clip-norm canary per step included with probability q_c. Its scores
 are drawn in O(T) from their exact law, which does not depend on d except
-through an optional nuisance term (see :func:`whitebox_stream`).
+through an optional nuisance term (see :func:`whitebox_stream`). One call
+can draw one side alone, bit for bit as in the pair, holding that side and
+one scratch block: the CLI draws, bins and writes each side in its own
+process, so no process holds both.
 """
 
 from __future__ import annotations
@@ -216,7 +219,8 @@ def one_shot_audit(cfg: OneShotConfig, audit_config: AuditConfig | None = None) 
     return histogram_audit(scores_p, scores_q, audit_config, method="one-shot")
 
 
-def whitebox_stream(cfg: WhiteBoxConfig) -> tuple[np.ndarray, np.ndarray]:
+def whitebox_stream(cfg: WhiteBoxConfig,
+                    side: int | None = None) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
     """Per-iteration score pairs (O, O') of the white-box protocol.
 
     Each iteration draws a fresh unit canary u scaled to the clip norm; it
@@ -228,17 +232,26 @@ def whitebox_stream(cfg: WhiteBoxConfig) -> tuple[np.ndarray, np.ndarray]:
     independent. A nuisance vector of norm nu adds clip nu (2B - 1) to each,
     where 2B - 1 is the cosine of two independent uniform directions in R^d
     (see :func:`_cosines`).
+
+    Returns ``(O, O')``, or with ``side`` (0 or 1) only that entry of the
+    pair, equal bit for bit. Both sides come from one random stream, block
+    by block, so a one-side draw still draws the other side's blocks, into
+    one block-sized scratch buffer: it holds O(iterations + block), so two
+    processes can each draw one side and neither holds both.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    out = np.empty(cfg.iterations)
-    out_primed = np.empty(cfg.iterations)
+    kept = (0, 1) if side is None else (side,)
+    pair = [np.empty(cfg.iterations if i in kept else min(_WHITEBOX_BLOCK, cfg.iterations))
+            for i in (0, 1)]
     for start in range(0, cfg.iterations, _WHITEBOX_BLOCK):
-        sl = slice(start, min(start + _WHITEBOX_BLOCK, cfg.iterations))
-        for side in (out[sl], out_primed[sl]):
-            rng.standard_normal(out=side)
-            side *= cfg.clip ** 2 * cfg.sigma
+        stop = min(start + _WHITEBOX_BLOCK, cfg.iterations)
+        # a side that is not kept draws every block into the start of its scratch buffer
+        blocks = [pair[i][start:stop] if i in kept else pair[i][:stop - start] for i in (0, 1)]
+        for block in blocks:
+            rng.standard_normal(out=block)
+            block *= cfg.clip ** 2 * cfg.sigma
             if cfg.nuisance_norm > 0:
-                side += _cosines(rng, cfg.d, side.size) * (cfg.clip * cfg.nuisance_norm)
-        held_in = out_primed[sl]
+                block += _cosines(rng, cfg.d, block.size) * (cfg.clip * cfg.nuisance_norm)
+        held_in = blocks[1]
         held_in[rng.random(held_in.size) < cfg.canary_prob] += cfg.clip ** 2
-    return out, out_primed
+    return tuple(pair) if side is None else pair[side]

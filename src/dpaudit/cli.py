@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from . import pld
@@ -110,27 +109,28 @@ def _audit_config(args) -> AuditConfig:
     return AuditConfig(**{field: value for field, value in given.items() if value is not None})
 
 
-@contextmanager
-def _spread_checked(args):
-    """Report score files with no spread to bin as an input-data error naming both."""
+def _binned(scores, config: AuditConfig, files=None):
+    """One sample's side of binning a pair as ``config`` says, in lock-step with
+    the other sample's side (``scores.both``): send the other side this
+    sample's size, then what the binning needs from it, and count its bins.
+    With ``files``, the paths the pair was read from, unequal sizes and no
+    spread to bin are input-data errors naming both."""
+    sizes = yield scores.size
+    if files and sizes[0] != sizes[1]:
+        raise ScoreFileError(
+            f"unequal sample counts: {files[0]} has {sizes[0]}, {files[1]} has {sizes[1]}", None)
     try:
-        yield
+        spec = yield from binning_side(scores, sizes, config.bins, config.bin_width)
     except DegenerateSamplesError as exc:
-        raise ScoreFileError(f"{args.in_p} and {args.in_q}: {exc}") from exc
+        if not files:
+            raise
+        raise ScoreFileError(f"{files[0]} and {files[1]}: {exc}") from exc
+    return spec, bin_counts(scores, spec)
 
 
 def _binned_file(path, args, config: AuditConfig):
-    """One score file's side of ``_load_histogram``: read the file and bin it,
-    sending the other side its size and what the binning needs from it."""
-    scores = read_scores(path)
-    sizes = yield scores.size
-    if sizes[0] != sizes[1]:
-        raise ScoreFileError(
-            f"unequal sample counts: {args.in_p} has {sizes[0]}, "
-            f"{args.in_q} has {sizes[1]}", None)
-    with _spread_checked(args):
-        spec = yield from binning_side(scores, sizes, config.bins, config.bin_width)
-    return spec, bin_counts(scores, spec)
+    """One score file's side of ``_load_histogram``: read the file and bin it."""
+    return (yield from _binned(read_scores(path), config, (args.in_p, args.in_q)))
 
 
 def _load_histogram(args, config: AuditConfig) -> HistogramEstimate:
@@ -141,12 +141,27 @@ def _load_histogram(args, config: AuditConfig) -> HistogramEstimate:
     return HistogramEstimate.from_counts(spec, counts_p, counts_q)
 
 
+def _whitebox_side(cfg: WhiteBoxConfig, side: int, path, config: AuditConfig | None):
+    """One side of the white-box flow: draw it (``whitebox_stream``'s entry
+    ``side``), bin it in lock-step with the other side when ``config`` is
+    given, and write it to ``path`` when given. Returns the shared spec and this
+    side's counts, or None without ``config``."""
+    scores = whitebox_stream(cfg, side)
+    binned = None if config is None else (yield from _binned(scores, config))
+    if path:
+        write_scores(path, scores)
+    return binned
+
+
+def _refuse_same_file(path_p, path_q) -> None:
+    # two processes writing one file would interleave their lines
+    if path_p and path_q and os.path.realpath(path_p) == os.path.realpath(path_q):
+        raise UsageError(f"{path_p} and {path_q} name the same file")
+
+
 def _write_pair(path_p, scores_p, path_q, scores_q) -> None:
     """Write each side whose path is given; two files are written at once."""
     if path_p and path_q:
-        # two processes writing one file would interleave their lines
-        if os.path.realpath(path_p) == os.path.realpath(path_q):
-            raise UsageError(f"{path_p} and {path_q} name the same file")
         both(write_scores, (path_p, scores_p), (path_q, scores_q))
     elif path_p or path_q:
         write_scores(*((path_p, scores_p) if path_p else (path_q, scores_q)))
@@ -181,6 +196,7 @@ def _write_report(report, args) -> None:
 
 def cmd_simulate(args) -> int:
     mech = _mechanism_from_args(args)
+    _refuse_same_file(args.out_p, args.out_q)
     scores_p, scores_q = mech.sample_pair(args.n, args.seed)
     _write_pair(args.out_p, scores_p, args.out_q, scores_q)
     return EXIT_OK
@@ -259,23 +275,32 @@ def cmd_canary(args) -> int:
     fields = {dest: getattr(args, dest) for dest in _CANARY_DESTS[args.mode]
               if getattr(args, dest) is not None}
     fields.update(d=args.d, sigma=args.sigma, seed=args.seed)
-    report = scores = None
+    cfg = (OneShotConfig if args.mode == "one-shot" else WhiteBoxConfig)(**fields)
+    config = _audit_config(args) if args.audit else None
+    _refuse_same_file(args.out_p, args.out_q)
+    report = None
     if args.mode == "one-shot":
-        cfg = OneShotConfig(**fields)
-        if args.audit:
-            report = one_shot_audit(cfg, _audit_config(args))
         if args.out_p or args.out_q:
-            scores = one_shot_scores_gram(cfg)  # the draw the audit used
-    else:
-        cfg = WhiteBoxConfig(**fields)
-        out, out_primed = whitebox_stream(cfg)
-        scores = (out_primed, out)
+            scores_p, scores_q = one_shot_scores_gram(cfg)
+            if args.audit:
+                spec = spec_from_config(scores_p, scores_q, config)
+                report = histogram_audit(build_histograms(scores_p, scores_q, spec), config,
+                                         method="one-shot")
+            _write_pair(args.out_p, scores_p, args.out_q, scores_q)
+        elif args.audit:
+            report = one_shot_audit(cfg, config)
+    elif args.audit or (args.out_p and args.out_q):
+        # the held-in side O' is p, the held-out side O is q; a forked child
+        # draws, bins and writes q, so no process holds both sides
+        binned_p, binned_q = both(_whitebox_side, (cfg, 1, args.out_p, config),
+                                  (cfg, 0, args.out_q, config),
+                                  child="white-box sampler: the forked process")
         if args.audit:
-            config = _audit_config(args)
-            spec = spec_from_config(out_primed, out, config)
-            report = histogram_audit(build_histograms(out_primed, out, spec), config)
-    if scores:
-        _write_pair(args.out_p, scores[0], args.out_q, scores[1])
+            report = histogram_audit(HistogramEstimate.from_counts(*binned_p, binned_q[1]),
+                                     config)
+    elif args.out_p or args.out_q:
+        side, path = (1, args.out_p) if args.out_p else (0, args.out_q)
+        write_scores(path, whitebox_stream(cfg, side))
     if report is not None:
         _print_report_lines(report)
         _write_report(report, args)

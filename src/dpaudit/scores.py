@@ -59,7 +59,9 @@ two score files, each process reads its own and bins it, and the two
 exchange only what binning needs, in lock-step over a pair of pipes: the
 sizes, each side's few smallest and largest values and block sums, for the
 Scott rule its squared-deviation sums, and last the child's bin counts. So
-no process holds both samples. The one-shot canary sampler splits its row blocks
+no process holds both samples. The white-box canary flow runs each side the
+same way: each process draws its own side, bins it in this exchange and
+writes its own file. The one-shot canary sampler splits its row blocks
 between two processes the same way, and ``compose`` composes its two PLD
 directions so. Those two ask ``both`` for a fork only from the input size
 on where it pays; below it the calls run in turn.

@@ -485,6 +485,35 @@ class TestWhiteboxStream:
             tracemalloc.stop()
         assert peak < 2 * 8 * iterations + 4 * 2 ** 20
 
+    @pytest.mark.parametrize("iterations", [1, canary._WHITEBOX_BLOCK - 1,
+                                            canary._WHITEBOX_BLOCK + 1,
+                                            3 * canary._WHITEBOX_BLOCK + 4321])
+    @pytest.mark.parametrize("d,nuisance_norm,canary_prob", [
+        (64, 0.0, 0.3), (1, 0.5, 0.3), (64, 0.5, 0.3), (8, 0.0, 1.0)])
+    def test_one_side_is_its_entry_of_the_pair(self, iterations, d, nuisance_norm,
+                                               canary_prob):
+        cfg = WhiteBoxConfig(iterations=iterations, canary_prob=canary_prob, sigma=0.7,
+                             clip=1.3, d=d, seed=24, nuisance_norm=nuisance_norm)
+        pair = whitebox_stream(cfg)
+        for side in (0, 1):
+            one = whitebox_stream(cfg, side)
+            assert one.shape == (iterations,)
+            assert one.tobytes() == pair[side].tobytes()
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_one_side_holds_one_output(self, side):
+        # the other side's blocks go through one block-sized scratch buffer
+        iterations = 10 ** 6
+        cfg = WhiteBoxConfig(iterations=iterations, canary_prob=0.5, sigma=1.0,
+                             clip=1.0, d=64, seed=47, nuisance_norm=0.5)
+        tracemalloc.start()
+        try:
+            whitebox_stream(cfg, side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * iterations + 4 * 2 ** 20
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             WhiteBoxConfig(iterations=0, canary_prob=0.5,

@@ -6,14 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dpaudit import pld
+from dpaudit import canary, cli, pld
+from dpaudit.canary import WhiteBoxConfig
 from dpaudit.cli import _audit_config, _load_histogram, build_parser, main
 from dpaudit.errors import GridOverflowError
 from dpaudit.estimators import AuditConfig, fit_mu_gdp, histogram_audit
 from dpaudit.histogram import BIN_BLOCK
 from dpaudit.mechanisms import SIGMA_RANGE, GaussianMechanism
 from dpaudit.profiles import PrivacyProfile
-from dpaudit.scores import write_scores
+from dpaudit.scores import WRITE_BLOCK, read_scores, write_scores
 from dpaudit.tradeoff import TradeoffCurve, validate
 
 from oracles import no_child_left, traced_peak
@@ -488,6 +489,112 @@ class TestCanaryCommand:
                    "--seed", 2, "--out-p", op, "--out-q", oq) == 0
         assert len(op.read_text().splitlines()) == 500
         assert len(oq.read_text().splitlines()) == 500
+
+    def test_one_shot_audit_and_files_draw_once(self, tmp_path, capsys, monkeypatch):
+        draws = []
+
+        def counted(draw):
+            def wrapper(cfg):
+                draws.append(cfg)
+                return draw(cfg)
+            return wrapper
+
+        for owner in (cli, canary):
+            monkeypatch.setattr(owner, "one_shot_scores_gram",
+                                counted(owner.one_shot_scores_gram))
+        op, oq = tmp_path / "p.txt", tmp_path / "q.txt"
+        assert run("canary", "--mode", "one-shot", "-d", 4096, "-n", 300, "--seed", 5,
+                   "--audit", "--out-p", op, "--out-q", oq) == 0
+        assert len(draws) == 1
+        from_canary = capsys.readouterr().out
+        assert run("audit", op, oq) == 0
+        assert capsys.readouterr().out == from_canary
+
+    @pytest.mark.parametrize("out,side", [("--out-p", 1), ("--out-q", 0)])
+    def test_whitebox_one_file_draws_its_side_here(self, tmp_path, monkeypatch, out, side):
+        sides, draw = [], cli.whitebox_stream
+
+        def recorded(cfg, side=None):
+            sides.append(side)
+            return draw(cfg, side)
+
+        monkeypatch.setattr(cli, "whitebox_stream", recorded)
+        path = tmp_path / "scores.txt"
+        assert run("canary", "--mode", "white-box", "-d", 8, "--iterations", 300,
+                   "--canary-prob", 0.5, "--seed", 6, out, path) == 0
+        # this process drew the side itself: a forked child would have taken q
+        assert sides == [side]
+        cfg = WhiteBoxConfig(iterations=300, canary_prob=0.5, sigma=1.0, d=8, seed=6)
+        assert np.array_equal(read_scores(path), draw(cfg)[side])
+
+
+class TestWhiteboxTwoProcesses:
+    """Each white-box side is drawn, binned and written in its own process."""
+
+    T = 2 * 10 ** 5
+
+    @pytest.mark.parametrize("binning", [["--bins", "20"], ["--bin-width", "0.1"]])
+    def test_this_process_holds_one_side(self, tmp_path, capsys, binning):
+        def canary_run(iterations):
+            return main(["canary", "--mode", "white-box", "-d", "64", "--iterations",
+                         str(iterations), "--canary-prob", "0.5", "--audit",
+                         "--out-p", str(tmp_path / "p.txt"),
+                         "--out-q", str(tmp_path / "q.txt"), *binning])
+
+        # a first audit's one-off imports and caches are no part of the samples
+        assert canary_run(1000) == 0
+        block = np.random.default_rng(24).normal(size=WRITE_BLOCK)
+        writer = traced_peak(lambda: write_scores(tmp_path / "block.txt", block))
+        codes = []
+        peak = traced_peak(lambda: codes.append(canary_run(self.T)))
+        # one side, the writer's block buffers and a scratch block; holding the
+        # other side too would add another 8 * T bytes
+        assert peak < 8 * self.T + writer + 8 * canary._WHITEBOX_BLOCK
+        assert codes == [0]
+        assert no_child_left()
+        assert len(read_scores(tmp_path / "q.txt")) == self.T
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the sides run in turn without os.fork")
+    def test_child_without_a_result_exits_3(self, tmp_path, capsys, monkeypatch):
+        op, oq = tmp_path / "p.txt", tmp_path / "q.txt"
+        write = cli.write_scores
+
+        def dies_on_q(path, scores):
+            if path == str(oq):
+                os._exit(7)
+            write(path, scores)
+
+        monkeypatch.setattr(cli, "write_scores", dies_on_q)
+        assert run("canary", "--mode", "white-box", "-d", 8, "--iterations", 1000,
+                   "--audit", "--out-p", op, "--out-q", oq) == 3
+        assert capsys.readouterr() == (
+            "", "error: white-box sampler: the forked process ended without a result "
+                "(exit status 7)\n")
+        assert no_child_left()
+        assert not oq.exists()
+
+    @pytest.mark.parametrize("audit", [[], ["--audit"]])
+    def test_one_file_for_both_sides_exit_2_before_the_draw(self, tmp_path, capsys,
+                                                             monkeypatch, audit):
+        def refused(*args):
+            raise AssertionError("drawn")
+
+        monkeypatch.setattr(cli, "whitebox_stream", refused)
+        a, same = tmp_path / "a.txt", f"{tmp_path}/./a.txt"
+        assert run("canary", "--mode", "white-box", "-d", 8, *audit,
+                   "--out-p", a, "--out-q", same) == 2
+        assert capsys.readouterr() == ("", f"error: {a} and {same} name the same file\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_binning_error_writes_no_file(self, tmp_path, capsys):
+        assert run("canary", "--mode", "white-box", "-d", 8, "--iterations", 1000, "--audit",
+                   "--bin-width", "1e-300", "--json", tmp_path / "r.json",
+                   "--out-p", tmp_path / "p.txt", "--out-q", tmp_path / "q.txt") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: bin width 1e-300 is too small for the span [")
+        assert list(tmp_path.iterdir()) == []
+        assert no_child_left()
 
 
 class TestUsage:
