@@ -175,8 +175,12 @@ def _tails(x: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray, float]:
 def _square_sums(x: np.ndarray, mean: float) -> list[float]:
     """Per block of ``x``, the sum of squared deviations about ``mean``."""
     # an inf or NaN sum leaves the Scott width non-finite, which binning_side reports
+    sums = []
     with np.errstate(over="ignore", invalid="ignore"):
-        return [float(np.sum(np.square(block - mean))) for block in _finite_blocks(x, BIN_BLOCK)]
+        for block in _finite_blocks(x, BIN_BLOCK):
+            deviation = block - mean
+            sums.append(float(np.sum(np.square(deviation, out=deviation))))
+    return sums
 
 
 def binning_side(samples, sizes: tuple[int, int], k: int | None = None,
@@ -210,10 +214,13 @@ def binning_side(samples, sizes: tuple[int, int], k: int | None = None,
 
     def pooled_quantile(v):
         j = math.floor(v)
-        pair = [low[r] if r < keep else high[r - n_pooled] for r in (j, j + 1)]
-        return np.quantile(np.array(pair), v - j)  # numpy's own lerp, with the same weight
+        below, above = (float(low[r] if r < keep else high[r - n_pooled]) for r in (j, j + 1))
+        # np.quantile's lerp with the same weight t, in Python floats, so numpy.ma
+        # is never imported: from the nearer end, as numpy's _lerp does
+        t = v - j
+        return above - (above - below) * (1 - t) if t >= 0.5 else below + (above - below) * t
 
-    a, b = float(pooled_quantile(low_v)), float(pooled_quantile(high_v))
+    a, b = pooled_quantile(low_v), pooled_quantile(high_v)
     if not a < b:
         raise DegenerateSamplesError(
             "degenerate samples: zero spread between the chosen quantiles")
@@ -255,10 +262,11 @@ def auto_spec(samples_p, samples_q, *, k: int | None = None,
     run in turn in this process. ``np.quantile``'s linear rule interpolates
     between the pooled order statistics j and j + 1, j = floor((N - 1) p).
     One blocked pass per side keeps the few smallest and largest values,
-    where both lie, and numpy interpolates between them with the same
-    weight, so ``a`` and ``b`` equal the quantiles of the concatenated
-    samples exactly. The Scott deviation is summed block by block about the
-    pooled mean, within a few ulp of the pooled ``std(ddof=1)``.
+    where both lie, and numpy's interpolation between them is repeated with
+    the same weight, so ``a`` and ``b`` equal the quantiles of the
+    concatenated samples exactly. The Scott deviation is summed block by
+    block about the pooled mean, within a few ulp of the pooled
+    ``std(ddof=1)``.
     """
     sp = np.asarray(samples_p, dtype=float).ravel()
     sq = np.asarray(samples_q, dtype=float).ravel()

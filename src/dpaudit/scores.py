@@ -7,7 +7,9 @@ files.
 
 Reading parses ``READ_BLOCK`` bytes at a time with array arithmetic, so it
 holds the result and O(block) working arrays, never the whole file; a
-partial last line carries over to the next block. A line
+partial last line carries over to the next block. A first pass counts the
+line feeds, so the result is allocated once and never grown, which would
+copy it. A line
 ``-?[0-9]+[.][0-9]+`` of at most 23 bytes, as ``repr`` writes every value in
 1e-4 <= |x| < 1e16, ending in a line feed or a CR LF, is read in three steps,
 each exact:
@@ -70,6 +72,7 @@ on where it pays; below it the calls run in turn.
 from __future__ import annotations
 
 import functools
+import io
 import math
 import os
 import pickle
@@ -80,7 +83,7 @@ import numpy as np
 from .errors import ScoreFileError
 
 # values spelled per block; bounds the arrays held in memory at once
-WRITE_BLOCK = 2 ** 14
+WRITE_BLOCK = 2 ** 12
 # bytes read per block; bounds the working arrays of a read
 READ_BLOCK = 2 ** 16
 
@@ -167,27 +170,45 @@ def _row_masks():
     return keep.view(np.uint32).reshape(-1, _ROW // 4)
 
 
+# the helpers below reuse their temporaries in place: the writer calls them on
+# every block, and each fresh array costs an allocation
+
 def _split(a):
     """Veltkamp's split: a = high + low, each half of the significand."""
-    c = a * 134217729.0  # 2^27 + 1
-    high = c - (c - a)
-    return high, a - high
+    high = a * 134217729.0  # 2^27 + 1
+    low = high - a
+    high -= low
+    np.subtract(a, high, out=low)
+    return high, low
 
 
 def _two_product(a, b):
-    """hi + lo == a * b exactly (Dekker's TwoProduct)."""
+    """hi + lo == a * b exactly (Dekker's TwoProduct):
+    lo = ((ah bh - hi) + ah bl + al bh) + al bl, summed in that order."""
     hi = a * b
     (ah, al), (bh, bl) = _split(a), _split(b)
-    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    lo = ah * bh
+    lo -= hi
+    ah *= bl
+    lo += ah
+    bh *= al
+    lo += bh
+    al *= bl
+    lo += al
+    return hi, lo
 
 
 def _floor_sum(a, b):
-    """floor(a + b) as int64, exact: s + e == a + b (Knuth's TwoSum)."""
+    """floor(a + b) as int64, exact: s + e == a + b (Knuth's TwoSum),
+    e = (a - (s - t)) + (b - t) with t = s - a."""
     s = a + b
     t = s - a
-    e = (a - (s - t)) + (b - t)
+    e = s - t
+    np.subtract(a, e, out=e)
+    np.subtract(b, t, out=t)
+    e += t
     fs = np.floor(s)
-    fs[(fs == s) & (e < 0)] -= 1
+    fs -= (fs == s) & (e < 0)
     return fs.astype(np.int64)
 
 
@@ -204,8 +225,15 @@ def _scaled_interval(ax, s):
     p = _POW10_FLOAT[s]
     hi, lo = _two_product(ax, p)
     h = hi.astype(np.int64)
-    w = np.spacing(ax) * 0.5 * p
-    return h, lo, h + _floor_sum(lo, -w) + 1, h + _floor_sum(lo, w)
+    w = np.spacing(ax)
+    w *= 0.5
+    w *= p
+    high = _floor_sum(lo, w)
+    high += h
+    low = _floor_sum(lo, np.negative(w, out=w))
+    low += h
+    low += 1
+    return h, lo, low, high
 
 
 def _parse_block(buf, lf, dest):
@@ -348,12 +376,20 @@ def _read_blocks(path):
     """The file's values, read ``READ_BLOCK`` bytes at a time; None when the
     file needs the line loop."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        if not fh.seekable():  # a pipe: its bytes are kept to be read twice
+            fh = io.BytesIO(fh.read())
         # the bytes before each line start at _LINE; one spare byte at the end
         # takes the line feed a last line lacks
         buf = np.zeros(_LINE + READ_BLOCK + 1, dtype=np.uint8)
-        out = np.empty(0)
-        n = carry = done = 0
+        # the count reads past the _LINE prefix, which the parse keeps clear of
+        # file bytes, and a last line may lack its line feed
+        block = buf[_LINE:-1]
+        lines = 1
+        while got := fh.readinto(block):
+            lines += np.count_nonzero(block[:got] == 10)
+        fh.seek(0)
+        out = np.empty(lines)
+        n = carry = 0
         while True:
             begin = _LINE + carry
             if begin == buf.size - 1:  # a line longer than the buffer
@@ -366,14 +402,9 @@ def _read_blocks(path):
                 end += 1
             lf = np.flatnonzero(buf[_LINE:end] == 10)
             if lf.size:
+                if n + lf.size > out.size:  # the file grew after the count
+                    return None
                 lf += _LINE
-                done += lf[-1] + 1 - _LINE
-                if n + lf.size > out.size:  # room for the lines left at this rate
-                    room = n + lf.size + (n + lf.size) * max(size - done, 0) // done + 64
-                    if n:
-                        out.resize(room, refcheck=False)
-                    else:  # numpy backs a large new array with huge pages, not a resized one
-                        out = np.empty(room)
                 values = _parse_block(buf, lf, out[n:n + lf.size])
                 if values is None:
                     return None
@@ -385,7 +416,8 @@ def _read_blocks(path):
             buf[_LINE:_LINE + carry] = buf[begin:end]
     if not n:
         return None
-    out.resize(n, refcheck=False)
+    if n < out.size:  # skipped lines, or a last line feed
+        out.resize(n, refcheck=False)
     return out
 
 
@@ -422,22 +454,36 @@ def _shortest_digits(x):
     # power of two the wider interval gives the same digits, because such an x
     # is an integer, or a decimal ending in 5 within 13 places, and no shorter
     # decimal lies within a spacing of it
-    s = 17 - np.floor(np.log10(ax)).astype(np.int64)
+    s = np.log10(ax)
+    s = np.floor(s, out=s).astype(np.int64)
+    np.subtract(17, s, out=s)
     h, lo, low, high = _scaled_interval(ax, s)
     j = _trailing_zeros(low, high)
-    # the multiple of 10^j nearest X: X / 10^j = q + (r + frac) / 10^j
+    # the multiple of 10^j nearest X: X / 10^j = q + (r + frac) / 10^j, and
+    # beyond_half = 2 r - 10^j + 2 frac
     floor_lo = np.floor(lo)
     pj = _POW10[j]
-    q, r = np.divmod(h + floor_lo.astype(np.int64), pj)
-    beyond_half = (2 * r - pj).astype(float) + 2.0 * (lo - floor_lo)
-    return spelled & (beyond_half != 0), q + (beyond_half > 0), j - s
+    h += floor_lo.astype(np.int64)
+    q, r = np.divmod(h, pj)
+    r *= 2
+    r -= pj
+    lo -= floor_lo
+    lo *= 2.0
+    beyond_half = r.astype(float)
+    beyond_half += lo
+    spelled &= beyond_half != 0
+    q += beyond_half > 0
+    j -= s
+    return spelled, q, j
 
 
 def _spell(words, v):
     """Write v as zero-padded ASCII digits, four per uint32 word of ``words``."""
     for c in range(words.shape[1] - 1, -1, -1):
         q = v // 10000
-        words[:, c] = _chunks()[v - q * 10000]
+        r = q * 10000
+        np.subtract(v, r, out=r)
+        words[:, c] = _chunks().take(r, mode="wrap")  # r is 0..9999: no bounds check
         v = q
 
 
@@ -446,7 +492,7 @@ def _spell_block(x, rows, keep):
     n = x.size
     spelled, digits, e = _shortest_digits(x)
     # fixed notation: -e fraction digits when e < 0, else the integer digits * 10^e and ".0"
-    whole, frac = np.divmod(digits, _POW10[np.minimum(np.maximum(-e, 0), 17)])
+    whole, frac = np.divmod(digits, _POW10[np.clip(-e, 0, 17)])
     whole *= _POW10[np.maximum(e, 0)]
     n_int = np.maximum(np.searchsorted(_POW10, whole, side="right"), 1)
     rows, keep = rows[:n], keep[:n]
@@ -454,7 +500,8 @@ def _spell_block(x, rows, keep):
     words = rows.view(np.uint32)
     _spell(words[:, _INT], whole)
     _spell(words[:, _FRAC], frac)
-    keep.view(np.uint32)[:] = _row_masks()[((x < 0) * 17 + n_int) * 21 + np.maximum(-e, 1)]
+    _row_masks().take(((x < 0) * 17 + n_int) * 21 + np.maximum(-e, 1), axis=0,
+                      out=keep.view(np.uint32))
     for i in np.flatnonzero(~spelled):
         line = np.frombuffer(f"{float(x[i])!r}\n".encode("ascii"), dtype=np.uint8)
         rows[i, :line.size] = line

@@ -5,12 +5,16 @@ integrated by trapezoid quadrature over dense grids, binomial tails are
 summed with exact integer coefficients, closed forms come straight from
 scipy's special functions, inverses come from plain bisection, and score files are parsed one line at a time
 with Python's ``float`` and spelled one ``repr`` at a time. Memory is read
-with tracemalloc; a forked child left behind is found with ``waitpid``.
+with tracemalloc, or as the resident size the kernel reports for a fresh
+interpreter; a forked child left behind is found with ``waitpid``.
 """
 
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 from scipy import special
@@ -26,6 +30,38 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# runs argv[1], then prints how far the peak resident size rises above the
+# resident size while argv[2] runs
+RSS_SCRIPT = """
+import sys
+
+def status(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
+
+exec(sys.argv[1])
+before = status("VmRSS")
+exec(sys.argv[2])
+print(status("VmHWM") - before)
+"""
+
+
+def rss_growth(snippet: str, setup: str = "") -> int:
+    """Bytes by which the peak resident size (VmHWM) of a fresh interpreter
+    rises above its resident size while ``snippet`` runs, after ``setup``.
+
+    Unlike ``traced_peak`` this sees what tracemalloc does not: the copy a
+    ``realloc`` makes while it moves a block, and the modules a call imports.
+    Linux only: it reads ``/proc/self/status``.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", RSS_SCRIPT, setup, snippet], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return int(done.stdout.splitlines()[-1])
 
 
 def no_child_left() -> bool:

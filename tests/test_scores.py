@@ -2,6 +2,7 @@ import decimal
 import math
 import os
 import pickle
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -16,7 +17,7 @@ from dpaudit.cli import main
 from dpaudit.errors import ScoreFileError
 from dpaudit.profiles import read_csv
 from dpaudit.scores import READ_BLOCK, WRITE_BLOCK, both, read_scores, write_scores
-from oracles import no_child_left, read_scores_by_line, score_file_bytes
+from oracles import no_child_left, read_scores_by_line, rss_growth, score_file_bytes, traced_peak
 
 MB = 2 ** 20
 # read block sizes: the real one, and one so small that lines straddle blocks
@@ -226,6 +227,37 @@ def test_comment_and_blank_lines_keep_the_block_reader(tmp_path, monkeypatch, bl
     assert read_scores(path).tobytes() == expected.tobytes() == values.tobytes()
 
 
+@pytest.mark.parametrize("block", BLOCKS)
+def test_crlf_first_line_after_the_line_count(tmp_path, monkeypatch, block):
+    # the first pass counts line feeds in the block buffer, and the parse then
+    # reads the byte before each line feed; a first line of 23 bytes, the
+    # longest read as digits, puts its carriage return at the file's byte
+    # _LINE - 1, the buffer byte just before the parse's first line
+    lines = ["0." + "1" * 21, "", "-2.5", "# note", "3.0"]
+    path = tmp_path / "scores.txt"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode("ascii"))
+    monkeypatch.setattr(scores, "READ_BLOCK", block)
+    values = scores._read_blocks(path)
+    assert values is not None
+    assert values.tobytes() == np.array([float(lines[0]), -2.5, 3.0]).tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipe_reads_as_a_file(tmp_path):
+    # a pipe cannot be read twice, so the reader counts and parses a copy of its bytes
+    values = np.random.default_rng(25).normal(0, 1, 5000)
+    path = tmp_path / "scores.fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(score_file_bytes(values),))
+    writer.start()
+    try:
+        read = read_scores(path)
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert read.tobytes() == values.tobytes()
+
+
 @pytest.mark.parametrize("text", ["# a\rb\n1.0\n", "1.0\n# caf\xe9\n"])
 def test_lines_the_line_loop_reads_otherwise_leave_the_block_reader(tmp_path, text):
     # a carriage return inside a line breaks it in two for the line loop, and
@@ -260,6 +292,25 @@ class TestScoreFileMemory:
         assert np.array_equal(read, values)
         assert write_peak < 5 * MB
         assert read_peak < 10 * MB
+
+    def test_write_holds_one_small_block(self, tmp_path, values):
+        head = values[:10 ** 5]
+        assert traced_peak(lambda: write_scores(tmp_path / "scores.txt", head)) <= MB
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the resident size from /proc")
+    def test_read_allocates_its_values_once(self, tmp_path):
+        # the first block's lines are a byte longer than the rest, so a size
+        # guessed from it falls short; an array grown to fit is copied, which
+        # tracemalloc does not see but the resident size does
+        path = tmp_path / "scores.txt"
+        with open(path, "w", encoding="ascii") as fh:
+            fh.writelines(f"0.{i:017d}\n" for i in range(4000))
+            fh.writelines(f"0.{i:016d}\n" for i in range(4000, self.N))
+        growth = rss_growth("values = read_scores(path)",
+                            f"from dpaudit.scores import read_scores; path = {str(path)!r}")
+        assert growth < 10 * MB  # the values take 8 MB
+        assert read_scores(path).tobytes() == read_scores_by_line(path).tobytes()
 
 
 def _undecodable(raw: bytes) -> bool:
