@@ -101,8 +101,9 @@ class HistogramEstimate:
 
 def scott_width_gaussian(sigma_hat: float, n: int) -> float:
     """MSE-optimal width for normal data: 2 * 3^(1/3) * pi^(1/6) * sigma * n^(-1/3)."""
-    if sigma_hat <= 0 or n < 1:
-        raise ValueError("need sigma_hat > 0 and n >= 1")
+    _require_positive_finite(sigma_hat=sigma_hat)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n!r}")
     return SCOTT_GAUSSIAN_CONSTANT * sigma_hat * n ** (-1.0 / 3.0)
 
 
@@ -236,7 +237,8 @@ def binning_side(samples, sizes: tuple[int, int], k: int | None = None,
             total = math.fsum(squares[0] + squares[1])
         except OverflowError:  # finite block sums whose total passes the float64 range
             total = math.inf
-        width = scott_width_gaussian(math.sqrt(total / (n_pooled - 1)), sizes[0])
+        sigma = math.sqrt(total / (n_pooled - 1))
+        width = scott_width_gaussian(sigma, sizes[0]) if math.isfinite(sigma) else math.inf
         if not math.isfinite(width):
             raise DegenerateSamplesError(
                 "the Scott bin width overflows: the samples' sum or spread exceeds float64")

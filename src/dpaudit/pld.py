@@ -5,8 +5,11 @@ the occupied index range is stored. Log-likelihood ratios are rounded UP to
 the nearest node, which biases every downstream delta estimate high
 (pessimistic), and bins where the denominator vanishes contribute an atom at
 +infinity. Composition is c-fold convolution of the finite part, computed as
-one rfft power (Koskela, Jalko & Honkela, AISTATS 2020); the infinity atom
-composes as 1 - (1 - w)**c. delta is read for a whole eps grid from one
+an rfft power (Koskela, Jalko & Honkela, AISTATS 2020) whose transform is
+split into ``PHASES`` short real FFTs and a blocked pass of PHASES-point
+FFTs across them (Bailey's four steps), so the spectrum and the composed
+masses are its only node-length arrays; the infinity atom composes as
+1 - (1 - w)**c. delta is read for a whole eps grid from one
 blocked pass that sums the nodes between consecutive eps, in
 O(block + len(eps)) memory beside the PLD itself. A composed profile takes
 both directions, p against q and q against p; from ``_FORK_MIN_NODES``
@@ -16,6 +19,7 @@ so each process holds one composed PLD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,10 +37,15 @@ MAX_NODES = 2 ** 26
 # nodes per block when delta is read off a PLD; temporaries stay O(block)
 DELTA_BLOCK = 2 ** 16
 # composed nodes per direction below which a forked child costs more than it
-# saves: forked and in-turn compose_profile tie between 1.0e5 and 1.5e5
-# composed nodes (Gaussian score histograms, c = 3-5) on a 2-vCPU host; at
-# 5e4 nodes the fork alone takes about as long as both directions in turn
-_FORK_MIN_NODES = 150_000
+# saves: forked and in-turn compose_profile tie between 6.0e4 and 7.0e4
+# composed nodes (Gaussian score histograms, c = 3-5, 401 eps, medians of 15
+# alternating runs) on a 2-vCPU host; at 5e4 nodes forked runs take 7.2-7.5 ms
+# against 5.1-5.6 ms in turn, and at 1.5e5 12.2-12.8 ms against 16.0-17.6 ms
+_FORK_MIN_NODES = 70_000
+# phases of the composing FFT: each is transformed at 1/PHASES of its length
+PHASES = 16
+# spectrum columns per block of the phase-axis FFTs; temporaries stay O(PHASES * block)
+CONVOLVE_BLOCK = 2 ** 9
 
 
 @dataclass(frozen=True)
@@ -56,12 +65,15 @@ class PLDGrid:
     def __post_init__(self):
         arr = _as_readonly(self.masses)
         object.__setattr__(self, "masses", arr)
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        _require_positive_finite(step=self.step)
+        if not math.isfinite(self.grid_start):
+            raise ValueError(f"grid_start must be finite, got {self.grid_start!r}")
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("masses must be a non-empty 1-D array")
-        if np.any(arr < 0) or self.mass_inf < 0:
-            raise ValueError("masses must be non-negative")
+        # written so that NaN fails, with no node-length temporary; an infinite
+        # mass fails the total
+        if not (arr.min() >= 0 and self.mass_inf >= 0):
+            raise ValueError("masses must be non-negative numbers")
         total = float(arr.sum()) + self.mass_inf
         if abs(total - 1.0) > PLD_MASS_TOLERANCE:
             raise ValueError(f"total PLD mass {total!r} outside 1 +/- {PLD_MASS_TOLERANCE}")
@@ -128,7 +140,18 @@ def _next_fast_len(n: int) -> int:
 
 
 def self_convolve(pld: PLDGrid, c: int) -> PLDGrid:
-    """Distribution of the sum of ``c`` independent copies of ``pld``."""
+    """Distribution of the sum of ``c`` independent copies of ``pld``.
+
+    The c-th power of the masses' real FFT at a length N = PHASES * M >= the
+    composed node count, in four steps (Bailey, *FFTs in external or
+    hierarchical memory*, 1990): rfft each phase ``masses[p::PHASES]`` at
+    length M; per block of spectrum columns k, multiply by the twiddles
+    e^(-2 pi i p k / N), take a PHASES-point FFT along the phases, raise to
+    the c-th power, take the inverse PHASES-point FFT and multiply by the
+    conjugate twiddles; irfft each phase at length M into
+    ``masses[p::PHASES]``. Only the spectrum and the composed masses are
+    node-length; pocketfft's plans and scratch are length M.
+    """
     if c < 1:
         raise ValueError("composition count must be >= 1")
     if c == 1:
@@ -138,12 +161,37 @@ def self_convolve(pld: PLDGrid, c: int) -> PLDGrid:
         raise GridOverflowError(
             f"{c}-fold convolution would need more than {MAX_NODES} grid nodes"
         )
-    # a transform length >= n keeps the circular convolution from wrapping
-    size = _next_fast_len(n)
-    spectrum = np.fft.rfft(pld.masses, size)
-    spectrum **= c
-    masses = np.fft.irfft(spectrum, size)[:n]
-    del spectrum  # before PLDGrid copies the masses: the peak stays at the transform's
+    # N >= n keeps the circular convolution from wrapping; an even M puts
+    # every phase's Nyquist column in its rfft
+    size = 2 * _next_fast_len(-(-n // (2 * PHASES)))
+    # row p holds masses[p::PHASES], zero-padded to one length
+    phases = np.zeros((PHASES, -(-pld.masses.size // PHASES)))
+    phases.T.flat[:pld.masses.size] = pld.masses
+    spectrum = np.fft.rfft(phases, size)
+    del phases
+    for lo in range(0, spectrum.shape[1], CONVOLVE_BLOCK):
+        block = spectrum[:, lo:lo + CONVOLVE_BLOCK]
+        angle = np.outer(np.arange(PHASES) * (-2.0 * np.pi / (PHASES * size)),
+                         np.arange(lo, lo + block.shape[1]))
+        twiddle = np.empty(angle.shape, dtype=complex)
+        np.cos(angle, out=twiddle.real)
+        np.sin(angle, out=twiddle.imag)
+        full = np.fft.fft(block * twiddle, axis=0)
+        full **= c
+        block[...] = np.fft.ifft(full, axis=0)
+        block *= np.conjugate(twiddle, out=twiddle)
+    # each phase's irfft goes through one length-M buffer back into its own
+    # row, and the rows are interleaved into the masses in one pass
+    buffer = np.empty(size)
+    phases = spectrum.view(float)[:, :size]
+    for p in range(PHASES):
+        phases[p] = np.fft.irfft(spectrum[p], size, out=buffer)
+    masses = np.empty((-(-n // PHASES), PHASES))
+    masses[...] = phases[:, :masses.shape[0]].T
+    masses = masses.ravel()[:n]
+    # views keep the spectrum alive past its del; PLDGrid copies the masses
+    # after it, so the peak stays at the transform's
+    del block, phases, spectrum
     # FFT round-off leaves tiny negative masses, which PLDGrid rejects
     np.maximum(masses, 0.0, out=masses)
     return PLDGrid(c * pld.grid_start, pld.step, masses, 1.0 - (1.0 - pld.mass_inf) ** c)

@@ -36,6 +36,11 @@ class TestScottWidths:
         with pytest.raises(ValueError):
             scott_width_gaussian(0.0, 10)
 
+    @pytest.mark.parametrize("sigma_hat", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_sigma(self, sigma_hat):
+        with pytest.raises(ValueError, match="sigma_hat must be positive and finite"):
+            scott_width_gaussian(sigma_hat, 10)
+
 
 class TestBinningSpec:
     def test_breakpoints(self):

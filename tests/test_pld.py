@@ -9,10 +9,10 @@ from dpaudit.discrete import DiscreteDistribution, symmetric_delta
 from dpaudit.errors import GridOverflowError
 from dpaudit.mechanisms import gaussian_delta
 from dpaudit.mechanisms import SubsampledGaussianMechanism
-from dpaudit.pld import (MAX_NODES, PLDGrid, _next_fast_len, compose_profile, delta_from_pld,
-                         pld_from_discrete, self_convolve)
+from dpaudit.pld import (MAX_NODES, PHASES, PLDGrid, _next_fast_len, compose_profile,
+                         delta_from_pld, pld_from_discrete, self_convolve)
 
-from oracles import no_child_left, traced_peak
+from oracles import no_child_left, rss_growth, traced_peak
 
 
 def dist(*masses):
@@ -107,7 +107,8 @@ class TestSelfConvolve:
 
 
 class TestTransformLength:
-    """numpy's FFT at scipy's transform length: the composed masses do not move."""
+    """The phase-split transform against scipy's single-length one: the
+    composed masses move by round-off only."""
 
     def test_next_fast_len_matches_scipy(self):
         from scipy import fft
@@ -123,7 +124,7 @@ class TestTransformLength:
         n = (pld.masses.size - 1) * c + 1
         size = fft.next_fast_len(n, real=True)
         expected = np.maximum(fft.irfft(fft.rfft(pld.masses, size) ** c, size)[:n], 0.0)
-        assert np.array_equal(self_convolve(pld, c).masses, expected)
+        assert np.max(np.abs(self_convolve(pld, c).masses - expected)) <= 1e-15
 
 
 class TestDeltaFromPld:
@@ -177,6 +178,17 @@ class TestEvaluationMemory:
         pld = PLDGrid(-2.0, 1e-6, masses / masses.sum(), 0.0)  # nodes cover [-2, 2.2]
         eps = np.linspace(-3.0, 3.0, 401)
         assert traced_peak(lambda: delta_from_pld(pld, eps)) < 4 * 2 ** 20  # masses: 32 MB
+
+    def test_convolution_holds_two_node_length_arrays(self):
+        # the spectrum and the composed masses, 8 bytes a node each; pocketfft's
+        # plans and scratch, which tracemalloc does not see, are a phase long
+        nodes, c = 100_001, 10
+        setup = ("import numpy as np; from dpaudit.pld import PLDGrid, self_convolve; "
+                 f"masses = np.random.default_rng(0).random({nodes}); "
+                 "pld = PLDGrid(0.0, 1e-4, masses / masses.sum()); "
+                 "self_convolve(PLDGrid(0.0, 1.0, np.array([0.5, 0.5])), 2)")  # imports numpy.fft
+        length = PHASES * 2 * _next_fast_len(-(-((nodes - 1) * c + 1) // (2 * PHASES)))
+        assert rss_growth(f"self_convolve(pld, {c})", setup) <= 2.6 * 8 * length
 
     def test_compose_peaks_no_higher_than_one_convolution(self, monkeypatch):
         # in turn, each direction is composed, read and dropped before the other
@@ -278,3 +290,20 @@ class TestPldGridValidation:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             PLDGrid(0.0, -0.1, np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_rejects_non_finite_step(self, step):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            PLDGrid(0.0, step, np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_start(self, start):
+        with pytest.raises(ValueError, match="grid_start must be finite"):
+            PLDGrid(start, 0.1, np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("masses, mass_inf", [
+        ([0.5, math.nan], 0.0), ([0.5, math.nan], 0.5), ([0.5, math.inf], 0.0), ([1.0], math.nan),
+        ([0.5], math.inf)])
+    def test_rejects_non_finite_mass(self, masses, mass_inf):
+        with pytest.raises(ValueError, match="masses must be non-negative|total PLD mass"):
+            PLDGrid(0.0, 0.1, np.array(masses), mass_inf)

@@ -332,14 +332,14 @@ def test_first_above_matches_searchsorted(pld, size, seed):
 
 
 @PROPERTY_SETTINGS
-@given(plds(max_nodes=30, reach=50.0), st.integers(1, 8))
+@given(plds(max_nodes=30, reach=50.0), st.integers(2, 8))
 def test_self_convolve_matches_direct_convolution(pld, c):
     composed = self_convolve(pld, c)
     direct = pld.masses
     for _ in range(c - 1):
         direct = np.convolve(direct, pld.masses)
     assert composed.masses.size == direct.size
-    assert np.all(np.abs(composed.masses - direct) <= 1e-14)
+    assert np.all(np.abs(composed.masses - direct) <= 1e-15)
     assert composed.grid_start == c * pld.grid_start
     assert abs(composed.mass_inf - (1.0 - (1.0 - pld.mass_inf) ** c)) <= 1e-15
 
