@@ -9,7 +9,7 @@ privacy-loss distributions for iterative mechanisms.
 
 from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_scores_gram,
                      whitebox_stream)
-from .confidence import canonne_radius, clopper_pearson, hs_interval
+from .confidence import canonne_radius, hs_interval
 from .discrete import (DiscreteDistribution, coarsen, hs_divergence,
                        symmetric_delta, tv_distance)
 from .errors import (AuditError, DegenerateSamplesError, FitError, GridOverflowError,

@@ -3,7 +3,6 @@
 The multinomial TV radius gives a simultaneous bound on how far an empirical
 distribution can sit from its truth; propagating one radius per side through
 the hockey-stick divergence yields two-sided (epsilon, delta) intervals.
-Clopper-Pearson intervals back the threshold-attack baseline.
 """
 
 from __future__ import annotations
@@ -41,19 +40,3 @@ def hs_interval(delta_hat, eps, tau_p: float, tau_q: float):
     slack = (1.0 + alpha_from_eps(eps)) * max(tau_p, tau_q)
     lo, hi = np.maximum(0.0, delta_hat - slack), np.minimum(1.0, delta_hat + slack)
     return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
-
-
-def clopper_pearson(successes: int, trials: int, confidence: float) -> tuple[float, float]:
-    """Exact binomial confidence interval via Beta quantiles."""
-    from scipy import special
-
-    if trials < 1 or successes < 0 or successes > trials:
-        raise ValueError(f"invalid counts: {successes}/{trials}")
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must lie in (0, 1)")
-    half = (1.0 - confidence) / 2.0
-    lo = 0.0 if successes == 0 else float(
-        special.betaincinv(successes, trials - successes + 1, half))
-    hi = 1.0 if successes == trials else float(
-        special.betaincinv(successes + 1, trials - successes, 1.0 - half))
-    return (lo, hi)

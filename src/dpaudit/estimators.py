@@ -27,6 +27,8 @@ from .profiles import PrivacyProfile, csv_text
 from .tradeoff import CURVE_DELTA_TARGET, CURVE_POINTS, TradeoffCurve, profile_to_tradeoff
 
 DEFAULT_EPS_GRID = (-10.0, 10.0, 2001)
+# the most eps grid points AuditConfig takes: 8 MB per grid-length float64 array
+EPS_GRID_MAX_POINTS = 2 ** 20
 DEFAULT_DELTA_TARGETS = (0.01, 0.05, 0.1)
 # fit_mu_gdp: eps window nodes, the sigma search bracket, its relative tolerance
 GDP_FIT_GRID = 2000
@@ -53,6 +55,9 @@ class AuditConfig:
             raise ValueError(f"eps_grid ends must be finite, got lo={lo!r}, hi={hi!r}")
         if not (lo < hi and int(m) >= 2):
             raise ValueError("eps_grid must be (lo < hi, m >= 2)")
+        if int(m) > EPS_GRID_MAX_POINTS:
+            raise ValueError(f"eps_grid has {int(m)} points, more than the {EPS_GRID_MAX_POINTS} "
+                             "allowed")
         for d in self.delta_targets:
             if not 0 < d < 1:
                 raise ValueError("delta targets must lie in (0, 1)")

@@ -229,6 +229,8 @@ def binning_side(samples, sizes: tuple[int, int], k: int | None = None,
         raise DegenerateSamplesError(
             f"the chosen quantiles {a!r} and {b!r} lie too far apart to bin")
     if k is not None:
+        if not k <= n_pooled:  # so memory is bounded by the input, as for a width
+            raise ValueError(f"bin count k = {k!r} is more than the {n_pooled} pooled samples")
         return BinningSpec(a, b, int(k))
     if width is None:
         squares = yield _square_sums(x, (totals[0] + totals[1]) / n_pooled)
@@ -256,8 +258,8 @@ def auto_spec(samples_p, samples_q, *, k: int | None = None,
     outliers; the open-ended extreme bins absorb the tails). ``k`` fixes the
     bin count, ``width`` the bin width; with neither, the Scott rule sets the
     width from the pooled sample standard deviation and p's sample size.
-    Giving both raises, and so do a NaN or inf in either sample and a width
-    that gives more bins than pooled samples. Quantiles that coincide, or
+    Giving both raises, and so do a NaN or inf in either sample and a k or
+    width that gives more bins than pooled samples. Quantiles that coincide, or
     give no finite span or width, raise :class:`DegenerateSamplesError`.
 
     The samples are never concatenated: the two :func:`binning_side` calls

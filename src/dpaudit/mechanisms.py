@@ -10,10 +10,6 @@ masses on a fine binning: the discretised reference that the composition
 tests feed through the PLD engine. Its TV, q (2 Phi(1/(2 sigma)) - 1), has
 a closed-form inverse in sigma (``sigma_from_tv``): the audit's
 single-parameter recovery.
-
-scipy.special is imported inside the functions that need it, and
-``statistics`` inside ``sigma_from_tv``, so importing this module (and the
-CLI) loads neither.
 """
 
 from __future__ import annotations
@@ -32,11 +28,41 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 SIGMA_RANGE = (1e-3, 1e3)
 # bin_masses covers [-BIN_TAIL_SIGMAS sigma, 1 + BIN_TAIL_SIGMAS sigma]
 BIN_TAIL_SIGMAS = 12.0
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _std_normal_pdf(x):
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / SQRT_2PI
+
+
+def _ndtr(x):
+    """Phi(x) = erfc(-x / sqrt 2) / 2, elementwise through ``math.erfc``."""
+    return 0.5 * np.asarray(_erfc(np.multiply(x, -math.sqrt(0.5))), dtype=float)
+
+
+def _log_ndtr(x):
+    """log Phi(x): log1p(-Phi(-x)) for x >= 0, log Phi(x) on [-20, 0), and below -20
+    the Mills-ratio series Phi(x) ~ phi(x) / -x * sum_{k<6} (-1)^k (2k - 1)!! / x^2k."""
+    x = np.asarray(x, dtype=float)
+    out, upper, tail = np.empty_like(x), x >= 0, x < -20.0
+    out[upper] = np.log1p(-_ndtr(-x[upper]))
+    out[~(upper | tail)] = np.log(_ndtr(x[~(upper | tail)]))
+    t = x[tail]
+    series = np.polyval([-945.0, 105.0, -15.0, 3.0, -1.0, 1.0], 1.0 / (t * t))
+    out[tail] = np.log(series) - 0.5 * t * t - np.log(-t * SQRT_2PI)
+    return out[()]
+
+
+def _ndtri(p):
+    """Phi^{-1}(p) through ``statistics.NormalDist().inv_cdf``; -inf at 0, +inf at 1."""
+    from statistics import NormalDist
+
+    p = np.asarray(p, dtype=float)
+    out = np.where(p == 0, -math.inf, np.where(p == 1, math.inf, math.nan))
+    inner = (p > 0) & (p < 1)
+    out[inner] = [NormalDist().inv_cdf(v) for v in p[inner].tolist()]
+    return out[()]
 
 
 def _require_positive_finite(**fields) -> None:
@@ -60,26 +86,22 @@ def gaussian_delta(eps, sigma: float, sensitivity: float = 1.0):
     Phi(-eps*sigma/D + D/(2 sigma)) - e^eps * Phi(-eps*sigma/D - D/(2 sigma)),
     with the second term evaluated in log space so large eps stays finite.
     """
-    from scipy import special
-
     _require_positive_finite(sigma=sigma, sensitivity=sensitivity)
     eps = np.asarray(eps, dtype=float)
     a = -eps * sigma / sensitivity + sensitivity / (2.0 * sigma)
     b = -eps * sigma / sensitivity - sensitivity / (2.0 * sigma)
     with np.errstate(over="ignore"):
-        out = special.ndtr(a) - np.exp(eps + special.log_ndtr(b))
+        out = _ndtr(a) - np.exp(eps + _log_ndtr(b))
     out = np.maximum(out, 0.0)
     return float(out) if out.ndim == 0 else out
 
 
 def gdp_tradeoff(mu: float, alpha):
     """Gaussian trade-off curve Phi(Phi^{-1}(1 - alpha) - mu)."""
-    from scipy import special
-
     if not mu >= 0:
         raise ValueError("mu must be >= 0")
     alpha = _unit_alphas(alpha)
-    out = special.ndtr(special.ndtri(1.0 - alpha) - mu)
+    out = _ndtr(_ndtri(1.0 - alpha) - mu)
     return float(out) if out.ndim == 0 else out
 
 
@@ -157,11 +179,9 @@ class SubsampledGaussianMechanism:
         _require_positive_finite(sigma=self.sigma)
 
     def cdf_p(self, x):
-        from scipy import special
-
         x = np.asarray(x, dtype=float)
-        return (self.q * special.ndtr((x - 1.0) / self.sigma)
-                + (1.0 - self.q) * special.ndtr(x / self.sigma))
+        return (self.q * _ndtr((x - 1.0) / self.sigma)
+                + (1.0 - self.q) * _ndtr(x / self.sigma))
 
     def delta(self, eps):
         """Tight delta(eps): the larger of the two directed divergences.
@@ -197,12 +217,10 @@ class SubsampledGaussianMechanism:
     def bin_masses(self, *,
                    width: float = 1e-3) -> tuple[DiscreteDistribution, DiscreteDistribution]:
         """Exact masses of the dominating pair on a shared fine binning."""
-        from scipy import special
-
         lo = -BIN_TAIL_SIGMAS * self.sigma
         hi = 1.0 + BIN_TAIL_SIGMAS * self.sigma
         p = _cdf_bin_masses(self.cdf_p, lo, hi, width)
-        q = _cdf_bin_masses(lambda x: special.ndtr(np.asarray(x) / self.sigma), lo, hi, width)
+        q = _cdf_bin_masses(lambda x: _ndtr(x / self.sigma), lo, hi, width)
         return p, q
 
     def profile(self, eps_grid) -> PrivacyProfile:
@@ -235,8 +253,6 @@ def sigma_from_tv(q: float, tv: float) -> float:
     Raises ValueError for q outside (0, 1] and FitError for a TV outside
     [tv(SIGMA_RANGE[1]), tv(SIGMA_RANGE[0])].
     """
-    from statistics import NormalDist
-
     lo, hi = SIGMA_RANGE
     tv_min, tv_max = tv_range(q)
     if not tv_min <= tv <= tv_max:
@@ -244,7 +260,7 @@ def sigma_from_tv(q: float, tv: float) -> float:
                        f"of sigma in [{lo:g}, {hi:g}] at q = {q!r}")
     if tv == tv_max:
         return lo
-    return min(hi, -0.5 / NormalDist().inv_cdf((q - tv) / (2.0 * q)))
+    return min(hi, -0.5 / float(_ndtri((q - tv) / (2.0 * q))))
 
 
 @dataclass(frozen=True)

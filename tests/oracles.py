@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own code paths: divergences are
 integrated by trapezoid quadrature over dense grids, binomial tails are
-summed with exact integer coefficients, closed forms come straight from
-scipy's special functions, inverses come from plain bisection, and score files are parsed one line at a time
-with Python's ``float`` and spelled one ``repr`` at a time. Memory is read
+summed with exact integer coefficients, closed forms and Clopper-Pearson
+ends come straight from scipy's special functions, inverses come from plain
+bisection, and score files are parsed one line at a time with Python's
+``float`` and spelled one ``repr`` at a time. Memory is read
 with tracemalloc, or as the resident size the kernel reports for a fresh
 interpreter; a forked child left behind is found with ``waitpid``.
 """
@@ -126,6 +127,20 @@ def binom_tail_leq(k, n, p):
     """P[Bin(n, p) <= k] by exact coefficient summation."""
     return float(sum(math.comb(n, j) * p ** j * (1.0 - p) ** (n - j)
                      for j in range(0, k + 1)))
+
+
+def clopper_pearson(successes: int, trials: int, confidence: float) -> tuple[float, float]:
+    """Exact binomial confidence interval via Beta quantiles."""
+    if trials < 1 or successes < 0 or successes > trials:
+        raise ValueError(f"invalid counts: {successes}/{trials}")
+    if not 0 < confidence < 1:
+        raise ValueError("confidence must lie in (0, 1)")
+    half = (1.0 - confidence) / 2.0
+    lo = 0.0 if successes == 0 else float(
+        special.betaincinv(successes, trials - successes + 1, half))
+    hi = 1.0 if successes == trials else float(
+        special.betaincinv(successes + 1, trials - successes, 1.0 - half))
+    return (lo, hi)
 
 
 def sample_sphere(d, n, rng):

@@ -691,6 +691,20 @@ class TestFlags:
         assert err.endswith("more bins than the 8004 pooled samples\n")
         assert err.count("\n") == 1
 
+    # sizes whose allocation fails at once, so a missing check shows as exit 1
+    @pytest.mark.parametrize("flag,value,error", [
+        ("--bins", 10 ** 15, "bin count k = 1000000000000000 is more than the 6 pooled samples"),
+        ("--eps-grid", "0:1:1000000000000000",
+         "eps_grid has 1000000000000000 points, more than the 1048576 allowed"),
+    ], ids=["bins", "eps-grid"])
+    @pytest.mark.parametrize("command", [["audit"], ["compose", "--compositions", 2]])
+    def test_oversized_binning_flag_exit_2(self, tmp_path, capsys, command, flag, value, error):
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        for path in (p, q):
+            path.write_text("0.0\n1.0\n2.0\n", encoding="utf-8")
+        assert run(command[0], p, q, *command[1:], flag, value) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
     @pytest.mark.parametrize("flag", sorted(REPORT_FLAGS))
     def test_compose_and_fit_gdp_refuse_report_flags(self, gaussian_files, tmp_path, flag):
         value = 0.3 if flag in ("--delta", "--confidence") else tmp_path / "c.csv"

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dpaudit.confidence import canonne_radius, clopper_pearson, hs_interval
+from dpaudit.confidence import canonne_radius, hs_interval
 from dpaudit.errors import FitError
 from dpaudit.mechanisms import gaussian_delta, sigma_from_tv
 
-from oracles import binom_tail_geq, binom_tail_leq
+from oracles import binom_tail_geq, binom_tail_leq, clopper_pearson
 
 
 class TestCanonneRadius:

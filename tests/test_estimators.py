@@ -6,8 +6,9 @@ import pytest
 
 from dpaudit.discrete import symmetric_delta
 from dpaudit.errors import FitError
-from dpaudit.estimators import (AuditConfig, f_alpha_sensitivity, fit_mu_gdp,
-                                histogram_audit, threshold_epsilon, two_bin_histogram)
+from dpaudit.estimators import (EPS_GRID_MAX_POINTS, AuditConfig, f_alpha_sensitivity,
+                                fit_mu_gdp, histogram_audit, threshold_epsilon,
+                                two_bin_histogram)
 from dpaudit.mechanisms import (SIGMA_RANGE, GaussianMechanism, SubsampledGaussianMechanism,
                                 gaussian_delta, sigma_from_tv)
 from dpaudit.profiles import PrivacyProfile
@@ -304,3 +305,10 @@ class TestHistogramAudit:
     def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError):
             histogram_audit(np.zeros(10) + np.arange(10), np.arange(9), AuditConfig())
+
+
+class TestAuditConfig:
+    def test_eps_grid_point_cap(self):
+        assert AuditConfig(eps_grid=(0.0, 1.0, EPS_GRID_MAX_POINTS)).eps_grid[2] == 2 ** 20
+        with pytest.raises(ValueError, match=f"eps_grid has {2 ** 20 + 1} points, more than"):
+            AuditConfig(eps_grid=(0.0, 1.0, EPS_GRID_MAX_POINTS + 1))

@@ -210,6 +210,12 @@ class TestAutoSpec:
         with pytest.raises(ValueError, match="too small"):
             auto_spec(sp, sq, width=span / 10.5)
 
+    def test_k_may_be_as_many_bins_as_samples(self):
+        sp, sq = np.arange(5.0), np.arange(5.0)
+        assert auto_spec(sp, sq, k=10).k == 10
+        with pytest.raises(ValueError, match="k = 11 is more than the 10 pooled samples"):
+            auto_spec(sp, sq, k=11)
+
     @pytest.mark.parametrize("binning", [{}, {"k": 20}, {"width": 0.5}])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_span_past_float64_is_degenerate(self, binning):

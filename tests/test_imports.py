@@ -1,6 +1,7 @@
 """Every module of the package and every test file uses each name it
-imports, and every private module-level helper is read somewhere in the
-package.
+imports, every private module-level helper is read somewhere in the
+package, and no module of the package imports scipy: numpy is its only
+runtime dependency.
 
 ``__init__.py`` is left out of the import scan: it imports names to
 re-export them. A deletion that leaves an import or a ``_helper`` behind
@@ -94,3 +95,28 @@ def test_scan_finds_an_orphaned_private_helper():
 def test_no_orphaned_private_helpers():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert orphaned_private_names(sources) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """The import statements of ``source``, at any depth, that name a scipy module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {m}" for m in modules if m.split(".")[0] == "scipy"]
+    return found
+
+
+def test_scan_finds_a_scipy_import():
+    source = ("import numpy\nimport scipy.fft as fft\n\ndef f():\n"
+              "    from scipy import special\n    from .scipy import x\n")
+    assert scipy_imports(source) == ["line 2: scipy.fft", "line 5: scipy"]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_package_imports_no_scipy(module):
+    assert scipy_imports((PACKAGE / module).read_text(encoding="utf-8")) == []

@@ -2,12 +2,56 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from dpaudit.mechanisms import (GaussianMechanism, LaplaceMechanism,
-                                SubsampledGaussianMechanism, gaussian_delta,
-                                gdp_tradeoff, laplace_tradeoff)
+                                SubsampledGaussianMechanism, _log_ndtr, _ndtr, _ndtri,
+                                gaussian_delta, gdp_tradeoff, laplace_tradeoff)
 
 from oracles import hs_quadrature_mixture, hs_quadrature_normal, mixture_tv_closed_form
+
+
+def assert_relative(value, reference, rtol):
+    """|value - reference| <= rtol |reference| wherever scipy's reference is not 0.
+
+    scipy's erfc returns 0 once (x / sqrt 2)^2 passes ln(DBL_MAX), |x| > 37.68,
+    where math.erfc still returns the subnormal; no relative error is defined
+    there, so the value only has to lie below the normal range.
+    """
+    zero = reference == 0
+    assert np.all(np.abs(value - reference)[~zero] <= rtol * np.abs(reference[~zero]))
+    assert np.all(np.abs(value[zero]) < np.finfo(float).tiny)
+
+
+class TestNormalLaw:
+    """The numpy and standard-library forms of Phi, log Phi and Phi^-1 against
+    scipy.special, on the ranges where each form changes."""
+
+    def test_ndtr(self):
+        x = np.linspace(-38.0, 9.0, 470_001)
+        assert_relative(_ndtr(x), special.ndtr(x), 1e-12)
+
+    @pytest.mark.parametrize("x", [
+        -np.geomspace(20.0, 1e6, 100_001)[1:],   # the Mills-ratio series
+        np.linspace(-20.0, 0.0, 200_001)[:-1],   # log Phi(x)
+        np.linspace(0.0, 40.0, 200_001),         # log1p(-Phi(-x))
+    ], ids=["below-20", "-20-to-0", "0-and-up"])
+    def test_log_ndtr(self, x):
+        assert_relative(_log_ndtr(x), special.log_ndtr(x), 1e-12)
+
+    def test_ndtri(self):
+        p = np.concatenate([np.geomspace(1e-300, 0.5, 100_001),
+                            np.linspace(0.0, 1.0, 100_001)[1:-1],
+                            1.0 - np.geomspace(1e-16, 0.5, 100_001)])
+        assert np.max(np.abs(_ndtri(p) - special.ndtri(p))) <= 1e-13
+
+    def test_ndtri_is_infinite_at_the_ends(self):
+        assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf
+        assert _ndtri(np.array([0.0, 0.5, 1.0])).tolist() == [-math.inf, 0.0, math.inf]
+
+    @pytest.mark.parametrize("fn", [_ndtr, _log_ndtr, _ndtri])
+    def test_scalar_in_float_out(self, fn):
+        assert isinstance(fn(0.25), float)
 
 
 class TestGaussianDelta:

@@ -1,8 +1,8 @@
-"""The CLI imports without scipy, and its simulate, audit, compose and canary
-paths never load it: scipy.special and scipy.fft cost about as much to
-import as the rest of the program. Nor do they load numpy.ma, which numpy
-imports on first use of functions such as ``np.quantile`` and which costs
-every process that bins scores about 1.4 MB. Each check runs in a fresh
+"""The CLI imports without scipy, and its simulate, audit, compose, canary
+and fit-gdp paths never load it: scipy.special and scipy.fft cost about as
+much to import as the rest of the program. Nor do they load numpy.ma, which
+numpy imports on first use of functions such as ``np.quantile`` and which
+costs every process that bins scores about 1.4 MB. Each check runs in a fresh
 interpreter, so modules that other tests imported do not count."""
 
 import os
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dpaudit.mechanisms import SubsampledGaussianMechanism
+from dpaudit.mechanisms import GaussianMechanism, SubsampledGaussianMechanism
 from dpaudit.scores import write_scores
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -43,6 +43,7 @@ def score_files(tmp_path_factory):
     scores_p, scores_q = SubsampledGaussianMechanism(0.25, 0.5).sample_pair(10 ** 5, seed=5)
     write_scores(root / "p.txt", scores_p)
     write_scores(root / "q.txt", scores_q)
+    GaussianMechanism(1.0).profile([0.0, 0.5, 1.0, 2.0, 4.0]).to_csv(root / "g.csv")
     return root
 
 
@@ -58,7 +59,9 @@ def score_files(tmp_path_factory):
      "--sigma", 2, "--audit", "--out-p", "op.txt", "--out-q", "oq.txt", "--json", "w.json"],
     ["canary", "--mode", "one-shot", "-d", 4096, "-n", 200, "--sigma", 1, "--audit",
      "--out-p", "sp.txt", "--out-q", "sq.txt"],
+    ["fit-gdp", "--profile", "g.csv"],
+    ["fit-gdp", "--in-p", "p.txt", "--in-q", "q.txt"],
 ], ids=["import", "simulate", "audit-mixture", "audit-gaussian", "compose",
-        "canary-white-box", "canary-one-shot"])
+        "canary-white-box", "canary-one-shot", "fit-gdp-profile", "fit-gdp-scores"])
 def test_cli_path_loads_no_scipy(score_files, argv):
     assert loaded_scipy_or_ma_modules(argv, score_files) == "0 []"
