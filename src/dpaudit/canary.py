@@ -13,10 +13,9 @@ n x n matrix is built (see :func:`one_shot_scores_gram`).
 The white-box stream follows the per-iteration noisy-gradient protocol with
 a fresh clip-norm canary per step included with probability q_c. Its scores
 are drawn in O(T) from their exact law, which does not depend on d except
-through an optional nuisance term (see :func:`whitebox_stream`). One call
-can draw one side alone, bit for bit as in the pair, holding that side and
-one scratch block: the CLI draws, bins and writes each side in its own
-process, so no process holds both.
+through an optional nuisance term (see :func:`whitebox_stream`). Each side
+has its own random stream: the CLI draws, bins and writes each side in its
+own process, and no process draws or holds the other side.
 """
 
 from __future__ import annotations
@@ -234,24 +233,19 @@ def whitebox_stream(cfg: WhiteBoxConfig,
     (see :func:`_cosines`).
 
     Returns ``(O, O')``, or with ``side`` (0 or 1) only that entry of the
-    pair, equal bit for bit. Both sides come from one random stream, block
-    by block, so a one-side draw still draws the other side's blocks, into
-    one block-sized scratch buffer: it holds O(iterations + block), so two
-    processes can each draw one side and neither holds both.
+    pair, drawn alone from child ``side`` of the seed's ``SeedSequence``, so
+    two processes can each draw one side and neither draws or holds both.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    kept = (0, 1) if side is None else (side,)
-    pair = [np.empty(cfg.iterations if i in kept else min(_WHITEBOX_BLOCK, cfg.iterations))
-            for i in (0, 1)]
+    if side is None:
+        return whitebox_stream(cfg, 0), whitebox_stream(cfg, 1)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[side])
+    scores = np.empty(cfg.iterations)
     for start in range(0, cfg.iterations, _WHITEBOX_BLOCK):
-        stop = min(start + _WHITEBOX_BLOCK, cfg.iterations)
-        # a side that is not kept draws every block into the start of its scratch buffer
-        blocks = [pair[i][start:stop] if i in kept else pair[i][:stop - start] for i in (0, 1)]
-        for block in blocks:
-            rng.standard_normal(out=block)
-            block *= cfg.clip ** 2 * cfg.sigma
-            if cfg.nuisance_norm > 0:
-                block += _cosines(rng, cfg.d, block.size) * (cfg.clip * cfg.nuisance_norm)
-        held_in = blocks[1]
-        held_in[rng.random(held_in.size) < cfg.canary_prob] += cfg.clip ** 2
-    return tuple(pair) if side is None else pair[side]
+        block = scores[start:start + _WHITEBOX_BLOCK]
+        rng.standard_normal(out=block)
+        block *= cfg.clip ** 2 * cfg.sigma
+        if cfg.nuisance_norm > 0:
+            block += _cosines(rng, cfg.d, block.size) * (cfg.clip * cfg.nuisance_norm)
+        if side == 1:
+            block[rng.random(block.size) < cfg.canary_prob] += cfg.clip ** 2
+    return scores

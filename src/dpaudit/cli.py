@@ -290,8 +290,8 @@ def cmd_canary(args) -> int:
         elif args.audit:
             report = one_shot_audit(cfg, config)
     elif args.audit or (args.out_p and args.out_q):
-        # the held-in side O' is p, the held-out side O is q; a forked child
-        # draws, bins and writes q, so no process holds both sides
+        # the held-in side O' is p, the held-out side O is q; a forked child draws,
+        # bins and writes q from its own stream, so no process draws both sides
         binned_p, binned_q = both(_whitebox_side, (cfg, 1, args.out_p, config),
                                   (cfg, 0, args.out_q, config),
                                   child="white-box sampler: the forked process")
@@ -410,6 +410,12 @@ def main(argv=None) -> int:
         error, code = exc, EXIT_GRID
     except FitError as exc:
         error, code = exc, EXIT_FIT
+    except MemoryError as exc:  # a sample count (a run gives at most one) too large to allocate
+        counts = [f"{flag} {getattr(args, flag.lstrip('-'))}" for flag in ("-n", "--iterations")
+                  if getattr(args, flag.lstrip("-"), None) is not None]
+        if not counts:
+            raise
+        error, code = f"{counts[0]}: {str(exc) or 'cannot allocate its arrays'}", EXIT_USAGE
     print(f"error: {error}", file=sys.stderr)
     return code
 

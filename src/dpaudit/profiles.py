@@ -107,17 +107,16 @@ class PrivacyProfile:
         valid if loose); a target the curve never descends to returns None.
         Flat stretches resolve to the smallest eps achieving the target.
         """
+        if math.isnan(delta_target):
+            raise ValueError("delta_target must not be NaN")
         d = self.deltas
         if delta_target >= d[0]:
             return float(self.epsilons[0])
         if delta_target < d[-1]:
             return None
+        # d[j - 1] > delta_target >= d[j], so j >= 1 and d0 > d1
         j = int(np.argmax(d <= delta_target))
-        if j == 0:
-            return float(self.epsilons[0])
         d0, d1 = d[j - 1], d[j]
-        if d0 == d1:
-            return float(self.epsilons[j])
         t = (d0 - delta_target) / (d0 - d1)
         return float(self.epsilons[j - 1] + t * (self.epsilons[j] - self.epsilons[j - 1]))
 

@@ -502,7 +502,7 @@ class TestWhiteboxStream:
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_one_side_holds_one_output(self, side):
-        # the other side's blocks go through one block-sized scratch buffer
+        # besides its output, a side holds block-sized cosines and canary mask
         iterations = 10 ** 6
         cfg = WhiteBoxConfig(iterations=iterations, canary_prob=0.5, sigma=1.0,
                              clip=1.0, d=64, seed=47, nuisance_norm=0.5)
@@ -513,6 +513,20 @@ class TestWhiteboxStream:
         finally:
             tracemalloc.stop()
         assert peak < 8 * iterations + 4 * 2 ** 20
+
+    # without nuisance, O holds only its output and O' one block's canary mask
+    @pytest.mark.parametrize("side,extra", [(0, 2 ** 17), (1, 2 ** 20)])
+    def test_one_side_without_nuisance_holds_its_output(self, side, extra):
+        iterations = 10 ** 6
+        cfg = WhiteBoxConfig(iterations=iterations, canary_prob=0.5, sigma=1.0,
+                             clip=1.0, d=64, seed=47)
+        tracemalloc.start()
+        try:
+            whitebox_stream(cfg, side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * iterations + extra
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

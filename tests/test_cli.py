@@ -159,6 +159,27 @@ class TestAudit:
         assert capsys.readouterr().err == (
             f"error: --fit-sigma needs q in (0, 1], got 'mixture:q={value}'\n")
 
+    def test_fit_sigma_gaussian_is_the_mixture_at_q_1(self, gaussian_files, tmp_path, capsys):
+        p, q = gaussian_files
+        outs, reports = [], []
+        for spec in ("gaussian", "mixture:q=1"):
+            reports.append(tmp_path / f"{spec}.json")
+            assert run("audit", p, q, "--fit-sigma", spec, "--json", reports[-1]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        block = json.loads(reports[0].read_text())["sigma_estimation"]
+        assert block["sigma_interval"][0] < 1.0 < block["sigma_interval"][1]
+
+    @pytest.mark.parametrize("spec,error", [
+        ("laplace", "--fit-sigma expects 'gaussian' or 'mixture:q=<val>', got 'laplace'"),
+        ("mixture:q=abc", "bad --fit-sigma value 'mixture:q=abc'"),
+    ])
+    def test_malformed_fit_sigma_exit_2(self, tmp_path, capsys, spec, error):
+        missing = tmp_path / "missing.txt"
+        assert run("audit", missing, missing, "--fit-sigma", spec) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
     def test_fixed_bins_and_sigma_block(self, tmp_path, capsys):
         p, q = tmp_path / "p.txt", tmp_path / "q.txt"
         assert run("simulate", "--mechanism", "subsampled-gaussian", "--q", 0.25,
@@ -280,6 +301,15 @@ class TestCompose:
         assert doc["method"] == "composed-heuristic"
         assert doc["compositions"] == 5
 
+    def test_non_overlapping_samples_compose_to_delta_1(self, tmp_path, capsys):
+        # no bin holds both samples, so each direction's PLD is all at +infinity
+        op, oq = tmp_path / "p.txt", tmp_path / "q.txt"
+        assert run("canary", *NON_OVERLAPPING, "--out-p", op, "--out-q", oq) == 0
+        assert run("compose", op, oq, "--compositions", 2) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9
+        assert all(line.startswith("epsilon=") and line.endswith(" delta=1") for line in lines)
+
     def test_zero_compositions_usage_error(self, gaussian_files):
         p, q = gaussian_files
         assert run("compose", p, q, "--compositions", 0) == 2
@@ -395,6 +425,15 @@ class TestFitGdp:
                                  AuditConfig(bins=40))
         assert capsys.readouterr().out == f"mu={fit_mu_gdp(report.profile, (0.0, 4.0)):.6g}\n"
 
+    def test_json_holds_the_printed_mu(self, gaussian_files, tmp_path, capsys):
+        p, q = gaussian_files
+        report_path = tmp_path / "fit.json"
+        assert run("fit-gdp", "--in-p", p, "--in-q", q, "--eps-range", "0:4",
+                   "--json", report_path) == 0
+        doc = json.loads(report_path.read_text())
+        assert doc["eps_range"] == [0.0, 4.0]
+        assert capsys.readouterr().out == f"mu={doc['mu']:.6g}\n"
+
     def test_non_overlapping_score_files(self, tmp_path, capsys):
         op, oq = tmp_path / "p.txt", tmp_path / "q.txt"
         assert run("canary", *NON_OVERLAPPING, "--out-p", op, "--out-q", oq) == 0
@@ -413,6 +452,13 @@ class TestCanaryCommand:
                        "--sigma", 1.0, "--seed", 9, "--out-p", op, "--out-q", oq) == 0
             outs.append((op.read_bytes(), oq.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_one_shot_held_in_file_alone(self, tmp_path):
+        op, oq, alone = tmp_path / "p.txt", tmp_path / "q.txt", tmp_path / "alone.txt"
+        flags = ["--mode", "one-shot", "-d", 4096, "-n", 100, "--seed", 9]
+        assert run("canary", *flags, "--out-p", op, "--out-q", oq) == 0
+        assert run("canary", *flags, "--out-p", alone) == 0
+        assert alone.read_bytes() == op.read_bytes()
 
     def test_one_shot_audit_report(self, tmp_path, capsys):
         assert run("canary", "--mode", "one-shot", "-d", 16384, "-n", 500,
@@ -704,6 +750,25 @@ class TestFlags:
             path.write_text("0.0\n1.0\n2.0\n", encoding="utf-8")
         assert run(command[0], p, q, *command[1:], flag, value) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    # counts whose arrays cannot be allocated at all, in this process and, with
+    # both white-box sides, in the forked child too
+    @pytest.mark.parametrize("argv,flag", [
+        (["simulate", "--mechanism", "gaussian", "-n", 10 ** 15, "p.txt", "q.txt"], "-n"),
+        (["canary", "--mode", "white-box", "-d", 8, "--iterations", 10 ** 15,
+          "--out-p", "p.txt"], "--iterations"),
+        (["canary", "--mode", "white-box", "-d", 8, "--iterations", 10 ** 15, "--audit",
+          "--out-p", "p.txt", "--out-q", "q.txt"], "--iterations"),
+        (["canary", "--mode", "one-shot", "-d", 8, "-n", 10 ** 15, "--out-p", "p.txt"], "-n"),
+    ], ids=["simulate", "white-box", "white-box-audit", "one-shot"])
+    def test_oversized_sample_count_exit_2(self, tmp_path, capsys, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {flag} {10 ** 15}: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", sorted(REPORT_FLAGS))
     def test_compose_and_fit_gdp_refuse_report_flags(self, gaussian_files, tmp_path, flag):

@@ -1,11 +1,12 @@
 """Each input rule of the package has one home, checked on the source.
 
 Only the module that defines ``numbered_lines`` (the one text-line reader)
-opens files for reading, and only ``discrete._as_readonly`` freezes arrays
-with ``setflags(write=False)``. The check that alphas lie in [0, 1] lives in
+opens files for reading, only ``discrete._as_readonly`` freezes arrays
+with ``setflags(write=False)``, and only ``scores.both`` calls ``os.fork``.
+The check that alphas lie in [0, 1] lives in
 ``mechanisms._unit_alphas`` and the check that two distributions have equal
 lengths in ``discrete._check_pair``, so each message has one module. A
-second reader, freeze or check fails here instead of drifting away from the
+second reader, freeze, fork or check fails here instead of drifting away from the
 first.
 """
 
@@ -45,8 +46,8 @@ def file_reads(sources: dict[str, str]) -> list[str]:
             if isinstance(node, ast.Call) and _opens_for_reading(node)]
 
 
-def freezes(sources: dict[str, str]) -> list[str]:
-    """``module:function`` of every ``setflags(write=False)`` call."""
+def call_sites(sources: dict[str, str], matches) -> list[str]:
+    """``module:function`` of every call for which ``matches(call)`` holds."""
     found = []
 
     class Visitor(ast.NodeVisitor):
@@ -59,15 +60,25 @@ def freezes(sources: dict[str, str]) -> list[str]:
             self.scope.pop()
 
         def visit_Call(self, node):
-            if _called_name(node) == "setflags" and any(
-                    kw.arg == "write" and isinstance(kw.value, ast.Constant)
-                    and kw.value.value is False for kw in node.keywords):
+            if matches(node):
                 found.append(f"{self.module}:{self.scope[-1]}")
             self.generic_visit(node)
 
     for name, text in sources.items():
         Visitor(name).visit(ast.parse(text))
     return found
+
+
+def freezes(sources: dict[str, str]) -> list[str]:
+    """``module:function`` of every ``setflags(write=False)`` call."""
+    return call_sites(sources, lambda call: _called_name(call) == "setflags" and any(
+        kw.arg == "write" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+        for kw in call.keywords))
+
+
+def forks(sources: dict[str, str]) -> list[str]:
+    """``module:function`` of every ``fork()`` call, ``os.fork`` or a bare import of it."""
+    return call_sites(sources, lambda call: _called_name(call) == "fork")
 
 
 def reader_module(sources: dict[str, str]) -> str | None:
@@ -90,6 +101,14 @@ def test_scan_finds_freezes():
     assert freezes({"m.py": source}) == ["m.py:<module>", "m.py:g"]
 
 
+def test_scan_finds_forks():
+    source = ("import os\nfrom os import fork\n\nos.fork()\n\n"
+              "def both(fn, fork=True):\n    if fork and hasattr(os, 'fork'):\n"
+              "        return os.fork()\n\n"
+              "class C:\n    def g(self):\n        fork()\n")
+    assert forks({"m.py": source}) == ["m.py:<module>", "m.py:both", "m.py:g"]
+
+
 def test_only_the_line_reader_module_reads_files():
     home = reader_module(SOURCES)
     outside = [site for site in file_reads(SOURCES) if not site.startswith(f"{home}:")]
@@ -98,6 +117,10 @@ def test_only_the_line_reader_module_reads_files():
 
 def test_only_as_readonly_freezes_arrays():
     assert freezes(SOURCES) == ["discrete.py:_as_readonly"]
+
+
+def test_only_both_forks():
+    assert forks(SOURCES) == ["scores.py:both"]
 
 
 def modules_containing(text: str) -> list[str]:

@@ -132,6 +132,12 @@ class TestPrivacyProfileValidation:
         with pytest.raises(ValueError, match="finite"):
             PrivacyProfile(eps, deltas)
 
+    def test_epsilon_at_refuses_a_nan_target(self):
+        # a NaN target fails every comparison and once read as the first eps
+        profile = PrivacyProfile([0.0, 1.0, 2.0], [0.5, 0.3, 0.1])
+        with pytest.raises(ValueError, match="NaN"):
+            profile.epsilon_at(math.nan)
+
 
 class TestTradeoffCurveValidation:
     @pytest.mark.parametrize("alphas,betas", [
