@@ -345,15 +345,15 @@ class TestComposeTwoProcesses:
 
     @staticmethod
     def in_child(monkeypatch, action):
-        """Patch ``pld.self_convolve`` to run ``action`` in the forked child only."""
-        parent, convolve = os.getpid(), pld.self_convolve
+        """Patch ``pld._composed_rows`` to run ``action`` in the forked child only."""
+        parent, compose = os.getpid(), pld._composed_rows
 
         def patched(grid, c):
             if os.getpid() != parent:
                 action()
-            return convolve(grid, c)
+            return compose(grid, c)
 
-        monkeypatch.setattr(pld, "self_convolve", patched)
+        monkeypatch.setattr(pld, "_composed_rows", patched)
 
     def test_backward_grid_overflow_exit_4(self, gaussian_files, capsys, monkeypatch):
         def overflow():
@@ -837,6 +837,9 @@ class TestFlags:
         (["audit", "--bin-width", "inf"], "width"),
         (["compose", "--compositions", 2, "--grid", "nan:1024"], "L"),
         (["compose", "--compositions", 2, "--grid", "inf:1024"], "L"),
+        # identical samples put every log-ratio at 0, so only the spacing fails
+        (["compose", "--compositions", 2, "--grid", "5e-324:4"], "2L/m"),
+        (["compose", "--compositions", 2, "--grid", "1e308:4"], "2L/m"),
     ])
     # a numpy RuntimeWarning on the way to the error fails the test
     @pytest.mark.filterwarnings("error")

@@ -177,7 +177,8 @@ class TestEvaluationMemory:
         masses = rng.random(2 ** 22)
         pld = PLDGrid(-2.0, 1e-6, masses / masses.sum(), 0.0)  # nodes cover [-2, 2.2]
         eps = np.linspace(-3.0, 3.0, 401)
-        assert traced_peak(lambda: delta_from_pld(pld, eps)) < 4 * 2 ** 20  # masses: 32 MB
+        # one longdouble block, 1 MiB, and chunk-long temporaries
+        assert traced_peak(lambda: delta_from_pld(pld, eps)) < 2 * 2 ** 20  # masses: 32 MB
 
     def test_convolution_holds_two_node_length_arrays(self):
         # the spectrum and the composed masses, 8 bytes a node each; pocketfft's
@@ -189,6 +190,19 @@ class TestEvaluationMemory:
                  "self_convolve(PLDGrid(0.0, 1.0, np.array([0.5, 0.5])), 2)")  # imports numpy.fft
         length = PHASES * 2 * _next_fast_len(-(-((nodes - 1) * c + 1) // (2 * PHASES)))
         assert rss_growth(f"self_convolve(pld, {c})", setup) <= 2.6 * 8 * length
+
+    def test_compose_holds_one_node_length_array(self):
+        # one direction of compose_profile reads delta off the spectrum's rows:
+        # the spectrum, 8 bytes a node, plus read-out blocks; composing and then
+        # reading the masses holds about 2.1 times as much
+        nodes, c = 100_001, 10
+        setup = ("import numpy as np; from dpaudit.pld import PLDGrid, _composed_delta; "
+                 f"masses = np.random.default_rng(0).random({nodes}); "
+                 "pld = PLDGrid(0.0, 1e-4, masses / masses.sum()); "
+                 "eps = np.linspace(0.0, 10.0, 401); "
+                 "_composed_delta(PLDGrid(0.0, 1.0, np.array([0.5, 0.5])), 2, eps)")  # imports
+        length = PHASES * 2 * _next_fast_len(-(-((nodes - 1) * c + 1) // (2 * PHASES)))
+        assert rss_growth(f"_composed_delta(pld, {c}, eps)", setup) <= 1.5 * 8 * length
 
     def test_compose_peaks_no_higher_than_one_convolution(self, monkeypatch):
         # in turn, each direction is composed, read and dropped before the other
@@ -259,7 +273,7 @@ class TestTwoProcesses:
             raise GridOverflowError(f"{side} direction does not fit")
 
         monkeypatch.setattr(pld_module, "_FORK_MIN_NODES", 0)
-        monkeypatch.setattr(pld_module, "self_convolve", failing)
+        monkeypatch.setattr(pld_module, "_composed_rows", failing)
         with pytest.raises(GridOverflowError, match="^forward direction does not fit$"):
             compose_profile(dist(0.6, 0.4), dist(0.4, 0.6), 3, self.EPS, grid=TEST_GRID)
         assert no_child_left()

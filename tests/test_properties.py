@@ -3,7 +3,9 @@
 The hockey-stick kernel is checked against the brute-force sum it replaces,
 on pairs with empty bins on either side and eps far past the exp overflow.
 The PLD engine is checked the same way: its segment-sum delta against the
-per-node sum, its rfft power against repeated direct convolution. The
+per-node sum, its rfft power against repeated direct convolution, and delta
+read off the transform's phase rows against delta read off the interleaved
+composed masses, bit for bit. The
 closed-form sigma inverse is checked by mapping its sigma back to a TV.
 Trade-off curves converted from random non-increasing profiles are valid.
 The blocked binning is checked against the pooled copy it replaces, with
@@ -21,16 +23,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dpaudit import histogram, scores
-from dpaudit.discrete import (DiscreteDistribution, alpha_from_eps, hockey_stick,
-                              symmetric_delta)
+from dpaudit import histogram, pld as pld_module, scores
+from dpaudit.discrete import (DiscreteDistribution, _count_at_or_below, alpha_from_eps,
+                              hockey_stick, symmetric_delta)
 from dpaudit.errors import DegenerateSamplesError
 from dpaudit.estimators import threshold_epsilon, two_bin_histogram
 from dpaudit.histogram import (QUANTILE_MARGIN, BinningSpec, HistogramEstimate, auto_spec,
                                bin_counts, binning_side, build_histograms, estimate_profile,
                                scott_width_gaussian)
 from dpaudit.mechanisms import SIGMA_RANGE, SubsampledGaussianMechanism, sigma_from_tv
-from dpaudit.pld import PLDGrid, _first_above, delta_from_pld, self_convolve
+from dpaudit.pld import (PHASES, PLDGrid, compose_profile, delta_from_pld,
+                         pld_from_discrete, self_convolve)
 from dpaudit.profiles import PrivacyProfile
 from dpaudit.scores import both
 from dpaudit.tradeoff import profile_to_tradeoff, validate
@@ -328,7 +331,9 @@ def test_first_above_matches_searchsorted(pld, size, seed):
     nodes = pld.node_values()
     eps = sorted_count_sample(np.random.default_rng(seed), nodes, [-np.inf, np.inf, np.nan],
                               size)
-    assert np.array_equal(_first_above(pld, eps), np.searchsorted(nodes, eps, "right"))
+    # the first node above each eps, as the delta read-out finds it
+    first = _count_at_or_below(eps, pld.grid_start, pld.step, 0, pld.masses.size)
+    assert np.array_equal(first, np.searchsorted(nodes, eps, "right"))
 
 
 @PROPERTY_SETTINGS
@@ -342,6 +347,54 @@ def test_self_convolve_matches_direct_convolution(pld, c):
     assert np.all(np.abs(composed.masses - direct) <= 1e-15)
     assert composed.grid_start == c * pld.grid_start
     assert abs(composed.mass_inf - (1.0 - (1.0 - pld.mass_inf) ** c)) <= 1e-15
+
+
+def eps_around(data, first, last):
+    """Distinct sorted eps inside [first, last], on its ends, and below and beyond it."""
+    values = data.draw(st.lists(st.one_of(
+        st.floats(first, last), st.sampled_from([first, last]),
+        st.floats(first - 50.0, first, exclude_max=True),
+        st.floats(last, last + 50.0, exclude_min=True)), min_size=2, max_size=30))
+    return np.unique(values)
+
+
+@PROPERTY_SETTINGS
+@given(plds(max_nodes=200, reach=50.0), st.integers(2, 8),
+       st.sampled_from([(PHASES, 8), (40, 24), (pld_module.DELTA_BLOCK, 2 ** 13)]), st.data())
+def test_composed_delta_equals_reading_the_convolved_pld(pld, c, sizes, data):
+    # small read-out blocks and chunks put their edges inside the phase rows
+    n = (pld.masses.size - 1) * c + 1
+    eps = eps_around(data, c * pld.grid_start, c * pld.grid_start + (n - 1) * pld.step)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pld_module, "DELTA_BLOCK", sizes[0])
+        mp.setattr(pld_module, "_DECAY_CHUNK", sizes[1])
+        expected = delta_from_pld(self_convolve(pld, c), eps)
+        assert np.array_equal(pld_module._composed_delta(pld, c, eps), expected)
+
+
+@st.composite
+def distribution_pairs(draw, max_bins=40):
+    """Two distributions on the same bins, with bins empty on either side."""
+    k = draw(st.integers(2, max_bins))
+    p, q = (np.array(draw(st.lists(weights, min_size=k, max_size=k))) for _ in range(2))
+    assume(p.sum() > 0 and q.sum() > 0)
+    return DiscreteDistribution.normalized(p), DiscreteDistribution.normalized(q)
+
+
+@PROPERTY_SETTINGS
+@given(distribution_pairs(), st.integers(1, 8), st.data())
+def test_composed_profile_is_the_envelope_of_both_directions(pair, c, data):
+    p, q = pair
+    grid = (20.0, 2 ** 12)
+    eps = eps_around(data, -20.0 * c, 20.0 * c)
+    assume(eps.size >= 2)
+    deltas = np.maximum(*(delta_from_pld(self_convolve(pld_from_discrete(a, b, grid), c), eps)
+                          for a, b in ((p, q), (q, p))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pld_module, "_FORK_MIN_NODES", 10 ** 12)  # the directions run in turn
+        profile = compose_profile(p, q, c, eps, grid=grid)
+    assert np.array_equal(profile.deltas, PrivacyProfile.envelope(eps, deltas).deltas)
+    assert profile.heuristic
 
 
 # every decade of the range as often as its top one

@@ -4,8 +4,9 @@ Only the module that defines ``numbered_lines`` (the one text-line reader)
 opens files for reading, only ``discrete._as_readonly`` freezes arrays
 with ``setflags(write=False)``, and only ``scores.both`` calls ``os.fork``.
 The check that alphas lie in [0, 1] lives in
-``mechanisms._unit_alphas`` and the check that two distributions have equal
-lengths in ``discrete._check_pair``, so each message has one module. A
+``mechanisms._unit_alphas``, the check that two distributions have equal
+lengths in ``discrete._check_pair`` and the PLD mass-total check in
+``pld._check_total``, so each message has one module. A
 second reader, freeze, fork or check fails here instead of drifting away from the
 first.
 """
@@ -130,3 +131,4 @@ def modules_containing(text: str) -> list[str]:
 def test_each_check_message_has_one_module():
     assert modules_containing("alpha must lie in [0, 1]") == ["mechanisms.py"]
     assert modules_containing("length mismatch") == ["discrete.py"]
+    assert modules_containing("total PLD mass") == ["pld.py"]
