@@ -8,7 +8,7 @@ privacy-loss distributions for iterative mechanisms.
 """
 
 from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_scores_gram,
-                     whitebox_stream)
+                     whitebox_source, whitebox_stream)
 from .confidence import canonne_radius, hs_interval
 from .discrete import (DiscreteDistribution, coarsen, hs_divergence,
                        symmetric_delta, tv_distance)
@@ -27,7 +27,7 @@ from .mechanisms import (GaussianMechanism, LaplaceMechanism,
 from .pld import (PLDGrid, compose_profile, delta_from_pld, pld_from_discrete,
                   self_convolve)
 from .profiles import PrivacyProfile
-from .scores import read_scores, write_scores
+from .scores import ScoreSource, read_scores, write_scores
 from .tradeoff import TradeoffCurve, f_eps_delta, profile_to_tradeoff, validate
 
 __version__ = "0.1.0"

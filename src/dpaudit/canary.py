@@ -14,12 +14,17 @@ The white-box stream follows the per-iteration noisy-gradient protocol with
 a fresh clip-norm canary per step included with probability q_c. Its scores
 are drawn in O(T) from their exact law, which does not depend on d except
 through an optional nuisance term (see :func:`whitebox_stream`). Each side
-has its own random stream: the CLI draws, bins and writes each side in its
-own process, and no process draws or holds the other side.
+has its own random stream, drawn block by block by one generator
+(``_whitebox_blocks``), so any block of a side can be drawn again from the
+seed. The CLI takes each side as a source (:func:`whitebox_source`) in its
+own process and holds none of it: it draws the side once to choose the
+bins, with the other side in lock-step, and once more to count its bins and
+write its file. No process draws the other side.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +32,7 @@ import numpy as np
 
 from .estimators import AuditConfig, AuditReport, histogram_audit
 from .mechanisms import _require_positive_finite
-from .scores import both
+from .scores import ScoreSource, both
 
 _ONE_SHOT_BLOCK = 128  # Bartlett factor rows per block; memory stays O(block * min(n, d))
 _WHITEBOX_BLOCK = 2 ** 16  # white-box steps per block; temporaries stay O(block)
@@ -235,17 +240,50 @@ def whitebox_stream(cfg: WhiteBoxConfig,
     Returns ``(O, O')``, or with ``side`` (0 or 1) only that entry of the
     pair, drawn alone from child ``side`` of the seed's ``SeedSequence``, so
     two processes can each draw one side and neither draws or holds both.
+    :func:`whitebox_source` gives the same side without holding it.
     """
     if side is None:
         return whitebox_stream(cfg, 0), whitebox_stream(cfg, 1)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[side])
     scores = np.empty(cfg.iterations)
+    for _ in _whitebox_blocks(cfg, side, scores):
+        pass
+    return scores
+
+
+def whitebox_source(cfg: WhiteBoxConfig, side: int) -> ScoreSource:
+    """Entry ``side`` of :func:`whitebox_stream`'s pair as a source that draws
+    it afresh from the seed on every pass, so no pass holds more than a block.
+
+    A side is refused at once, with ``MemoryError``, when its 8 * iterations
+    bytes cannot be reserved: a file of it could not be audited, as an audit
+    holds each side. The reservation is mapped and unmapped untouched, so it
+    costs no resident memory, and it is not a numpy array, so tracemalloc
+    does not count it.
+    """
+    import mmap  # here, so that the commands without a white-box side never load it
+
+    try:
+        mmap.mmap(-1, 8 * cfg.iterations).close()
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"cannot reserve the {8 * cfg.iterations} bytes of one side "
+                          f"({exc})") from None
+    return ScoreSource(cfg.iterations, functools.partial(_whitebox_blocks, cfg, side))
+
+
+def _whitebox_blocks(cfg: WhiteBoxConfig, side: int, out: np.ndarray | None = None):
+    """Side ``side`` of the white-box stream, drawn from child ``side`` of the
+    seed's ``SeedSequence`` and yielded ``_WHITEBOX_BLOCK`` steps at a time,
+    each block a view of ``out`` or, without it, of one buffer that the next
+    block overwrites. The only sampler loop of the white-box flow."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[side])
+    buffer = np.empty(min(cfg.iterations, _WHITEBOX_BLOCK)) if out is None else out
     for start in range(0, cfg.iterations, _WHITEBOX_BLOCK):
-        block = scores[start:start + _WHITEBOX_BLOCK]
+        size = min(_WHITEBOX_BLOCK, cfg.iterations - start)
+        block = buffer[:size] if out is None else out[start:start + size]
         rng.standard_normal(out=block)
         block *= cfg.clip ** 2 * cfg.sigma
         if cfg.nuisance_norm > 0:
-            block += _cosines(rng, cfg.d, block.size) * (cfg.clip * cfg.nuisance_norm)
+            block += _cosines(rng, cfg.d, size) * (cfg.clip * cfg.nuisance_norm)
         if side == 1:
-            block[rng.random(block.size) < cfg.canary_prob] += cfg.clip ** 2
-    return scores
+            np.add(block, cfg.clip ** 2, out=block, where=rng.random(size) < cfg.canary_prob)
+        yield block

@@ -4,7 +4,8 @@ Subcommands: simulate, audit, tradeoff, compose, fit-gdp, canary. Every
 command is deterministic given its full flag set including --seed.
 
 Exit codes: 0 success, 2 usage/config errors, 3 input-data errors,
-4 numeric-grid overflow, 5 fit failure.
+4 numeric-grid overflow, 5 fit failure, 6 a forked worker process that
+ended without a result.
 """
 
 from __future__ import annotations
@@ -15,26 +16,31 @@ import os
 import sys
 from pathlib import Path
 
-from . import pld
+from . import canary, pld
 from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_scores_gram,
-                     whitebox_stream)
+                     whitebox_source)
 from .errors import (DegenerateSamplesError, FitError, GridOverflowError, ProfileOrderError,
                      ScoreFileError)
 from .estimators import AuditConfig, binning_json, fit_mu_gdp, profile_json, spec_from_config
 # the audit of a binned pair; the traced benchmark run wraps the audit under this name
 from .estimators import audit_estimate as histogram_audit
 from .histogram import (HistogramEstimate, bin_counts, binning_side, build_histograms,
-                        estimate_profile)
+                        counted, estimate_profile)
 from .mechanisms import GaussianMechanism, LaplaceMechanism, SubsampledGaussianMechanism
 from .profiles import PrivacyProfile
 from .scores import both, read_scores, write_scores
 from .tradeoff import profile_to_tradeoff
+
+# A white-box side as an array. The CLI streams each side instead
+# (whitebox_source); the traced benchmark run wraps the array form under this name.
+whitebox_stream = canary.whitebox_stream
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_GRID = 4
 EXIT_FIT = 5
+EXIT_CHILD = 6
 
 
 # argparse dests of the flags that set the binning, and of every audit flag
@@ -110,27 +116,29 @@ def _audit_config(args) -> AuditConfig:
 
 
 def _binned(scores, config: AuditConfig, files=None):
-    """One sample's side of binning a pair as ``config`` says, in lock-step with
-    the other sample's side (``scores.both``): send the other side this
-    sample's size, then what the binning needs from it, and count its bins.
-    With ``files``, the paths the pair was read from, unequal sizes and no
-    spread to bin are input-data errors naming both."""
-    sizes = yield scores.size
+    """One sample's side of choosing the bins of a pair as ``config`` says, in
+    lock-step with the other sample's side (``scores.both``): send the other
+    side this sample's size, then what the binning needs from it, and return
+    the shared spec. With ``files``, the paths the pair was read from,
+    unequal sizes and no spread to bin are input-data errors naming both."""
+    sizes = yield len(scores)
     if files and sizes[0] != sizes[1]:
         raise ScoreFileError(
             f"unequal sample counts: {files[0]} has {sizes[0]}, {files[1]} has {sizes[1]}", None)
     try:
-        spec = yield from binning_side(scores, sizes, config.bins, config.bin_width)
+        return (yield from binning_side(scores, sizes, config.bins, config.bin_width))
     except DegenerateSamplesError as exc:
         if not files:
             raise
         raise ScoreFileError(f"{files[0]} and {files[1]}: {exc}") from exc
-    return spec, bin_counts(scores, spec)
 
 
 def _binned_file(path, args, config: AuditConfig):
-    """One score file's side of ``_load_histogram``: read the file and bin it."""
-    return (yield from _binned(read_scores(path), config, (args.in_p, args.in_q)))
+    """One score file's side of ``_load_histogram``: read the file, bin it and
+    count its bins."""
+    scores = read_scores(path)
+    spec = yield from _binned(scores, config, (args.in_p, args.in_q))
+    return spec, bin_counts(scores, spec)
 
 
 def _load_histogram(args, config: AuditConfig) -> HistogramEstimate:
@@ -142,15 +150,22 @@ def _load_histogram(args, config: AuditConfig) -> HistogramEstimate:
 
 
 def _whitebox_side(cfg: WhiteBoxConfig, side: int, path, config: AuditConfig | None):
-    """One side of the white-box flow: draw it (``whitebox_stream``'s entry
-    ``side``), bin it in lock-step with the other side when ``config`` is
-    given, and write it to ``path`` when given. Returns the shared spec and this
-    side's counts, or None without ``config``."""
-    scores = whitebox_stream(cfg, side)
-    binned = None if config is None else (yield from _binned(scores, config))
-    if path:
+    """One side of the white-box flow (``whitebox_source``'s side ``side``),
+    drawn twice and never held. With ``config``, the first draw bins it in
+    lock-step with the other side, and the second counts its bins and
+    writes it to ``path``, when given, in one pass; returns the shared spec
+    and this side's counts. Without, ``write_scores`` draws it to check it
+    and again to write it, and this returns None."""
+    scores = whitebox_source(cfg, side)
+    if config is None:
         write_scores(path, scores)
-    return binned
+        return None
+    spec = yield from _binned(scores, config)
+    if not path:
+        return spec, bin_counts(scores, spec)
+    scores, counts = counted(scores, spec)
+    write_scores(path, scores)
+    return spec, counts
 
 
 def _refuse_same_file(path_p, path_q) -> None:
@@ -300,7 +315,7 @@ def cmd_canary(args) -> int:
                                      config)
     elif args.out_p or args.out_q:
         side, path = (1, args.out_p) if args.out_p else (0, args.out_q)
-        write_scores(path, whitebox_stream(cfg, side))
+        write_scores(path, whitebox_source(cfg, side))
     if report is not None:
         _print_report_lines(report)
         _write_report(report, args)
@@ -404,6 +419,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, ValueError) as exc:
         error, code = exc, EXIT_USAGE
+    except ChildProcessError as exc:  # an OSError, but no fault of the input
+        error, code = exc, EXIT_CHILD
     except (ScoreFileError, OSError) as exc:
         error, code = exc, EXIT_INPUT
     except GridOverflowError as exc:

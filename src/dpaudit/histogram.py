@@ -7,18 +7,21 @@ left-closed/right-open.
 
 Choosing the bins and counting into them read each sample on its own,
 block by block, and never pool them, so extra memory stays O(block). A
+sample is an array or a ``scores.ScoreSource``, which is drawn afresh on
+each pass; either is read in the same blocks, so both give the same bins. A
 sample's part of the choice is ``binning_side``, run in lock-step with the
-other sample's: the sides swap their few smallest and largest values and
-their sums, and for the Scott rule their blocked squared-deviation sums
-about the pooled mean, and then each makes the same choice. Its part of
-the count is ``bin_counts``, and ``HistogramEstimate.from_counts`` merges
-the two. ``auto_spec`` and ``build_histograms`` run these in turn in one
-process; the CLI runs each side in the process that reads its score file
-(``scores.both``), so no process holds both samples. The edges a and b are
-the pooled 0.1% / 99.9% quantiles, equal bit for bit to ``np.quantile`` of
-the concatenated samples: numpy's linear rule reads two adjacent order
-statistics of the union, and those lie among the few smallest (or largest)
-values of each side.
+other sample's: in one exchange the sides swap their few smallest and
+largest values and, for the Scott rule, their count, mean and squared
+deviation, merged over their blocks (Chan, Golub & LeVeque), and then each
+makes the same choice. Its part of the count is ``bin_counts``, and
+``HistogramEstimate.from_counts`` merges the two. ``auto_spec`` and
+``build_histograms`` run these in turn in one process; the CLI runs each
+side in the process that reads or draws it (``scores.both``), so no process
+holds both samples. The edges a and b are the pooled 0.1% / 99.9%
+quantiles, equal bit for bit to ``np.quantile`` of the concatenated
+samples: numpy's linear rule reads two adjacent order statistics of the
+union, and those lie among the few smallest (or largest) values of each
+side.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .discrete import (DiscreteDistribution, _count_at_or_below, alpha_from_eps,
 from .errors import DegenerateSamplesError
 from .mechanisms import _require_positive_finite
 from .profiles import PrivacyProfile
-from .scores import both
+from .scores import ScoreSource, both
 
 SCOTT_GAUSSIAN_CONSTANT = 2.0 * 3.0 ** (1.0 / 3.0) * math.pi ** (1.0 / 6.0)
 # auto_spec's [a, b] runs between these pooled quantiles
@@ -107,20 +110,64 @@ def scott_width_gaussian(sigma_hat: float, n: int) -> float:
     return SCOTT_GAUSSIAN_CONSTANT * sigma_hat * n ** (-1.0 / 3.0)
 
 
-def _finite_blocks(x: np.ndarray, size: int):
-    """Consecutive slices of ``x``; raises on the first block holding a NaN or inf."""
-    for start in range(0, x.size, size):
-        block = x[start:start + size]
+def _finite_blocks(x, size: int):
+    """Consecutive blocks of ``size`` values of ``x``, the last one shorter:
+    slices of an array, or a source's blocks cut and joined at the same
+    bounds. Raises on the first block holding a NaN or inf."""
+    if isinstance(x, ScoreSource):
+        blocks = _rechunked(x.blocks(), size)
+    else:
+        x = np.asarray(x, dtype=float)
+        blocks = (x[start:start + size] for start in range(0, x.size, size))
+    for block in blocks:
         if not np.all(np.isfinite(block)):
             raise ValueError("samples must be finite")
         yield block
 
 
+def _rechunked(blocks, size: int):
+    """``blocks`` cut and joined into blocks of ``size`` values, the last one
+    shorter. A block that ends between bounds leaves its tail in a buffer that
+    the next blocks fill, since the source may overwrite the block itself."""
+    buffer, held = np.empty(size), 0
+    for block in blocks:
+        start = 0
+        if held:
+            start = min(size - held, block.size)
+            buffer[held:held + start] = block[:start]
+            held += start
+            if held < size:
+                continue
+            yield buffer
+        while block.size - start >= size:
+            yield block[start:start + size]
+            start += size
+        held = block.size - start
+        buffer[:held] = block[start:]
+    if held:
+        yield buffer[:held]
+
+
+def counted(samples, spec: BinningSpec) -> tuple[ScoreSource, np.ndarray]:
+    """``samples`` as a source that adds each block, as it passes, to its
+    count per bin of ``spec``, and that count, which one pass over the source
+    fills. A block holding a NaN or inf raises before it is passed on, so the
+    source is known finite."""
+    count = np.zeros(spec.k, dtype=np.int64)
+
+    def blocks():
+        for block in _finite_blocks(samples, BIN_BLOCK):
+            np.add(count, np.bincount(spec.bin_indices(block), minlength=spec.k), out=count)
+            yield block
+
+    return ScoreSource(len(samples), blocks, finite=True), count
+
+
 def bin_counts(samples, spec: BinningSpec) -> np.ndarray:
     """One sample's count per bin of ``spec``, counted block by block."""
-    count = np.zeros(spec.k, dtype=np.int64)
-    for block in _finite_blocks(np.asarray(samples, dtype=float), BIN_BLOCK):
-        count += np.bincount(spec.bin_indices(block), minlength=spec.k)
+    source, count = counted(samples, spec)
+    for _ in source.blocks():
+        pass
     return count
 
 
@@ -147,19 +194,26 @@ def estimate_profile(hist: HistogramEstimate, eps_grid) -> PrivacyProfile:
     return PrivacyProfile.envelope(eps_grid, np.maximum(forward, backward))
 
 
-def _tails(x: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _tails(x, keep: int, scott: bool):
     """The ``keep`` smallest and ``keep`` largest values of ``x`` (all of them
-    when it is shorter), unsorted, and its sum, from one blocked pass.
+    when it is shorter), unsorted, from one blocked pass, and under the Scott
+    rule its (count, mean, squared deviation about the mean), else None.
 
     Blocks are at least ``keep`` long, so each partition handles at most
-    twice a block and the pass stays linear in ``x.size``.
+    twice a block and the pass stays linear in the size of ``x``. The moments
+    of each block are merged in pairs (:func:`_merged`).
     """
-    low = high = x[:0]
-    total = 0.0
+    low = high = np.empty(0)
+    moments = []
     for block in _finite_blocks(x, max(BIN_BLOCK, keep)):
-        # an inf or NaN total leaves auto_spec's Scott width non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            total += float(np.sum(block))
+        if scott:
+            # an inf or NaN moment leaves the Scott width non-finite, which
+            # binning_side reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = float(np.sum(block)) / block.size
+                deviation = block - mean
+                moments.append((block.size, mean,
+                                float(np.sum(np.square(deviation, out=deviation)))))
         # partition each fresh concatenation in place, then copy the kept
         # values out so that no block-sized buffer outlives its step
         low = np.concatenate([low, block])
@@ -170,18 +224,25 @@ def _tails(x: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray, float]:
         if high.size > keep:
             high.partition(high.size - keep)
             high = high[high.size - keep:].copy()
-    return low, high, total
+    return low, high, _merged(moments) if scott else None
 
 
-def _square_sums(x: np.ndarray, mean: float) -> list[float]:
-    """Per block of ``x``, the sum of squared deviations about ``mean``."""
-    # an inf or NaN sum leaves the Scott width non-finite, which binning_side reports
-    sums = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in _finite_blocks(x, BIN_BLOCK):
-            deviation = block - mean
-            sums.append(float(np.sum(np.square(deviation, out=deviation))))
-    return sums
+def _merged(moments: list) -> tuple:
+    """One (count, mean, squared deviation) of the values behind ``moments``,
+    merged in pairs, neighbour with neighbour, by the update of Chan, Golub &
+    LeVeque (1983). Python floats turn an overflow into inf or NaN, never an
+    error."""
+    while len(moments) > 1:
+        moments = [_merge(*moments[i:i + 2]) if i + 1 < len(moments) else moments[i]
+                   for i in range(0, len(moments), 2)]
+    return moments[0]
+
+
+def _merge(first: tuple, second: tuple) -> tuple:
+    (n_a, mean_a, square_a), (n_b, mean_b, square_b) = first, second
+    n = n_a + n_b
+    step = mean_b - mean_a
+    return n, mean_a + step * (n_b / n), square_a + square_b + step * step * (n_a * n_b / n)
 
 
 def binning_side(samples, sizes: tuple[int, int], k: int | None = None,
@@ -189,13 +250,13 @@ def binning_side(samples, sizes: tuple[int, int], k: int | None = None,
     """One sample's part in choosing the bins it shares with another sample.
 
     A generator for :func:`scores.both`, run in lock-step with the other
-    sample's side; ``sizes`` holds both sample sizes, p's first. Each
+    sample's side; ``sizes`` holds both sample sizes, p's first, and
+    ``samples`` is an array or a ``ScoreSource``, read in one pass. Its one
     ``yield`` hands over what the choice needs from this sample and gets
-    back both samples' parts: first its ``keep`` smallest and largest
-    values and its sum (``_tails``), then, for the Scott rule, its blocked
-    squared-deviation sums about the pooled mean. Both sides then make the
-    same choice, :func:`auto_spec`'s, and return the same
-    :class:`BinningSpec`.
+    back both samples' parts: its ``keep`` smallest and largest values and,
+    for the Scott rule, its count, mean and squared deviation (``_tails``).
+    Both sides then make the same choice, :func:`auto_spec`'s, and return
+    the same :class:`BinningSpec`.
     """
     if k is not None and width is not None:
         raise ValueError("give k or width, not both")
@@ -203,14 +264,15 @@ def binning_side(samples, sizes: tuple[int, int], k: int | None = None,
         _require_positive_finite(width=width)
     if 0 in sizes:
         raise ValueError("samples must be non-empty")
-    x = np.asarray(samples, dtype=float).ravel()
+    x = samples if isinstance(samples, ScoreSource) else np.asarray(samples, dtype=float).ravel()
     n_pooled = sum(sizes)
     # np.quantile's linear rule: v = (N - 1) p, read the pooled ranks floor(v) and one above
     low_v, high_v = ((n_pooled - 1) * p for p in (QUANTILE_MARGIN, 1.0 - QUANTILE_MARGIN))
     # every pooled rank below `keep` is among the kept lows, every rank of N - keep and up
     # among the kept highs
     keep = max(math.floor(low_v) + 2, n_pooled - math.floor(high_v))
-    lows, highs, totals = zip(*(yield _tails(x, keep)))
+    scott = k is None and width is None
+    lows, highs, moments = zip(*(yield _tails(x, keep, scott)))
     low, high = np.sort(np.concatenate(lows)), np.sort(np.concatenate(highs))
 
     def pooled_quantile(v):
@@ -232,14 +294,9 @@ def binning_side(samples, sizes: tuple[int, int], k: int | None = None,
         if not k <= n_pooled:  # so memory is bounded by the input, as for a width
             raise ValueError(f"bin count k = {k!r} is more than the {n_pooled} pooled samples")
         return BinningSpec(a, b, int(k))
-    if width is None:
-        squares = yield _square_sums(x, (totals[0] + totals[1]) / n_pooled)
-        try:
-            # fsum is exact, so the order of the blocks and of the sides does not matter
-            total = math.fsum(squares[0] + squares[1])
-        except OverflowError:  # finite block sums whose total passes the float64 range
-            total = math.inf
-        sigma = math.sqrt(total / (n_pooled - 1))
+    if scott:
+        # p's moments first, so both sides merge the same two in the same order
+        sigma = math.sqrt(_merge(*moments)[2] / (n_pooled - 1))
         width = scott_width_gaussian(sigma, sizes[0]) if math.isfinite(sigma) else math.inf
         if not math.isfinite(width):
             raise DegenerateSamplesError(
@@ -268,9 +325,9 @@ def auto_spec(samples_p, samples_q, *, k: int | None = None,
     One blocked pass per side keeps the few smallest and largest values,
     where both lie, and numpy's interpolation between them is repeated with
     the same weight, so ``a`` and ``b`` equal the quantiles of the
-    concatenated samples exactly. The Scott deviation is summed block by
-    block about the pooled mean, within a few ulp of the pooled
-    ``std(ddof=1)``.
+    concatenated samples exactly. The Scott deviation comes from each
+    block's count, mean and squared deviation about its own mean, merged in
+    pairs, within a few ulp of the pooled ``std(ddof=1)``.
     """
     sp = np.asarray(samples_p, dtype=float).ravel()
     sq = np.asarray(samples_q, dtype=float).ravel()

@@ -54,16 +54,22 @@ prints in exponent notation or past 1e15), or one that lies exactly
 halfway between the two nearest shortest candidates, is spelled by
 ``repr`` into its row of the same block.
 
+Scores that are cheaper to draw again than to hold come as a
+:class:`ScoreSource`: a size and a function that yields the values afresh,
+block by block, on every call. ``write_scores`` takes one in place of an
+array, and so does binning, so a pass over a source holds one block.
+
 A run's two score files (one per side) are handled at once by
 :func:`both`: a forked child takes the second file while this process takes
 the first, because text parsing and formatting hold one core each. To bin
 two score files, each process reads its own and bins it, and the two
 exchange only what binning needs, in lock-step over a pair of pipes: the
-sizes, each side's few smallest and largest values and block sums, for the
-Scott rule its squared-deviation sums, and last the child's bin counts. So
-no process holds both samples. The white-box canary flow runs each side the
-same way: each process draws its own side, bins it in this exchange and
-writes its own file. The one-shot canary sampler splits its row blocks
+sizes, then in one message each side's few smallest and largest values and,
+for the Scott rule, its count, mean and squared deviation, and last the
+child's bin counts. So no process holds both samples. The white-box canary
+flow runs each side the same way, from a source: each process draws its own
+side once to bin it in this exchange, and once more to count its bins and
+write its own file. The one-shot canary sampler splits its row blocks
 between two processes the same way, and ``compose`` composes its two PLD
 directions so. Those two ask ``both`` for a fork only from the input size
 on where it pays; below it the calls run in turn.
@@ -77,6 +83,8 @@ import math
 import os
 import pickle
 import types
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -509,19 +517,53 @@ def _spell_block(x, rows, keep):
     return rows[keep]
 
 
+@dataclass(frozen=True)
+class ScoreSource:
+    """``size`` scores that are drawn again on every pass instead of held.
+
+    Each ``blocks()`` call yields the same values afresh, block by block, as
+    1-D float arrays; a block may be a view of a buffer that the next block
+    overwrites, so a pass keeps no block past its step. ``finite`` marks a
+    source whose blocks are known to be finite, so :func:`write_scores` need
+    not draw it once more to check them.
+    """
+
+    size: int
+    blocks: Callable[[], Iterator[np.ndarray]]
+    finite: bool = False
+
+    def __len__(self) -> int:
+        return self.size
+
+
 def write_scores(path, values) -> None:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("scores must be a non-empty 1-D sequence")
-    starts = range(0, arr.size, WRITE_BLOCK)
-    if not all(np.isfinite(arr[i:i + WRITE_BLOCK]).all() for i in starts):
-        raise ValueError("scores must be finite")
-    size = min(arr.size, WRITE_BLOCK)
+    """Write ``values``, a non-empty 1-D array-like or a :class:`ScoreSource`,
+    one ``repr`` line each. Every value is checked finite before the file is
+    opened, so a source not known finite is drawn twice: to check, and to write."""
+    if isinstance(values, ScoreSource):
+        if not values.size:
+            raise ValueError("scores must be a non-empty 1-D sequence")
+        if not values.finite:
+            _check_finite(values.blocks())
+        size, blocks = values.size, values.blocks()
+    else:
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("scores must be a non-empty 1-D sequence")
+        _check_finite(arr[i:i + WRITE_BLOCK] for i in range(0, arr.size, WRITE_BLOCK))
+        size, blocks = arr.size, [arr]
+    size = min(size, WRITE_BLOCK)
     rows = np.empty((size, _ROW), dtype=np.uint8)
     keep = np.empty((size, _ROW), dtype=bool)
     with open(path, "wb") as fh:
-        for i in starts:
-            fh.write(_spell_block(arr[i:i + WRITE_BLOCK], rows, keep))
+        for block in blocks:
+            for i in range(0, block.size, WRITE_BLOCK):
+                fh.write(_spell_block(block[i:i + WRITE_BLOCK], rows, keep))
+
+
+def _check_finite(blocks) -> None:
+    if not all(np.isfinite(block).all() for block in blocks):
+        raise ValueError("scores must be finite")
 
 
 def both(fn, first, second, child=None, fork=True) -> tuple:
@@ -538,11 +580,11 @@ def both(fn, first, second, child=None, fork=True) -> tuple:
     returning or raising. Errors come as in the sequential order, step by
     step: the first call's error wins, and otherwise the child's is raised
     here with its type and message. A child that ends without a result
-    raises ``OSError`` that starts with ``child``, by default
-    ``"<second[0]>: the process handling this file"`` for a call on the
-    file ``second[0]``. With ``fork`` false, as callers pass when a fork
-    would cost more than it saves, or without ``os.fork``, the calls run in
-    turn. ``fn`` should not call BLAS: only the forking thread lives on in
+    raises ``ChildProcessError`` (an ``OSError``) that starts with
+    ``child``, by default ``"<second[0]>: the process handling this file"``
+    for a call on the file ``second[0]``. With ``fork`` false, as callers
+    pass when a fork would cost more than it saves, or without ``os.fork``,
+    the calls run in turn. ``fn`` should not call BLAS: only the forking thread lives on in
     the child, and not every BLAS build restarts its thread pool there.
     """
     if not (fork and hasattr(os, "fork")):
@@ -611,7 +653,7 @@ def both(fn, first, second, child=None, fork=True) -> tuple:
     if message is None:
         if child is None:
             child = f"{second[0]}: the process handling this file"
-        raise OSError(f"{child} ended without a result "
+        raise ChildProcessError(f"{child} ended without a result "
                       f"(exit status {os.waitstatus_to_exitcode(status)})")
     kind, theirs = message
     if kind == "raise":

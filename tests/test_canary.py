@@ -365,7 +365,7 @@ class TestTwoProcesses:
             one_shot_scores_gram(OneShotConfig(d=4096, n=200, sigma=1.0))
         assert no_child_left()
 
-    def test_child_without_a_result_exits_3_naming_the_sampler(self, capsys, monkeypatch):
+    def test_child_without_a_result_exits_6_naming_the_sampler(self, capsys, monkeypatch):
         draw = canary._factor_rows
 
         def draw_or_die(d, start, stop, seed_seq, buffer):
@@ -374,7 +374,7 @@ class TestTwoProcesses:
             return draw(d, start, stop, seed_seq, buffer)
 
         monkeypatch.setattr(canary, "_factor_rows", draw_or_die)
-        assert main(["canary", "--mode", "one-shot", "-d", "4096", "-n", "200", "--audit"]) == 3
+        assert main(["canary", "--mode", "one-shot", "-d", "4096", "-n", "200", "--audit"]) == 6
         assert capsys.readouterr() == (
             "", "error: one-shot sampler: the forked process ended without a result "
                 "(exit status 7)\n")

@@ -1,6 +1,8 @@
 import argparse
+import functools
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,10 +13,10 @@ from dpaudit.canary import WhiteBoxConfig
 from dpaudit.cli import _audit_config, _load_histogram, build_parser, main
 from dpaudit.errors import GridOverflowError
 from dpaudit.estimators import AuditConfig, fit_mu_gdp, histogram_audit
-from dpaudit.histogram import BIN_BLOCK
+from dpaudit.histogram import BIN_BLOCK, auto_spec, bin_counts
 from dpaudit.mechanisms import SIGMA_RANGE, GaussianMechanism
 from dpaudit.profiles import PrivacyProfile
-from dpaudit.scores import WRITE_BLOCK, read_scores, write_scores
+from dpaudit.scores import WRITE_BLOCK, both, read_scores, write_scores
 from dpaudit.tradeoff import TradeoffCurve, validate
 
 from oracles import no_child_left, traced_peak
@@ -366,9 +368,9 @@ class TestComposeTwoProcesses:
             "", "error: 2-fold convolution would need more than 67108864 grid nodes\n")
         assert no_child_left()
 
-    def test_child_without_a_result_exits_3(self, gaussian_files, capsys, monkeypatch):
+    def test_child_without_a_result_exits_6(self, gaussian_files, capsys, monkeypatch):
         self.in_child(monkeypatch, lambda: os._exit(7))
-        assert run("compose", *gaussian_files, "--compositions", 2) == 3
+        assert run("compose", *gaussian_files, "--compositions", 2) == 6
         assert capsys.readouterr() == (
             "", "error: compose: the forked process ended without a result (exit status 7)\n")
         assert no_child_left()
@@ -558,20 +560,21 @@ class TestCanaryCommand:
 
     @pytest.mark.parametrize("out,side", [("--out-p", 1), ("--out-q", 0)])
     def test_whitebox_one_file_draws_its_side_here(self, tmp_path, monkeypatch, out, side):
-        sides, draw = [], cli.whitebox_stream
+        sides, draw = [], canary._whitebox_blocks
 
-        def recorded(cfg, side=None):
+        def recorded(cfg, side, out=None):
             sides.append(side)
-            return draw(cfg, side)
+            return draw(cfg, side, out)
 
-        monkeypatch.setattr(cli, "whitebox_stream", recorded)
+        monkeypatch.setattr(canary, "_whitebox_blocks", recorded)
         path = tmp_path / "scores.txt"
         assert run("canary", "--mode", "white-box", "-d", 8, "--iterations", 300,
                    "--canary-prob", 0.5, "--seed", 6, out, path) == 0
-        # this process drew the side itself: a forked child would have taken q
-        assert sides == [side]
+        # this process drew the side itself, once to check it and once to write
+        # it: a forked child would have taken q
+        assert sides == [side, side]
         cfg = WhiteBoxConfig(iterations=300, canary_prob=0.5, sigma=1.0, d=8, seed=6)
-        assert np.array_equal(read_scores(path), draw(cfg)[side])
+        assert np.array_equal(read_scores(path), canary.whitebox_stream(cfg)[side])
 
 
 class TestWhiteboxTwoProcesses:
@@ -579,7 +582,7 @@ class TestWhiteboxTwoProcesses:
 
     T = 2 * 10 ** 5
 
-    @pytest.mark.parametrize("binning", [["--bins", "20"], ["--bin-width", "0.1"]])
+    @pytest.mark.parametrize("binning", [["--bins", "20"], ["--bin-width", "0.1"], []])
     def test_this_process_holds_one_side(self, tmp_path, capsys, binning):
         def canary_run(iterations):
             return main(["canary", "--mode", "white-box", "-d", "64", "--iterations",
@@ -592,16 +595,45 @@ class TestWhiteboxTwoProcesses:
         block = np.random.default_rng(24).normal(size=WRITE_BLOCK)
         writer = traced_peak(lambda: write_scores(tmp_path / "block.txt", block))
         codes = []
-        peak = traced_peak(lambda: codes.append(canary_run(self.T)))
-        # one side, the writer's block buffers and a scratch block; holding the
-        # other side too would add another 8 * T bytes
-        assert peak < 8 * self.T + writer + 8 * canary._WHITEBOX_BLOCK
-        assert codes == [0]
+        peaks = [traced_peak(lambda: codes.append(canary_run(t))) for t in (self.T, 10 ** 6)]
+        # no side: the writer's block buffers and a few block-sized temporaries
+        # (the draw, its canary mask, its bin indices); holding this side would
+        # add 8 * T bytes, and holding it at 10**6 steps 6.4 MB more than at T
+        assert peaks[0] < writer + 4 * 8 * canary._WHITEBOX_BLOCK
+        assert abs(peaks[1] - peaks[0]) < 2 ** 20
+        assert codes == [0, 0]
         assert no_child_left()
-        assert len(read_scores(tmp_path / "q.txt")) == self.T
+        assert len(read_scores(tmp_path / "q.txt")) == 10 ** 6
+
+    @pytest.mark.parametrize("iterations", [1, canary._WHITEBOX_BLOCK - 1,
+                                            canary._WHITEBOX_BLOCK + 3,
+                                            3 * canary._WHITEBOX_BLOCK])
+    @pytest.mark.parametrize("nuisance_norm", [0.0, 0.5])
+    @pytest.mark.parametrize("binning", [{}, {"bins": 20}, {"bin_width": 0.1}],
+                             ids=["scott", "bins", "bin-width"])
+    def test_streamed_side_is_the_held_side(self, tmp_path, iterations, nuisance_norm,
+                                            binning):
+        cfg = WhiteBoxConfig(iterations=iterations, canary_prob=0.5, sigma=2.0, d=64,
+                             seed=7, nuisance_norm=nuisance_norm)
+        config = AuditConfig(**binning)
+        paths = [tmp_path / "p.txt", tmp_path / "q.txt"]
+        streamed = functools.partial(both, cli._whitebox_side, (cfg, 1, str(paths[0]), config),
+                                     (cfg, 0, str(paths[1]), config), fork=False)
+        held = [canary.whitebox_stream(cfg, side) for side in (1, 0)]
+        try:
+            spec = auto_spec(*held, k=config.bins, width=config.bin_width)
+        except ValueError as exc:  # one step per side leaves too few values for 20 bins
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                streamed()
+            return
+        for (got, counts), scores, path in zip(streamed(), held, paths):
+            assert got == spec
+            assert np.array_equal(counts, bin_counts(scores, spec))
+            write_scores(tmp_path / "held.txt", scores)
+            assert path.read_bytes() == (tmp_path / "held.txt").read_bytes()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the sides run in turn without os.fork")
-    def test_child_without_a_result_exits_3(self, tmp_path, capsys, monkeypatch):
+    def test_child_without_a_result_exits_6(self, tmp_path, capsys, monkeypatch):
         op, oq = tmp_path / "p.txt", tmp_path / "q.txt"
         write = cli.write_scores
 
@@ -612,7 +644,7 @@ class TestWhiteboxTwoProcesses:
 
         monkeypatch.setattr(cli, "write_scores", dies_on_q)
         assert run("canary", "--mode", "white-box", "-d", 8, "--iterations", 1000,
-                   "--audit", "--out-p", op, "--out-q", oq) == 3
+                   "--audit", "--out-p", op, "--out-q", oq) == 6
         assert capsys.readouterr() == (
             "", "error: white-box sampler: the forked process ended without a result "
                 "(exit status 7)\n")
@@ -625,7 +657,7 @@ class TestWhiteboxTwoProcesses:
         def refused(*args):
             raise AssertionError("drawn")
 
-        monkeypatch.setattr(cli, "whitebox_stream", refused)
+        monkeypatch.setattr(canary, "_whitebox_blocks", refused)
         a, same = tmp_path / "a.txt", f"{tmp_path}/./a.txt"
         assert run("canary", "--mode", "white-box", "-d", 8, *audit,
                    "--out-p", a, "--out-q", same) == 2

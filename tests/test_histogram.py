@@ -6,7 +6,7 @@ import pytest
 from dpaudit import histogram
 from dpaudit.discrete import coarsen, hs_divergence
 from dpaudit.errors import DegenerateSamplesError
-from dpaudit.histogram import (BinningSpec, auto_spec, build_histograms,
+from dpaudit.histogram import (BinningSpec, auto_spec, binning_side, build_histograms,
                                estimate_delta_symmetric, estimate_profile,
                                scott_width_gaussian)
 
@@ -260,3 +260,17 @@ class TestAutoSpec:
         sq = np.concatenate([rng.normal(0, 1, 10 ** 4), [-1e9]])
         spec = auto_spec(sp, sq, k=30)
         assert spec.b < 10.0 and spec.a > -10.0
+
+    @pytest.mark.parametrize("binning", [{}, {"k": 7}, {"width": 0.5}],
+                             ids=["scott", "k", "width"])
+    def test_binning_side_yields_once(self, binning):
+        rng = np.random.default_rng(18)
+        sp, sq = rng.normal(0, 1, 3000), rng.normal(1, 1, 2000)
+        sides = [binning_side(x, (sp.size, sq.size), **binning) for x in (sp, sq)]
+        pair = tuple(next(side) for side in sides)
+        specs = []
+        for side in sides:
+            with pytest.raises(StopIteration) as stop:
+                side.send(pair)
+            specs.append(stop.value.value)
+        assert specs == [auto_spec(sp, sq, **binning)] * 2

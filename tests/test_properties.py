@@ -9,7 +9,8 @@ composed masses, bit for bit. The
 closed-form sigma inverse is checked by mapping its sigma back to a TV.
 Trade-off curves converted from random non-increasing profiles are valid.
 The blocked binning is checked against the pooled copy it replaces, with
-blocks small enough that their boundaries fall inside the samples. Bin
+blocks small enough that their boundaries fall inside the samples, and a
+sample drawn block by block from a source bins as the same sample held. Bin
 indices and the PLD's first node above each eps, both counted by arithmetic,
 are checked against ``searchsorted`` on the nodes themselves. Score files
 written by the vectorised formatter are checked against ``repr`` byte for
@@ -35,7 +36,7 @@ from dpaudit.mechanisms import SIGMA_RANGE, SubsampledGaussianMechanism, sigma_f
 from dpaudit.pld import (PHASES, PLDGrid, compose_profile, delta_from_pld,
                          pld_from_discrete, self_convolve)
 from dpaudit.profiles import PrivacyProfile
-from dpaudit.scores import both
+from dpaudit.scores import ScoreSource, both
 from dpaudit.tradeoff import profile_to_tradeoff, validate
 
 from oracles import score_file_bytes, traced_peak
@@ -236,6 +237,45 @@ def test_side_summaries_merge_to_the_in_memory_binning(pair, binning):
         pooled = np.concatenate([sp, sq])
         assert (spec.a, spec.b) == tuple(np.quantile(pooled, [QUANTILE_MARGIN,
                                                                 1.0 - QUANTILE_MARGIN]))
+
+
+def shared_buffer_source(x, cuts):
+    """``x`` as a ``ScoreSource`` whose blocks end at ``cuts`` and are views of
+    one buffer, which each block overwrites."""
+    bounds = sorted({0, x.size, *cuts})
+
+    def blocks():
+        buffer = np.empty(x.size)
+        for start, stop in zip(bounds, bounds[1:]):
+            block = buffer[:stop - start]
+            block[:] = x[start:stop]
+            yield block
+
+    return ScoreSource(x.size, blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_pairs(), st.sampled_from([{}, {"k": 7}, {"width": 0.5}]), st.data())
+def test_a_source_bins_as_its_array(pair, binning, data):
+    sp, sq = pair
+    source = shared_buffer_source(sp, data.draw(st.lists(st.integers(0, sp.size), max_size=6)))
+    sizes = (sp.size, sq.size)
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(histogram, "BIN_BLOCK", SMALL_BLOCK)
+        for x in (sp, source):
+            try:
+                outcomes.append(both(binned_side, (x, sizes, binning), (sq, sizes, binning),
+                                     fork=False))
+            except ValueError as exc:  # degenerate samples among them
+                outcomes.append((type(exc), str(exc)))
+    from_array, from_source = outcomes
+    if isinstance(from_array[0], type):
+        assert from_source == from_array
+        return
+    for (spec, counts), (other, other_counts) in zip(from_array, from_source):
+        assert spec == other
+        assert np.array_equal(counts, other_counts)
 
 
 @PROPERTY_SETTINGS

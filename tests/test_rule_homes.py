@@ -3,6 +3,8 @@
 Only the module that defines ``numbered_lines`` (the one text-line reader)
 opens files for reading, only ``discrete._as_readonly`` freezes arrays
 with ``setflags(write=False)``, and only ``scores.both`` calls ``os.fork``.
+Every random draw of the white-box flow is made in ``canary._whitebox_blocks``,
+the one sampler loop, which ``whitebox_stream`` only fills its array from.
 The check that alphas lie in [0, 1] lives in
 ``mechanisms._unit_alphas``, the check that two distributions have equal
 lengths in ``discrete._check_pair`` and the PLD mass-total check in
@@ -132,3 +134,26 @@ def test_each_check_message_has_one_module():
     assert modules_containing("alpha must lie in [0, 1]") == ["mechanisms.py"]
     assert modules_containing("length mismatch") == ["discrete.py"]
     assert modules_containing("total PLD mass") == ["pld.py"]
+
+
+def rng_draws(sources: dict[str, str]) -> list[str]:
+    """``module:function`` of every call of a method on a name ``rng``."""
+    return call_sites(sources, lambda call: isinstance(call.func, ast.Attribute)
+                      and isinstance(call.func.value, ast.Name) and call.func.value.id == "rng")
+
+
+def test_scan_finds_rng_draws():
+    source = ("import numpy as np\n\nrng = np.random.default_rng(0)\nrng.random(3)\n\n"
+              "def f(rng):\n    return 2 * rng.standard_normal(4)\n\n"
+              "def g(other):\n    return other.random(3)\n")
+    assert rng_draws({"m.py": source}) == ["m.py:<module>", "m.py:f"]
+
+
+def test_whitebox_draws_live_in_the_block_generator():
+    canary = {"canary.py": SOURCES["canary.py"]}
+    # besides the one-shot sampler's draws and the cosines both samplers share
+    assert set(rng_draws(canary)) == {"canary.py:_cosines", "canary.py:_factor_rows",
+                                      "canary.py:one_shot_scores_gram",
+                                      "canary.py:_whitebox_blocks"}
+    assert call_sites(canary, lambda call: _called_name(call) == "_whitebox_blocks") == [
+        "canary.py:whitebox_stream"]

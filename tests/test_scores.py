@@ -399,7 +399,7 @@ class TestBoth:
         assert no_child_left()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="os._exit would end the test run")
-    def test_child_without_a_result_exits_3_naming_its_file(self, tmp_path, capsys,
+    def test_child_without_a_result_exits_6_naming_its_file(self, tmp_path, capsys,
                                                             monkeypatch):
         p, q = tmp_path / "p.txt", tmp_path / "q.txt"
         for path in (p, q):
@@ -411,7 +411,7 @@ class TestBoth:
             return read_scores(path)
 
         monkeypatch.setattr(cli, "read_scores", read_or_die)
-        assert main(["audit", str(p), str(q)]) == 3
+        assert main(["audit", str(p), str(q)]) == 6
         assert capsys.readouterr().err == (
             f"error: {q}: the process handling this file ended without a result "
             f"(exit status 7)\n")
