@@ -79,6 +79,10 @@ class WhiteBoxConfig:
         if not 0 < self.canary_prob <= 1:
             raise ValueError("canary_prob must lie in (0, 1]")
         _require_positive_finite(sigma=self.sigma, clip=self.clip)
+        try:  # the draws scale by clip ** 2, a Python float power
+            self.clip ** 2
+        except OverflowError:
+            raise ValueError(f"clip must have a finite square, got {self.clip!r}") from None
         # written so that NaN fails the check
         if not 0 <= self.nuisance_norm < math.inf:
             raise ValueError(f"nuisance_norm must be finite and >= 0, got {self.nuisance_norm!r}")

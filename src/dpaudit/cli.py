@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import canary, pld
+from . import canary, pld, scores
 from .canary import (OneShotConfig, WhiteBoxConfig, one_shot_audit, one_shot_scores_gram,
                      whitebox_source)
 from .errors import (DegenerateSamplesError, FitError, GridOverflowError, ProfileOrderError,
@@ -28,12 +28,15 @@ from .histogram import (HistogramEstimate, bin_counts, binning_side, build_histo
                         counted, estimate_profile)
 from .mechanisms import GaussianMechanism, LaplaceMechanism, SubsampledGaussianMechanism
 from .profiles import PrivacyProfile
-from .scores import both, read_scores, write_scores
+from .scores import HeldScores, both, write_scores
 from .tradeoff import profile_to_tradeoff
 
 # A white-box side as an array. The CLI streams each side instead
 # (whitebox_source); the traced benchmark run wraps the array form under this name.
 whitebox_stream = canary.whitebox_stream
+# A score file as an array. The CLI holds each file instead (HeldScores); the
+# traced benchmark run wraps the array form under this name.
+read_scores = scores.read_scores
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,18 +118,24 @@ def _audit_config(args) -> AuditConfig:
     return AuditConfig(**{field: value for field, value in given.items() if value is not None})
 
 
-def _binned(scores, config: AuditConfig, files=None):
+def _binned(sample, config: AuditConfig, files=None):
     """One sample's side of choosing the bins of a pair as ``config`` says, in
-    lock-step with the other sample's side (``scores.both``): send the other
-    side this sample's size, then what the binning needs from it, and return
-    the shared spec. With ``files``, the paths the pair was read from,
-    unequal sizes and no spread to bin are input-data errors naming both."""
-    sizes = yield len(scores)
+    lock-step with the other sample's side (``scores.both``): hand the other
+    side this sample's size and what the binning needs from it in one
+    exchange, and return the shared spec. The pair's sizes must be equal,
+    so ``len(sample)``, which may be an upper bound, bounds both. With
+    ``files``, the paths the pair was read from, unequal sizes and no spread
+    to bin are input-data errors naming both."""
+    side = binning_side(sample, (len(sample),) * 2, config.bins, config.bin_width)
+    summaries = yield next(side)
+    sizes = [summary.size for summary in summaries]
     if files and sizes[0] != sizes[1]:
         raise ScoreFileError(
             f"unequal sample counts: {files[0]} has {sizes[0]}, {files[1]} has {sizes[1]}", None)
     try:
-        return (yield from binning_side(scores, sizes, config.bins, config.bin_width))
+        side.send(summaries)
+    except StopIteration as stop:
+        return stop.value
     except DegenerateSamplesError as exc:
         if not files:
             raise
@@ -134,11 +143,11 @@ def _binned(scores, config: AuditConfig, files=None):
 
 
 def _binned_file(path, args, config: AuditConfig):
-    """One score file's side of ``_load_histogram``: read the file, bin it and
-    count its bins."""
-    scores = read_scores(path)
-    spec = yield from _binned(scores, config, (args.in_p, args.in_q))
-    return spec, bin_counts(scores, spec)
+    """One score file's side of ``_load_histogram``: parse the file once to
+    bin it, holding its values at 4 bytes each, and count its bins."""
+    held = HeldScores(path)
+    spec = yield from _binned(held, config, (args.in_p, args.in_q))
+    return spec, bin_counts(held, spec)
 
 
 def _load_histogram(args, config: AuditConfig) -> HistogramEstimate:
@@ -156,15 +165,15 @@ def _whitebox_side(cfg: WhiteBoxConfig, side: int, path, config: AuditConfig | N
     writes it to ``path``, when given, in one pass; returns the shared spec
     and this side's counts. Without, ``write_scores`` draws it to check it
     and again to write it, and this returns None."""
-    scores = whitebox_source(cfg, side)
+    source = whitebox_source(cfg, side)
     if config is None:
-        write_scores(path, scores)
+        write_scores(path, source)
         return None
-    spec = yield from _binned(scores, config)
+    spec = yield from _binned(source, config)
     if not path:
-        return spec, bin_counts(scores, spec)
-    scores, counts = counted(scores, spec)
-    write_scores(path, scores)
+        return spec, bin_counts(source, spec)
+    source, counts = counted(source, spec)
+    write_scores(path, source)
     return spec, counts
 
 

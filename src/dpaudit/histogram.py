@@ -7,13 +7,18 @@ left-closed/right-open.
 
 Choosing the bins and counting into them read each sample on its own,
 block by block, and never pool them, so extra memory stays O(block). A
-sample is an array or a ``scores.ScoreSource``, which is drawn afresh on
-each pass; either is read in the same blocks, so both give the same bins. A
-sample's part of the choice is ``binning_side``, run in lock-step with the
-other sample's: in one exchange the sides swap their few smallest and
-largest values and, for the Scott rule, their count, mean and squared
-deviation, merged over their blocks (Chan, Golub & LeVeque), and then each
-makes the same choice. Its part of the count is ``bin_counts``, and
+sample is an array, a ``scores.ScoreSource``, which is drawn afresh on
+each pass, or a ``scores.HeldScores``, a score file whose one pass is its
+parse; each is read in the same blocks, so all give the same bins. A held
+file is counted from the float32 copy it keeps, 4 bytes a score: a value
+whose float32 equals a neighbouring breakpoint's float32 is counted from
+its exact value, parsed again from the file (``_held_counts``), and a file
+that changed meanwhile raises ``ScoreFileError``, which the CLI exits 3 on.
+A sample's part of the choice is ``binning_side``, run in lock-step with
+the other sample's: in one exchange the sides swap their sizes, their few
+smallest and largest values and, for the Scott rule, their count, mean and
+squared deviation, merged over their blocks (Chan, Golub & LeVeque), and
+then each makes the same choice. Its part of the count is ``bin_counts``, and
 ``HistogramEstimate.from_counts`` merges the two. ``auto_spec`` and
 ``build_histograms`` run these in turn in one process; the CLI runs each
 side in the process that reads or draws it (``scores.both``), so no process
@@ -28,15 +33,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .discrete import (DiscreteDistribution, _count_at_or_below, alpha_from_eps,
-                       hockey_stick, symmetric_delta)
+from .discrete import (_COUNT_CHUNK, DiscreteDistribution, _count_at_or_below,
+                       alpha_from_eps, hockey_stick, symmetric_delta)
 from .errors import DegenerateSamplesError
 from .mechanisms import _require_positive_finite
 from .profiles import PrivacyProfile
-from .scores import ScoreSource, both
+from .scores import HeldScores, ScoreSource, both
 
 SCOTT_GAUSSIAN_CONSTANT = 2.0 * 3.0 ** (1.0 / 3.0) * math.pi ** (1.0 / 6.0)
 # auto_spec's [a, b] runs between these pooled quantiles
@@ -114,7 +120,7 @@ def _finite_blocks(x, size: int):
     """Consecutive blocks of ``size`` values of ``x``, the last one shorter:
     slices of an array, or a source's blocks cut and joined at the same
     bounds. Raises on the first block holding a NaN or inf."""
-    if isinstance(x, ScoreSource):
+    if isinstance(x, (ScoreSource, HeldScores)):
         blocks = _rechunked(x.blocks(), size)
     else:
         x = np.asarray(x, dtype=float)
@@ -165,9 +171,46 @@ def counted(samples, spec: BinningSpec) -> tuple[ScoreSource, np.ndarray]:
 
 def bin_counts(samples, spec: BinningSpec) -> np.ndarray:
     """One sample's count per bin of ``spec``, counted block by block."""
+    if isinstance(samples, HeldScores):
+        return _held_counts(samples, spec)
     source, count = counted(samples, spec)
     for _ in source.blocks():
         pass
+    return count
+
+
+def _held_counts(held: HeldScores, spec: BinningSpec) -> np.ndarray:
+    """``bin_counts`` of a parsed file from its float32 values.
+
+    Each float32 value y is counted in float64(y)'s bin, unless the float32
+    of the breakpoint at or below it, or of the one above it, equals y.
+    Rounding to float32 is monotone, so a breakpoint between the exact value
+    x and y rounds to y, and the bin of every other y is x's. The flagged
+    values, few unless the values sit on the breakpoints, are counted again
+    from their exact values (``HeldScores.exact``), chunk by chunk, so
+    temporaries stay O(``_COUNT_CHUNK``) and one parse block.
+    """
+    values = held.values
+    if values.dtype != np.float32:  # a file held exact
+        return bin_counts(values, spec)
+    count = np.zeros(spec.k, dtype=np.int64)
+    # breakpoints past the float32 range round to an infinity
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, values.size, _COUNT_CHUNK):
+            y = values[lo:lo + _COUNT_CHUNK]
+            j = _count_at_or_below(y.astype(float), spec.a, spec.h, 1, spec.k - 1)
+            np.add.at(count, j, 1)
+            # breakpoints j and j + 1, as a + h * j, the breakpoints' own expression
+            node = np.multiply(j, spec.h)
+            node += spec.a
+            near = (node.astype(np.float32) == y) & (j > 0)
+            np.multiply(j + 1, spec.h, out=node)
+            node += spec.a
+            near |= (node.astype(np.float32) == y) & (j < spec.k - 1)
+            if near.any():
+                at = np.flatnonzero(near)
+                np.subtract.at(count, j[at], 1)
+                np.add.at(count, spec.bin_indices(held.exact(at + lo)), 1)
     return count
 
 
@@ -194,10 +237,20 @@ def estimate_profile(hist: HistogramEstimate, eps_grid) -> PrivacyProfile:
     return PrivacyProfile.envelope(eps_grid, np.maximum(forward, backward))
 
 
-def _tails(x, keep: int, scott: bool):
-    """The ``keep`` smallest and ``keep`` largest values of ``x`` (all of them
-    when it is shorter), unsorted, from one blocked pass, and under the Scott
-    rule its (count, mean, squared deviation about the mean), else None.
+class SideSummary(NamedTuple):
+    """What choosing the bins needs from one sample (:func:`_tails`)."""
+
+    size: int
+    low: np.ndarray
+    high: np.ndarray
+    moments: tuple | None
+
+
+def _tails(x, keep: int, scott: bool) -> SideSummary:
+    """The size of ``x``, its ``keep`` smallest and ``keep`` largest values
+    (all of them when it is shorter), unsorted, from one blocked pass, and
+    under the Scott rule its (count, mean, squared deviation about the mean),
+    else None.
 
     Blocks are at least ``keep`` long, so each partition handles at most
     twice a block and the pass stays linear in the size of ``x``. The moments
@@ -205,7 +258,9 @@ def _tails(x, keep: int, scott: bool):
     """
     low = high = np.empty(0)
     moments = []
+    size = 0
     for block in _finite_blocks(x, max(BIN_BLOCK, keep)):
+        size += block.size
         if scott:
             # an inf or NaN moment leaves the Scott width non-finite, which
             # binning_side reports
@@ -214,17 +269,18 @@ def _tails(x, keep: int, scott: bool):
                 deviation = block - mean
                 moments.append((block.size, mean,
                                 float(np.sum(np.square(deviation, out=deviation)))))
-        # partition each fresh concatenation in place, then copy the kept
-        # values out so that no block-sized buffer outlives its step
-        low = np.concatenate([low, block])
+        # once `keep` values are kept, only values past the kept extreme can
+        # enter; partition each fresh concatenation in place, then copy the
+        # kept values out so that no block-sized buffer outlives its step
+        low = np.concatenate([low, block if low.size < keep else block[block < low.max()]])
         if low.size > keep:
             low.partition(keep - 1)
             low = low[:keep].copy()
-        high = np.concatenate([high, block])
+        high = np.concatenate([high, block if high.size < keep else block[block > high.min()]])
         if high.size > keep:
             high.partition(high.size - keep)
             high = high[high.size - keep:].copy()
-    return low, high, _merged(moments) if scott else None
+    return SideSummary(size, low, high, _merged(moments) if scott and moments else None)
 
 
 def _merged(moments: list) -> tuple:
@@ -245,35 +301,46 @@ def _merge(first: tuple, second: tuple) -> tuple:
     return n, mean_a + step * (n_b / n), square_a + square_b + step * step * (n_a * n_b / n)
 
 
+def _quantile_ranks(n_pooled: int) -> tuple[float, float, int]:
+    """np.quantile's linear rule reads the pooled ranks floor(v) and one above,
+    v = (N - 1) p, at both margins; returns both v and ``keep``: every pooled
+    rank below it is among each side's ``keep`` smallest values, and every
+    rank of N - keep and up among the largest. ``keep`` grows with N."""
+    low_v, high_v = ((n_pooled - 1) * p for p in (QUANTILE_MARGIN, 1.0 - QUANTILE_MARGIN))
+    return low_v, high_v, max(math.floor(low_v) + 2, n_pooled - math.floor(high_v))
+
+
 def binning_side(samples, sizes: tuple[int, int], k: int | None = None,
                  width: float | None = None):
     """One sample's part in choosing the bins it shares with another sample.
 
     A generator for :func:`scores.both`, run in lock-step with the other
-    sample's side; ``sizes`` holds both sample sizes, p's first, and
-    ``samples`` is an array or a ``ScoreSource``, read in one pass. Its one
-    ``yield`` hands over what the choice needs from this sample and gets
-    back both samples' parts: its ``keep`` smallest and largest values and,
-    for the Scott rule, its count, mean and squared deviation (``_tails``).
-    Both sides then make the same choice, :func:`auto_spec`'s, and return
-    the same :class:`BinningSpec`.
+    sample's side; ``sizes`` holds both sample sizes, p's first, or upper
+    bounds on them, and ``samples`` is an array, a ``ScoreSource`` or a
+    ``HeldScores``, read in one pass. Its one ``yield`` hands over what the
+    choice needs from this sample, a :class:`SideSummary`, and gets back
+    both samples' summaries: their sizes, their few smallest and largest
+    values and, for the Scott rule, their count, mean and squared deviation
+    (``_tails``). Both sides then check the rule and the sizes and make the
+    same choice, :func:`auto_spec`'s, and return the same
+    :class:`BinningSpec`.
     """
+    if not isinstance(samples, (ScoreSource, HeldScores)):
+        samples = np.asarray(samples, dtype=float).ravel()
+    scott = k is None and width is None
+    summaries = yield _tails(samples, _quantile_ranks(sum(sizes))[2], scott)
     if k is not None and width is not None:
         raise ValueError("give k or width, not both")
     if width is not None:
         _require_positive_finite(width=width)
+    sizes = tuple(summary.size for summary in summaries)
     if 0 in sizes:
         raise ValueError("samples must be non-empty")
-    x = samples if isinstance(samples, ScoreSource) else np.asarray(samples, dtype=float).ravel()
     n_pooled = sum(sizes)
-    # np.quantile's linear rule: v = (N - 1) p, read the pooled ranks floor(v) and one above
-    low_v, high_v = ((n_pooled - 1) * p for p in (QUANTILE_MARGIN, 1.0 - QUANTILE_MARGIN))
-    # every pooled rank below `keep` is among the kept lows, every rank of N - keep and up
-    # among the kept highs
-    keep = max(math.floor(low_v) + 2, n_pooled - math.floor(high_v))
-    scott = k is None and width is None
-    lows, highs, moments = zip(*(yield _tails(x, keep, scott)))
-    low, high = np.sort(np.concatenate(lows)), np.sort(np.concatenate(highs))
+    # each side kept at least `keep` values at either end, more from an upper bound
+    low_v, high_v, keep = _quantile_ranks(n_pooled)
+    low = np.sort(np.concatenate([summary.low for summary in summaries]))
+    high = np.sort(np.concatenate([summary.high for summary in summaries]))
 
     def pooled_quantile(v):
         j = math.floor(v)
@@ -296,7 +363,8 @@ def binning_side(samples, sizes: tuple[int, int], k: int | None = None,
         return BinningSpec(a, b, int(k))
     if scott:
         # p's moments first, so both sides merge the same two in the same order
-        sigma = math.sqrt(_merge(*moments)[2] / (n_pooled - 1))
+        sigma = math.sqrt(_merge(*(summary.moments for summary in summaries))[2]
+                          / (n_pooled - 1))
         width = scott_width_gaussian(sigma, sizes[0]) if math.isfinite(sigma) else math.inf
         if not math.isfinite(width):
             raise DegenerateSamplesError(

@@ -33,6 +33,18 @@ no carriage return inside). Any other such line, and a non-finite value,
 send the whole file to the Python line loop, which accepts exactly what
 ``float()`` accepts and is the one source of ``path: line N`` errors.
 
+A file that is only binned is held at 4 bytes a score instead of 8, by
+:class:`HeldScores`. It runs the same parse once and hands each block's
+exact values on as it goes, so binning takes its quantile values and Scott
+moments from them, but keeps only their float32 copy, in a store sized by
+the line count, and each parse block's file offset, byte count and the
+values before it. Rounding to float32 is monotone, so a float32 value can
+sit in another bin than its exact value only when a breakpoint rounds to it
+too; those few values are parsed again, block by block, from the file (a
+pipe's bytes are kept for this). A block that no longer gives the float32
+values held raises ``ScoreFileError``, which the CLI exits 3 on: the file
+changed while it was read.
+
 Writing spells ``WRITE_BLOCK`` values at a time with array arithmetic, so
 memory stays O(block) at any file size. In the exact domain, 1e-4 <= |x| <
 1e15, ``repr`` prints fixed notation, and a block is spelled in four steps,
@@ -62,11 +74,12 @@ array, and so does binning, so a pass over a source holds one block.
 A run's two score files (one per side) are handled at once by
 :func:`both`: a forked child takes the second file while this process takes
 the first, because text parsing and formatting hold one core each. To bin
-two score files, each process reads its own and bins it, and the two
-exchange only what binning needs, in lock-step over a pair of pipes: the
-sizes, then in one message each side's few smallest and largest values and,
-for the Scott rule, its count, mean and squared deviation, and last the
-child's bin counts. So no process holds both samples. The white-box canary
+two score files, each process parses its own once, holding it at 4 bytes a
+score, and bins it, and the two exchange only what binning needs, in
+lock-step over a pair of pipes: in one message each side's size, its few
+smallest and largest values and, for the Scott rule, its count, mean and
+squared deviation, and last the child's bin counts. So no process holds
+both samples. The white-box canary
 flow runs each side the same way, from a source: each process draws its own
 side once to bin it in this exchange, and once more to count its bins and
 write its own file. The one-shot canary sampler splits its row blocks
@@ -77,6 +90,7 @@ on where it pays; below it the calls run in turn.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import math
@@ -99,6 +113,94 @@ READ_BLOCK = 2 ** 16
 def read_scores(path) -> np.ndarray:
     values = _read_blocks(path)
     return _read_lines(path) if values is None else values
+
+
+class HeldScores:
+    """A score file parsed once and held at 4 bytes a score.
+
+    ``blocks()`` is the one parse: it yields the file's exact values block by
+    block, as ``read_scores`` would read them, and keeps only their float32
+    copy, ``values``, and where each parse block lies in the file. ``len()``
+    is an upper bound on the file's score count until the parse ends, and
+    that count after. ``exact(indices)`` gets the exact values at a few indices by
+    parsing their blocks again; a block that no longer gives the float32
+    values held raises ``ScoreFileError``: the file changed while it was
+    read. A file that needs the line loop is held exact, at 8 bytes a score.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as fh:
+            # a pipe cannot be read again, so its bytes are kept
+            self._pipe = None if fh.seekable() else io.BytesIO(fh.read())
+            self._lines, self._size = _line_count(self._pipe or fh)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _open(self):
+        if self._pipe is None:
+            return open(self.path, "rb")
+        self._pipe.seek(0)
+        return contextlib.nullcontext(self._pipe)
+
+    def blocks(self):
+        """The one parse: the file's exact values, block by block."""
+        # the store, sized by the line count; the slots left over at its end by
+        # lines without a value are never touched, so they take no resident memory
+        self.values = np.empty(self._lines, dtype=np.float32)
+        # per parse block: its file offset, its byte count and the values before it
+        self._blocks = []
+        self._last = None, None  # the block exact() parsed last, and its values
+        n = 0
+        try:
+            with self._open() as fh:
+                for offset, size, values in _parsed_blocks(fh, self._lines):
+                    # a value past the float32 range is held as an infinity
+                    with np.errstate(over="ignore"):
+                        self.values[n:n + values.size] = values
+                    self._blocks.append((offset, size, n))
+                    n += values.size
+                    yield values
+            if not n:
+                raise _LineLoop
+        except _LineLoop:
+            # the values yielded so far are the line loop's too, unless the file changed
+            exact = _read_lines(self.path)
+            with np.errstate(over="ignore"):
+                if not np.array_equal(exact[:n].astype(np.float32), self.values[:n]):
+                    raise self._changed() from None
+            self.values = exact
+            yield from (exact[i:i + READ_BLOCK] for i in range(n, exact.size, READ_BLOCK))
+            n = exact.size
+        self._size = n
+        self.values = self.values[:n]
+
+    def exact(self, indices: np.ndarray) -> np.ndarray:
+        """The exact values at the ascending ``indices``, from their parse
+        blocks; the last block parsed is kept for the next call."""
+        if self.values.dtype == float:
+            return self.values[indices]
+        firsts = [first for _, _, first in self._blocks]
+        block = np.searchsorted(firsts, indices, side="right") - 1
+        out = np.empty(indices.size)
+        for b in np.unique(block).tolist():
+            if self._last[0] != b:
+                offset, size, first = self._blocks[b]
+                stop = firsts[b + 1] if b + 1 < len(firsts) else self._size
+                with self._open() as fh:
+                    values = _reparsed(fh, offset, size)
+                with np.errstate(over="ignore"):
+                    if values is None or not np.array_equal(values.astype(np.float32),
+                                                            self.values[first:stop]):
+                        raise self._changed()
+                self._last = b, values
+            at = block == b
+            out[at] = self._last[1][indices[at] - firsts[b]]
+        return out
+
+    def _changed(self) -> ScoreFileError:
+        return ScoreFileError(f"{self.path}: changed while it was read", None)
 
 
 def numbered_lines(path):
@@ -380,53 +482,93 @@ def _nearest_double(d, f):
     return c, ok
 
 
+class _LineLoop(Exception):
+    """The file needs the Python line loop."""
+
+
+def _line_count(fh) -> tuple[int, int]:
+    """Upper bounds on the values of the open file ``fh``: one more than its
+    line feeds, where the block parse ends its lines, and one more than its
+    line feeds and carriage returns, where the line loop may end them too.
+    Leaves ``fh`` at its start."""
+    block = np.empty(READ_BLOCK, dtype=np.uint8)
+    lines = returns = 0
+    while got := fh.readinto(block):
+        lines += np.count_nonzero(block[:got] == 10)
+        returns += np.count_nonzero(block[:got] == 13)
+    fh.seek(0)
+    return int(lines) + 1, int(lines + returns) + 1
+
+
 def _read_blocks(path):
     """The file's values, read ``READ_BLOCK`` bytes at a time; None when the
     file needs the line loop."""
     with open(path, "rb") as fh:
         if not fh.seekable():  # a pipe: its bytes are kept to be read twice
             fh = io.BytesIO(fh.read())
-        # the bytes before each line start at _LINE; one spare byte at the end
-        # takes the line feed a last line lacks
-        buf = np.zeros(_LINE + READ_BLOCK + 1, dtype=np.uint8)
-        # the count reads past the _LINE prefix, which the parse keeps clear of
-        # file bytes, and a last line may lack its line feed
-        block = buf[_LINE:-1]
-        lines = 1
-        while got := fh.readinto(block):
-            lines += np.count_nonzero(block[:got] == 10)
-        fh.seek(0)
-        out = np.empty(lines)
-        n = carry = 0
-        while True:
-            begin = _LINE + carry
-            if begin == buf.size - 1:  # a line longer than the buffer
-                buf = np.concatenate([buf, np.zeros_like(buf)])
-            end = begin + fh.readinto(memoryview(buf)[begin:-1])
-            if end == begin:
-                if not carry:
-                    break
-                buf[end] = 10
-                end += 1
-            lf = np.flatnonzero(buf[_LINE:end] == 10)
-            if lf.size:
-                if n + lf.size > out.size:  # the file grew after the count
-                    return None
-                lf += _LINE
-                values = _parse_block(buf, lf, out[n:n + lf.size])
-                if values is None:
-                    return None
-                n += values
-                begin = lf[-1] + 1
-            else:
-                begin = _LINE
-            carry = end - begin
-            buf[_LINE:_LINE + carry] = buf[begin:end]
+        out = np.empty(_line_count(fh)[0])
+        n = 0
+        try:
+            for _, _, values in _parsed_blocks(fh, out.size, out):
+                n += values.size
+        except _LineLoop:
+            return None
     if not n:
         return None
     if n < out.size:  # skipped lines, or a last line feed
         out.resize(n, refcheck=False)
     return out
+
+
+def _parsed_blocks(fh, lines: int, out: np.ndarray | None = None):
+    """The one parse loop: per parse block of the open file ``fh``, its file
+    offset, its byte count and its values, ``READ_BLOCK`` bytes at a time.
+    The values go to ``out`` in file order or, without it, to a fresh array
+    per block. Raises ``_LineLoop`` when the file needs the line loop, or
+    holds more than ``lines`` lines, as when it grew after they were counted."""
+    # the bytes before each line start at _LINE, a prefix the parse keeps clear
+    # of file bytes; one spare byte at the end takes the line feed a last line lacks
+    buf = np.zeros(_LINE + READ_BLOCK + 1, dtype=np.uint8)
+    n = carry = offset = 0
+    while True:
+        begin = _LINE + carry
+        if begin == buf.size - 1:  # a line longer than the buffer
+            buf = np.concatenate([buf, np.zeros_like(buf)])
+        end = begin + fh.readinto(memoryview(buf)[begin:-1])
+        if end == begin:
+            if not carry:
+                return
+            buf[end] = 10
+            end += 1
+        lf = np.flatnonzero(buf[_LINE:end] == 10)
+        if lf.size:
+            if n + lf.size > lines:
+                raise _LineLoop
+            lf += _LINE
+            dest = np.empty(lf.size) if out is None else out[n:n + lf.size]
+            values = _parse_block(buf, lf, dest)
+            if values is None:
+                raise _LineLoop
+            size = lf[-1] + 1 - _LINE
+            yield offset, size, dest[:values]
+            offset += size
+            n += values
+            begin = lf[-1] + 1
+        else:
+            begin = _LINE
+        carry = end - begin
+        buf[_LINE:_LINE + carry] = buf[begin:end]
+
+
+def _reparsed(fh, offset: int, size: int):
+    """The values of the ``size`` bytes at ``offset`` in the open file ``fh``,
+    a parse block when it was read, or None when they need the line loop."""
+    fh.seek(offset)
+    try:
+        return np.concatenate([values for _, _, values in
+                               _parsed_blocks(io.BytesIO(fh.read(size)), size)] or [[]])
+    except _LineLoop:
+        return None
 
 
 def _trailing_zeros(low, high):

@@ -3,6 +3,8 @@ import functools
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,7 @@ from dpaudit.profiles import PrivacyProfile
 from dpaudit.scores import WRITE_BLOCK, both, read_scores, write_scores
 from dpaudit.tradeoff import TradeoffCurve, validate
 
-from oracles import no_child_left, traced_peak
+from oracles import no_child_left, score_file_bytes, traced_peak
 
 
 def run(*argv):
@@ -232,6 +234,131 @@ class TestLoadHistogramMemory:
         # other side too would add another 8 * N bytes
         assert traced_peak(load) < 8 * self.N + 3 * 8 * BIN_BLOCK
         assert hist.n == self.N
+        assert no_child_left()
+
+    @pytest.fixture(scope="class")
+    def sizes(self, tmp_path_factory):
+        """Score files of 2 * 10**5 and of 10**6 scores per side."""
+        rng = np.random.default_rng(22)
+        files = {}
+        for n in (2 * 10 ** 5, 10 ** 6):
+            files[n] = [tmp_path_factory.mktemp("memory") / name for name in ("p.txt", "q.txt")]
+            for path, mean in zip(files[n], (0.0, 1.0)):
+                write_scores(path, rng.normal(mean, 1.0, n))
+        return files
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="without os.fork one process bins both")
+    @pytest.mark.parametrize("binning", [[], ["--bins", "20"], ["--bin-width", "0.001"]])
+    def test_a_side_grows_by_4_bytes_a_score(self, sizes, binning):
+        peaks = []
+        for n, (p, q) in sorted(sizes.items()):
+            args = build_parser().parse_args(["audit", str(p), str(q), *binning])
+            config = _audit_config(args)
+            peaks.append(traced_peak(lambda: _load_histogram(args, config)))
+        # the float32 copy of this side's scores; holding them exact took 8 bytes a score
+        assert (peaks[1] - peaks[0]) / (10 ** 6 - 2 * 10 ** 5) <= 4.5
+        assert no_child_left()
+
+
+class TestHeldScoreFiles:
+    """Each score file is parsed once and held as float32; the few values whose
+    bin float32 cannot tell are parsed again from the file."""
+
+    N = 4000
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        """Two samples whose middles hold every breakpoint of their --bins 20
+        binning and both its float64 neighbours, so counting them takes exact
+        values, and the report the audit of the two gives."""
+        rng = np.random.default_rng(31)
+        pair = [rng.normal(0.0, 1.0, self.N), rng.normal(0.5, 1.0, self.N)]
+        spec = auto_spec(*pair, k=20)
+        t = spec.breakpoints()
+        for x in pair:
+            # values near the median, replaced by values as near: no quantile moves
+            middle = np.flatnonzero(np.abs(x - np.median(x)) < 0.5)[:3 * t.size]
+            x[middle] = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
+        assert auto_spec(*pair, k=20) == spec
+        report = histogram_audit(*pair, AuditConfig(bins=20)).to_json() + "\n"
+        return pair, report
+
+    @staticmethod
+    def audit(p, q, out, capsys):
+        """The exit code, captured output and JSON of ``audit p q --bins 20``."""
+        code = run("audit", p, q, "--bins", 20, "--json", out)
+        return code, capsys.readouterr(), out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("form", ["plain", "comments", "crlf", "no last line feed",
+                                      "exponent", "carriage returns"])
+    def test_text_forms_give_the_exact_report(self, tmp_path, capsys, monkeypatch, pair, form):
+        samples, report = pair
+        reads = []
+        exact = cli.HeldScores.exact
+
+        def counted_exact(held, indices):
+            reads.append(indices.size)
+            return exact(held, indices)
+
+        monkeypatch.setattr(cli.HeldScores, "exact", counted_exact)
+        paths = [tmp_path / "p.txt", tmp_path / "q.txt"]
+        for path, x in zip(paths, samples):
+            lines = [f"{v:.17e}" if form == "exponent" else repr(v) for v in x.tolist()]
+            if form == "comments":
+                lines[:0] = ["# scores", ""]
+                lines[self.N // 2:self.N // 2] = ["", "  # a note", "\t"]
+            newline = {"crlf": "\r\n", "carriage returns": "\r"}.get(form, "\n")
+            end = "" if form == "no last line feed" else newline
+            path.write_bytes((newline.join(lines) + end).encode("ascii"))
+        code, (out, err), json_text = self.audit(*paths, tmp_path / "r.json", capsys)
+        assert (code, err, json_text) == (0, "", report)
+        assert out.startswith("delta=0.01 eps=")
+        # this process's side was parsed again in part, unless the line loop
+        # read it, as it reads lines ended by carriage returns alone, and it is held exact
+        assert (sum(reads) > 0) == (form != "carriage returns")
+        assert no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipes_give_the_exact_report(self, tmp_path, capsys, pair):
+        samples, report = pair
+        writers = []
+        for name, x in zip("pq", samples):
+            (tmp_path / f"{name}.txt").write_bytes(score_file_bytes(x))
+            os.mkfifo(tmp_path / f"{name}.fifo")
+            # a writer process, since the audit forks and a fork takes no other thread
+            writers.append(subprocess.Popen([sys.executable, "-c",
+                                             "import sys; open(sys.argv[2], 'wb').write("
+                                             "open(sys.argv[1], 'rb').read())",
+                                             tmp_path / f"{name}.txt", tmp_path / f"{name}.fifo"]))
+        try:
+            code, (_, err), json_text = self.audit(tmp_path / "p.fifo", tmp_path / "q.fifo",
+                                                   tmp_path / "r.json", capsys)
+        finally:
+            for writer in writers:
+                writer.wait(timeout=60)
+        assert (code, err, json_text) == (0, "", report)
+        assert no_child_left()
+
+    # other digits with each line as long as before, or other lines
+    @pytest.mark.parametrize("rewrite", [lambda text: text.replace(b"3", b"4"),
+                                         lambda text: text.replace(b"\n", b"0\n")],
+                             ids=["digits", "lines"])
+    def test_file_rewritten_before_the_second_read_exit_3(self, tmp_path, capsys, monkeypatch,
+                                                          pair, rewrite):
+        (x_p, x_q), _ = pair
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        write_scores(p, x_p)
+        write_scores(q, x_q)
+        exact = cli.HeldScores.exact
+
+        def rewritten(held, indices):
+            if held.path == str(p):
+                p.write_bytes(rewrite(p.read_bytes()))
+            return exact(held, indices)
+
+        monkeypatch.setattr(cli.HeldScores, "exact", rewritten)
+        assert run("audit", p, q, "--bins", 20) == 3
+        assert capsys.readouterr() == ("", f"error: {p}: changed while it was read\n")
         assert no_child_left()
 
 
@@ -885,6 +1012,25 @@ class TestFlags:
             argv = [*argv, "-n", 5, a, b]
         assert run(*argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {field} must be positive and finite")
+
+    @pytest.mark.parametrize("audit", [[], ["--audit"]])
+    @pytest.mark.filterwarnings("error")
+    def test_clip_with_no_finite_square_exit_2(self, tmp_path, capsys, audit):
+        # the white-box draws scale by clip ** 2, which overflows float64 above about 1.34e154
+        argv = ["canary", "--mode", "white-box", "-d", 8, "--iterations", 1000, *audit]
+        assert run(*argv, "--clip", "1e160", "--out-p", tmp_path / "c.txt") == 2
+        assert capsys.readouterr() == ("", "error: clip must have a finite square, got 1e+160\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_clip_with_a_finite_square_draws_as_before(self, tmp_path):
+        # the largest clips still draw, O' = clip^2 sigma Z' + clip^2 Bernoulli(1/2)
+        assert run("canary", "--mode", "white-box", "-d", 8, "--iterations", 1000,
+                   "--clip", "1e154", "--sigma", "1e-10", "--canary-prob", 0.5,
+                   "--out-p", tmp_path / "c.txt") == 0
+        cfg = WhiteBoxConfig(iterations=1000, canary_prob=0.5, clip=1e154, sigma=1e-10, d=8)
+        held_in = read_scores(tmp_path / "c.txt")
+        assert np.array_equal(held_in, canary.whitebox_stream(cfg, 1))
+        assert 0 < np.count_nonzero(held_in > 1e307) < 1000
 
     @pytest.mark.parametrize("grid,ends", [
         ("0:inf:3", "lo=0.0, hi=inf"),

@@ -14,7 +14,9 @@ sample drawn block by block from a source bins as the same sample held. Bin
 indices and the PLD's first node above each eps, both counted by arithmetic,
 are checked against ``searchsorted`` on the nodes themselves. Score files
 written by the vectorised formatter are checked against ``repr`` byte for
-byte, on values drawn around the edges of its exact domain.
+byte, on values drawn around the edges of its exact domain. A score file
+held as float32 bins as its exact values, on samples full of breakpoints and
+of values that share a breakpoint's float32.
 """
 
 import math
@@ -276,6 +278,53 @@ def test_a_source_bins_as_its_array(pair, binning, data):
     for (spec, counts), (other, other_counts) in zip(from_array, from_source):
         assert spec == other
         assert np.array_equal(counts, other_counts)
+
+
+# values float32 cannot hold: past its range, and below its smallest subnormal
+# (7e-46, 1e-50) or among its subnormals (1e-40, 1e-45)
+FLOAT32_EDGES = [1e39, -1e39, 3.5e38, -3.5e38, 1e-40, -1e-40, 1e-45, 7e-46, 1e-50, 5e-324,
+                 -1e-310, 0.0]
+
+
+@st.composite
+def held_cases(draw):
+    """A binning by one of the three rules over a random span, and a sample
+    that holds each breakpoint t, its float64 neighbours, float64(float32(t))
+    and its neighbours, which share t's float32, and the ``FLOAT32_EDGES``."""
+    k = draw(st.integers(2, 500))
+    scale = 10.0 ** draw(st.floats(-44.0, 40.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = [scale * (draw(st.floats(-3.0, 3.0)) + rng.uniform(-1.0, 1.0, 500)) for _ in "pq"]
+    rule = draw(st.sampled_from(["scott", "k", "width"]))
+    try:
+        spec = auto_spec(*base, k=k)
+        if rule != "k":
+            width = None if rule == "scott" else (spec.b - spec.a) / k * draw(st.floats(1.0, 2.0))
+            spec = auto_spec(*base, width=width)
+    except ValueError:  # a span or Scott width past float64
+        assume(False)
+    t = spec.breakpoints()
+    with np.errstate(over="ignore"):
+        t32 = t.astype(np.float32).astype(float)
+    t32 = t32[np.isfinite(t32)]
+    x = np.concatenate([base[0], t, t32, FLOAT32_EDGES,
+                        *(np.nextafter(v, end) for v in (t, t32) for end in (-np.inf, np.inf))])
+    return spec, rng.permutation(x[np.isfinite(x)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(held_cases(), st.sampled_from([64, 2 ** 10]), st.sampled_from([7, 2 ** 13]))
+def test_a_held_file_counts_as_its_array(tmp_path_factory, case, read_block, chunk):
+    spec, x = case
+    path = tmp_path_factory.mktemp("held") / "scores.txt"
+    path.write_bytes(score_file_bytes(x))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scores, "READ_BLOCK", read_block)
+        mp.setattr(histogram, "_COUNT_CHUNK", chunk)
+        held = scores.HeldScores(path)
+        parsed = np.concatenate([block.copy() for block in held.blocks()])
+        assert parsed.tobytes() == x.tobytes()
+        assert np.array_equal(bin_counts(held, spec), bin_counts(x, spec))
 
 
 @PROPERTY_SETTINGS

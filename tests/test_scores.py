@@ -16,7 +16,7 @@ from dpaudit import cli, scores
 from dpaudit.cli import main
 from dpaudit.errors import ScoreFileError
 from dpaudit.profiles import read_csv
-from dpaudit.scores import READ_BLOCK, WRITE_BLOCK, both, read_scores, write_scores
+from dpaudit.scores import READ_BLOCK, WRITE_BLOCK, HeldScores, both, read_scores, write_scores
 from oracles import no_child_left, read_scores_by_line, rss_growth, score_file_bytes, traced_peak
 
 MB = 2 ** 20
@@ -405,12 +405,12 @@ class TestBoth:
         for path in (p, q):
             path.write_text("0.0\n1.0\n2.0\n", encoding="utf-8")
 
-        def read_or_die(path):
+        def hold_or_die(path):
             if path == str(q):
                 os._exit(7)  # only ever reached in the child, which reads q
-            return read_scores(path)
+            return HeldScores(path)
 
-        monkeypatch.setattr(cli, "read_scores", read_or_die)
+        monkeypatch.setattr(cli, "HeldScores", hold_or_die)
         assert main(["audit", str(p), str(q)]) == 6
         assert capsys.readouterr().err == (
             f"error: {q}: the process handling this file ended without a result "
